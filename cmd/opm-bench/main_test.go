@@ -58,7 +58,7 @@ func TestRunHistoryFFTWritesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("historyfft report not written: %v", err)
 	}
-	for _, key := range []string{"\"fft_over_exact\"", "\"max_rel_diff\"", "\"history_engine\""} {
+	for _, key := range []string{"\"fft_over_exact\"", "\"max_rel_diff\"", "\"history_engine\"", "\"provenance\"", "\"commit\""} {
 		if !strings.Contains(string(buf), key) {
 			t.Fatalf("report missing %s:\n%s", key, buf)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"opmsim/internal/fft"
@@ -26,28 +27,43 @@ import (
 //     {i < j} into squares;
 //   - the per-column remainder — past columns inside the current base
 //     segment — is folded directly, exactly like the exact engine's tail;
-//   - the kernel spectrum is computed once per (term, L) and cached; the n
-//     row convolutions of a firing are independent and fan out over the
-//     shared worker pool, each row's accumulator slice owned by exactly one
-//     task.
+//   - a firing convolves the state rows in pairs: rows 2q and 2q+1 share one
+//     complex 2L-point transform, z = s₀·row(2q) + i·s₁·row(2q+1). The lag
+//     kernel is real, so the real and imaginary parts of the product are
+//     the two rows' convolutions, with no pack/unpack pass. s₀ and s₁ are
+//     powers of two taken from each row's largest magnitude over the
+//     segment, so each row keeps its own relative accuracy however much
+//     larger its pair-mate is, and undoing them is exact. An odd last row
+//     rides alone in the real part;
+//   - the forward transform is decimation in frequency (natural order in,
+//     bit-reversed order out, first stage pruned because the upper half of
+//     z is zero padding) and the inverse is decimation in time
+//     (bit-reversed in, natural out), so no bit-reversal pass runs. The
+//     kernel spectrum is computed once per (term, L) in that bit-reversed
+//     order, prescaled by the exact factor 1/(2L), and cached;
+//   - the pairs of a firing are independent and fan out over the shared
+//     worker pool, each row's accumulator slice owned by exactly one task.
 //
-// Determinism: the per-row transforms and the accumulation order into each
-// accumulator row are independent of the worker partition, so FFT-mode
-// results are bitwise-identical across Workers settings. They are *not*
-// bitwise-identical to the exact engine — circular convolution reorders the
-// floating-point sums — but agree to ~1e-12 relative on the golden
-// waveforms; the exact engine remains the default cross-check below the
-// crossover.
+// Determinism: pairs are fixed by row index, not by the worker partition; a
+// pair's scaling, transforms and accumulation run in one task in a fixed
+// order; and segments fire in ascending column order, on a live run and on
+// a checkpoint replay alike. FFT-mode results are therefore
+// bitwise-identical across Workers settings and across resume. They are
+// *not* bitwise-identical to the exact engine — circular convolution
+// reorders the floating-point sums — but agree to ~1e-12 relative on the
+// golden waveforms; the exact engine remains the default cross-check below
+// the crossover.
 const (
 	// historyFFTBase is the base segment length: the tail fold is O(base)
-	// per column, and no transform is shorter than 2·base. Engines override
-	// it in tests to exercise many segment levels on small grids.
+	// per column, and no transform is shorter than 2·base (at least 8, the
+	// shortest fft.Plan.Convolve takes). Engines override it in tests to
+	// exercise many segment levels on small grids.
 	historyFFTBase = 64
 	// historyFFTCrossover is the grid size at which HistoryAuto switches
 	// from the exact blocked engine to the FFT tier. Measured with the
 	// historyfft ablation (BENCH_history_fft.json, see EXPERIMENTS.md) the
-	// single-threaded FFT tier is already ahead at m = 256 (1.7×) and wins
-	// 5.6× at m = 4096; auto stays on the bitwise-exact engine up to 511
+	// single-threaded FFT tier is already ahead at m = 256 (1.6×) and wins
+	// 14.8× at m = 4096; auto stays on the bitwise-exact engine up to 511
 	// columns anyway, both as margin for machines where the parallel
 	// blocked engine closes the small-m gap and so that small default-mode
 	// runs (the m = 256 golden grids) keep their historical bit patterns.
@@ -103,7 +119,7 @@ func (o *Options) historyFFTEnabled(m int) (bool, error) {
 // fftHist is the per-term state of the segmented fast-convolution tier.
 type fftHist struct {
 	acc   *mat.Dense           // n×m: completed segments' contributions to future columns
-	ker   map[int][]complex128 // segment length L → half spectrum of the 2L-point lag kernel
+	ker   map[int][]complex128 // segment length L → bit-reversed, 1/(2L)-scaled spectrum of the 2L-point lag kernel
 	fired int                  // last column at which a segment fired (idempotency guard)
 }
 
@@ -131,9 +147,12 @@ func (e *historyEngine) historyFFT(t *historyTerm, j int, cols [][]float64) ([]f
 // nonzero multiple of the base segment length): with v the number of
 // trailing zero bits of j/base, the level covers the L = base·2^v
 // just-completed columns [j−L, j) and accumulates their contribution to
-// columns [j, min(j+L, m)). The context is checked here — a firing is the
-// largest indivisible unit of work in the tier — and worker panics are
-// recovered into the returned error exactly like the exact engine's bursts.
+// columns [j, min(j+L, m)). The work is split into tasks on row-pair
+// boundaries; pairs are fixed by row index, so the partition changes which
+// goroutine runs a pair, never what it computes. The context is checked
+// here — a firing is the largest indivisible unit of work in the tier — and
+// worker panics are recovered into the returned error exactly like the
+// exact engine's bursts.
 func (e *historyEngine) fireSegment(t *historyTerm, j int, cols [][]float64) error {
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {
@@ -150,14 +169,15 @@ func (e *historyEngine) fireSegment(t *historyTerm, j int, cols [][]float64) err
 	}
 	ker := e.fftKernel(t, L)
 	a := j - L
+	pairs := (e.n + 1) / 2
 	nt := e.workers
-	if nt > e.n {
-		nt = e.n
+	if nt > pairs {
+		nt = pairs
 	}
 	var tasks []func()
 	for r := 0; r < nt; r++ {
-		lo := r * e.n / nt
-		hi := (r + 1) * e.n / nt
+		lo := r * pairs / nt
+		hi := (r + 1) * pairs / nt
 		if lo >= hi {
 			continue
 		}
@@ -165,7 +185,7 @@ func (e *historyEngine) fireSegment(t *historyTerm, j int, cols [][]float64) err
 			if e.fault != nil && e.fault.WorkerFault != nil {
 				e.fault.WorkerFault()
 			}
-			e.convRows(t, ker, a, L, j, outLen, lo, hi, cols)
+			e.convPairs(t, ker, a, L, j, outLen, lo, hi, cols)
 		})
 	}
 	if len(tasks) <= 1 || e.workers == 1 {
@@ -180,43 +200,93 @@ func (e *historyEngine) fireSegment(t *historyTerm, j int, cols [][]float64) err
 	return historyPoolDo(tasks)
 }
 
-// convRows convolves state rows [lo, hi) of the completed segment
-// [a, a+L) against the cached kernel spectrum and accumulates conv[L+r]
-// into future column j+r: conv[L+r] = Σ_p seg[p]·k[L+r−p] with the lag
-// L+r−p ranging over [r+1, L+r] ⊂ [1, 2L−1], so the zero-padded 2L-point
-// circular convolution never wraps and equals the linear one. Each row's
-// accumulator slice is touched by exactly one task, making the fan-out
-// race-free and the results independent of the worker count.
-func (e *historyEngine) convRows(t *historyTerm, ker []complex128, a, L, j, outLen, lo, hi int, cols [][]float64) {
+// convPairs convolves the row pairs [lo, hi) — rows 2q and 2q+1 — of the
+// completed segment [a, a+L) against the cached kernel spectrum and
+// accumulates conv[L+r] into future column j+r: conv[L+r] = Σ_p seg[p]·k[L+r−p]
+// with the lag L+r−p ranging over [r+1, L+r] ⊂ [1, 2L−1], so the zero-padded
+// 2L-point circular convolution never wraps and equals the linear one.
+//
+// The two rows ride in one complex transform, z = s₀·row(2q) + i·s₁·row(2q+1),
+// so the product's real part is s₀·conv(row(2q)) and its imaginary part
+// s₁·conv(row(2q+1)). The power-of-two scales bring each row's largest
+// magnitude into [½, 1): transform roundoff is relative to |z|, so without
+// them a row 2¹⁰⁰ times smaller than its mate would drown in the mate's
+// rounding noise. An all-zero row is not accumulated, so it stays exactly
+// zero rather than picking up its mate's noise. Each row's accumulator slice
+// is touched by exactly one task, making the fan-out race-free and the
+// results independent of the worker count.
+func (e *historyEngine) convPairs(t *historyTerm, ker []complex128, a, L, j, outLen, lo, hi int, cols [][]float64) {
 	n2 := 2 * L
 	plan := fft.PlanFor(n2)
-	seg := fft.GetFloat(n2)
-	spec := fft.GetComplex(L + 1)
-	for i := lo; i < hi; i++ {
-		for p := 0; p < L; p++ {
-			seg[p] = cols[a+p][i]
+	z := fft.GetComplex(n2)
+	seg := z[:L]
+	for q := lo; q < hi; q++ {
+		i0, i1 := 2*q, 2*q+1
+		paired := i1 < e.n
+		mx0, mx1 := 0.0, 0.0
+		for p := range seg {
+			c := cols[a+p]
+			v0, v1 := c[i0], 0.0
+			if paired {
+				v1 = c[i1]
+			}
+			seg[p] = complex(v0, v1)
+			if v := math.Abs(v0); v > mx0 {
+				mx0 = v
+			}
+			if v := math.Abs(v1); v > mx1 {
+				mx1 = v
+			}
 		}
-		for p := L; p < n2; p++ {
-			seg[p] = 0
+		if isExactZero(mx0) && isExactZero(mx1) {
+			continue
 		}
-		plan.RealForward(spec, seg)
-		for q := range spec {
-			spec[q] *= ker[q]
+		s0, u0 := pow2Scale(mx0)
+		s1, u1 := pow2Scale(mx1)
+		for p, v := range seg {
+			seg[p] = complex(real(v)*s0, imag(v)*s1)
 		}
-		plan.RealInverse(seg, spec)
-		row := t.fft.acc.Row(i)
-		for r := 0; r < outLen; r++ {
-			row[j+r] += seg[L+r]
+		plan.Convolve(z, ker)
+		out := z[L : L+outLen]
+		if !isExactZero(mx0) {
+			row := t.fft.acc.Row(i0)[j : j+outLen]
+			for r, v := range out {
+				row[r] += real(v) * u0
+			}
+		}
+		if !isExactZero(mx1) {
+			row := t.fft.acc.Row(i1)[j : j+outLen]
+			for r, v := range out {
+				row[r] += imag(v) * u1
+			}
 		}
 	}
-	fft.PutFloat(seg)
-	fft.PutComplex(spec)
+	fft.PutComplex(z)
 }
 
-// fftKernel returns — building and caching on first use — the half spectrum
-// of the 2L-point lag kernel k[0] = 0, k[d] = c_d (coefficients beyond the
-// grid are zero). It runs on the orchestrating goroutine before the row
-// fan-out, so each (term, L) pays for one kernel transform per run.
+// pow2Scale returns the power of two s that brings mx (> 0) into [½, 1),
+// and its inverse. The exponent is clamped so both stay normal numbers; a
+// zero mx yields 1, 1.
+func pow2Scale(mx float64) (s, inv float64) {
+	if isExactZero(mx) {
+		return 1, 1
+	}
+	_, exp := math.Frexp(mx)
+	if exp > 1021 {
+		exp = 1021
+	} else if exp < -1021 {
+		exp = -1021
+	}
+	return math.Ldexp(1, -exp), math.Ldexp(1, exp)
+}
+
+// fftKernel returns — building and caching on first use — the spectrum of
+// the 2L-point lag kernel k[0] = 0, k[d] = c_d (coefficients beyond the grid
+// are zero), in the bit-reversed order ForwardDIF produces and prescaled by
+// the exact factor 1/(2L), so that convPairs' product needs neither a
+// reordering nor the inverse transform's normalization. It runs on the
+// orchestrating goroutine before the pair fan-out, so each (term, L) pays
+// for one kernel transform per run.
 func (e *historyEngine) fftKernel(t *historyTerm, L int) []complex128 {
 	if s, ok := t.fft.ker[L]; ok {
 		return s
@@ -231,18 +301,15 @@ func (e *historyEngine) fftKernel(t *historyTerm, L int) []complex128 {
 		}
 	}
 	n2 := 2 * L
-	buf := fft.GetFloat(n2)
-	buf[0] = 0
-	for d := 1; d < n2; d++ {
-		if d < len(t.toe) {
-			buf[d] = t.toe[d]
-		} else {
-			buf[d] = 0
-		}
+	spec := make([]complex128, n2)
+	for d := 1; d < n2 && d < len(t.toe); d++ {
+		spec[d] = complex(t.toe[d], 0)
 	}
-	spec := make([]complex128, L+1)
-	fft.PlanFor(n2).RealForward(spec, buf)
-	fft.PutFloat(buf)
+	fft.PlanFor(n2).ForwardDIF(spec)
+	inv := 1 / float64(n2)
+	for q, v := range spec {
+		spec[q] = complex(real(v)*inv, imag(v)*inv)
+	}
 	t.fft.ker[L] = spec
 	if e.kernels != nil {
 		e.kernels.put(t.key, L, spec)

@@ -30,47 +30,59 @@ func maxRelDiff(a, b *mat.Dense) float64 {
 // Engine-level check of the segment decomposition: with a tiny base segment
 // the FFT tier exercises many firing levels even on small grids, and must
 // reproduce the naive triangular summation at roundoff for m on and around
-// every power-of-two boundary.
+// every power-of-two boundary. Rows are convolved in pairs, so n covers a
+// lone row, an unpaired last row and several pairs. The scaled inputs put
+// rows 2^±90 and 10^±12 apart inside one pair; each row must still match
+// its naive sum relative to its own scale, which fails unless every row is
+// scaled on its own before it shares a transform.
 func TestHistoryFFTEngineMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	n := 3
-	for _, m := range []int{1, 2, 5, 8, 9, 16, 31, 32, 33, 63, 64, 65, 100, 127, 130} {
-		cols := make([][]float64, m)
-		for j := range cols {
-			cols[j] = make([]float64, n)
-			for i := range cols[j] {
-				cols[j][i] = rng.NormFloat64()
-			}
-		}
-		// Decaying Toeplitz coefficients, like the fractional ρ_α tails.
-		c := make([]float64, m)
-		for d := range c {
-			c[d] = rng.NormFloat64() / float64(1+d)
-		}
-		opt := &Options{HistoryMode: HistoryFFT}
-		eng, err := newHistoryEngine(n, m, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.fftBase = 4 // exercise many segment levels on small grids
-		eng.addToeplitz(0, c)
-		scale := 0.0
-		for j := 0; j < m; j++ {
-			// Naive reference for column j.
-			want := make([]float64, n)
-			for i := 0; i < j; i++ {
-				mat.Axpy(c[j-i], cols[i], want)
-			}
-			got, err := eng.history(0, j, cols)
-			if err != nil {
-				t.Fatalf("m=%d j=%d: %v", m, j, err)
-			}
-			for i := range want {
-				if a := math.Abs(want[i]); a > scale {
-					scale = a
+	rowScales := []float64{0x1p90, 0x1p-90, 1e12, 1e-12, 1, 0x1p-90, 1e-12, 0x1p90}
+	for _, n := range []int{1, 2, 3, 8} {
+		for _, scaled := range []bool{false, true} {
+			scale := make([]float64, n)
+			for i := range scale {
+				scale[i] = 1
+				if scaled {
+					scale[i] = rowScales[i%len(rowScales)]
 				}
-				if d := math.Abs(got[i] - want[i]); d > 1e-11*(1+scale) {
-					t.Fatalf("m=%d j=%d state %d: fft %g vs naive %g (|Δ|=%g)", m, j, i, got[i], want[i], d)
+			}
+			for _, m := range []int{1, 2, 5, 8, 9, 16, 31, 32, 33, 63, 64, 65, 100, 127, 130} {
+				cols := make([][]float64, m)
+				for j := range cols {
+					cols[j] = make([]float64, n)
+					for i := range cols[j] {
+						cols[j][i] = rng.NormFloat64() * scale[i]
+					}
+				}
+				// Decaying Toeplitz coefficients, like the fractional ρ_α tails.
+				c := make([]float64, m)
+				for d := range c {
+					c[d] = rng.NormFloat64() / float64(1+d)
+				}
+				opt := &Options{HistoryMode: HistoryFFT}
+				eng, err := newHistoryEngine(n, m, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.fftBase = 4 // exercise many segment levels on small grids
+				eng.addToeplitz(0, c)
+				for j := 0; j < m; j++ {
+					// Naive reference for column j.
+					want := make([]float64, n)
+					for i := 0; i < j; i++ {
+						mat.Axpy(c[j-i], cols[i], want)
+					}
+					got, err := eng.history(0, j, cols)
+					if err != nil {
+						t.Fatalf("n=%d m=%d j=%d: %v", n, m, j, err)
+					}
+					for i := range want {
+						if d := math.Abs(got[i] - want[i]); d > 1e-11*scale[i] {
+							t.Fatalf("n=%d scaled=%v m=%d j=%d state %d: fft %g vs naive %g (|Δ|=%g, row scale %g)",
+								n, scaled, m, j, i, got[i], want[i], d, scale[i])
+						}
+					}
 				}
 			}
 		}

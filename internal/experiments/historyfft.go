@@ -56,9 +56,9 @@ type HistoryFFTRow struct {
 // HistoryFFTReport is the machine-readable result written to
 // BENCH_history_fft.json by cmd/opm-bench.
 type HistoryFFTReport struct {
+	Provenance Provenance      `json:"provenance"`
 	Fixture    string          `json:"fixture"`
 	Alpha      float64         `json:"alpha"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
 	Workers    int             `json:"workers"`
 	Rows       []HistoryFFTRow `json:"rows"`
 }
@@ -90,14 +90,14 @@ func HistoryFFT(cfg HistoryFFTConfig) (*Table, *HistoryFFTReport, error) {
 		return nil, nil, err
 	}
 	rep := &HistoryFFTReport{
+		Provenance: NewProvenance(),
 		Fixture:    fmt.Sprintf("fractional line n=%d", mna.Sys.N()),
 		Alpha:      cfg.Line.Order,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    workers,
 	}
 	tbl := &Table{
 		Title: fmt.Sprintf("History engine FFT tier — fractional line (n=%d, α=%g, GOMAXPROCS=%d)",
-			mna.Sys.N(), cfg.Line.Order, rep.GOMAXPROCS),
+			mna.Sys.N(), cfg.Line.Order, rep.Provenance.GOMAXPROCS),
 		Header: []string{"m", "naive", "exact", "fft", "fft/exact", "max rel Δ"},
 	}
 	for _, m := range cfg.Ms {

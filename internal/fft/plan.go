@@ -8,9 +8,9 @@ import (
 )
 
 // A Plan holds the precomputed tables for transforms of one fixed length n:
-// the bit-reversal permutation and twiddle-factor table of the iterative
-// radix-2 kernel for powers of two, the chirp and padded-kernel spectrum of
-// Bluestein's algorithm otherwise, and for even n the half-length sub-plan
+// the bit-reversal permutation and stage-contiguous twiddle tables of the
+// iterative radix-2 kernels for powers of two, the chirp and padded-kernel
+// spectrum of Bluestein's algorithm otherwise, and for even n the half-length sub-plan
 // driving the packed real transforms. Plans are immutable after construction
 // and safe for concurrent use; PlanFor caches one per size for the life of
 // the process, which is what makes the history engine's repeated
@@ -19,9 +19,14 @@ type Plan struct {
 	n    int
 	pow2 bool
 
-	// Radix-2 tables (power-of-two lengths).
-	perm []int32      // bit-reversal permutation
-	tw   []complex128 // tw[k] = exp(−2πi·k/n), k < n/2
+	// Radix-2 tables (power-of-two lengths). The twiddles are stored stage
+	// by stage: the butterflies of span 2h read fwd[h−1 : 2h−1], whose k-th
+	// entry is exp(−2πi·k/2h) — the value tw[k·n/2h] of the single table
+	// tw[k] = exp(−2πi·k/n) — so every stage streams one contiguous run;
+	// inv holds the conjugates for the inverse direction.
+	perm []int32 // bit-reversal permutation
+	fwd  []complex128
+	inv  []complex128
 
 	// Bluestein tables (other lengths).
 	chirp []complex128 // chirp[k] = exp(−πi·k²/n), k < n
@@ -71,9 +76,19 @@ func newPlan(n int) *Plan {
 		for i := 0; i < n; i++ {
 			p.perm[i] = int32(bits.Reverse64(uint64(i)) >> shift)
 		}
-		p.tw = make([]complex128, n/2)
-		for k := range p.tw {
-			p.tw[k] = cmplx.Rect(1, -2*math.Pi*float64(k)/float64(n))
+		tw := make([]complex128, n/2)
+		for k := range tw {
+			tw[k] = cmplx.Rect(1, -2*math.Pi*float64(k)/float64(n))
+		}
+		p.fwd = make([]complex128, n-1)
+		p.inv = make([]complex128, n-1)
+		for h := 1; h < n; h <<= 1 {
+			stride := n / (2 * h)
+			for k := 0; k < h; k++ {
+				w := tw[k*stride]
+				p.fwd[h-1+k] = w
+				p.inv[h-1+k] = complex(real(w), -imag(w))
+			}
 		}
 	default:
 		// Chirp exponent k² reduced mod 2n to avoid precision loss at large k.
@@ -145,32 +160,129 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 	}
 }
 
-// radix2 is the table-driven iterative Cooley–Tukey kernel; the twiddle for
-// butterfly k of a stage of span `size` is tw[k·(n/size)], conjugated for
-// the inverse direction.
+// radix2 is the table-driven iterative Cooley–Tukey kernel: the bit-reversal
+// permutation followed by the decimation-in-time stages.
 func (p *Plan) radix2(x []complex128, inverse bool) {
-	n := p.n
+	x = x[:p.n]
 	for i, j := range p.perm {
 		if int(j) > i {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half, stride := size>>1, n/size
-		for start := 0; start < n; start += size {
-			ti := 0
-			for k := start; k < start+half; k++ {
-				w := p.tw[ti]
-				if inverse {
-					w = complex(real(w), -imag(w))
-				}
-				a := x[k]
-				b := x[k+half] * w
-				x[k] = a + b
-				x[k+half] = a - b
-				ti += stride
+	if inverse {
+		ditStages(x, p.inv, 1)
+	} else {
+		ditStages(x, p.fwd, 1)
+	}
+}
+
+// ditStages runs the radix-2 decimation-in-time butterflies of half-span
+// h0, 2h0, …, n/2 over x; from h0 = 1 that takes a bit-reversed input to
+// its transform in natural order. tws is a stage-contiguous twiddle table
+// (Plan.fwd or Plan.inv).
+func ditStages(x, tws []complex128, h0 int) {
+	n := len(x)
+	for h := h0; h < n; h <<= 1 {
+		w := tws[h-1 : 2*h-1]
+		for s := 0; s < n; s += 2 * h {
+			lo := x[s : s+h]
+			hi := x[s+h : s+2*h]
+			hi = hi[:len(lo)]
+			w = w[:len(lo)]
+			for k := range lo {
+				a := lo[k]
+				b := hi[k] * w[k]
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
+	}
+}
+
+// difStages runs the radix-2 decimation-in-frequency butterflies of
+// half-span h0, h0/2, …, h1 over x; from h0 = n/2 down to h1 = 1 that takes
+// a natural-order input to its transform in bit-reversed order.
+func difStages(x, tws []complex128, h0, h1 int) {
+	n := len(x)
+	for h := h0; h >= h1; h >>= 1 {
+		w := tws[h-1 : 2*h-1]
+		for s := 0; s < n; s += 2 * h {
+			lo := x[s : s+h]
+			hi := x[s+h : s+2*h]
+			hi = hi[:len(lo)]
+			w = w[:len(lo)]
+			for k := range lo {
+				a, b := lo[k], hi[k]
+				lo[k] = a + b
+				hi[k] = (a - b) * w[k]
+			}
+		}
+	}
+}
+
+// convMiddle does, one aligned block of four samples at a time, the two
+// last DIF stages (half-span 2, then 1), the product with spec, and the two
+// first inverse DIT stages (half-span 1, then 2). None of them reaches
+// outside the block, so one pass over x replaces five. The span-4 twiddles
+// are exactly −i forward and +i inverse, applied as swaps.
+func convMiddle(x, spec []complex128) {
+	spec = spec[:len(x)]
+	for s := 0; s+3 < len(x); s += 4 {
+		b := x[s : s+4 : s+4]
+		k := spec[s : s+4 : s+4]
+		y0, y1 := b[0]+b[2], b[1]+b[3]
+		y2, d := b[0]-b[2], b[1]-b[3]
+		y3 := complex(imag(d), -real(d)) // d·(−i)
+		z0 := (y0 + y1) * k[0]
+		z1 := (y0 - y1) * k[1]
+		z2 := (y2 + y3) * k[2]
+		z3 := (y2 - y3) * k[3]
+		u0, u1 := z0+z1, z0-z1
+		u2, e := z2+z3, z2-z3
+		v := complex(-imag(e), real(e)) // e·i
+		b[0], b[2] = u0+u2, u0-u2
+		b[1], b[3] = u1+v, u1-v
+	}
+}
+
+// ForwardDIF replaces x (natural order, length N(), a power of two) with its
+// DFT in bit-reversed order, the order Convolve takes its kernel spectrum
+// in. It panics on a non-power-of-two plan.
+func (p *Plan) ForwardDIF(x []complex128) {
+	p.mustPow2("ForwardDIF")
+	difStages(x[:p.n], p.fwd, p.n/2, 1)
+}
+
+// Convolve replaces x (natural order, length N(), a power of two ≥ 8) with
+// the unnormalized circular convolution N·IDFT(DFT(x)·S), where spec holds S
+// in the bit-reversed order ForwardDIF leaves. x[N/2:] is zero padding: those
+// samples are never read, so the first forward stage collapses to one
+// twiddle multiply per butterfly. No bit-reversal pass runs: the
+// decimation-in-frequency forward transform meets spec in its own order,
+// and the decimation-in-time inverse takes that order back to natural. It
+// panics on a non-power-of-two plan or N < 8.
+func (p *Plan) Convolve(x, spec []complex128) {
+	p.mustPow2("Convolve")
+	n := p.n
+	if n < 8 {
+		panic("fft: Convolve needs a length of at least 8")
+	}
+	x, spec = x[:n], spec[:n]
+	h := n / 2
+	lo, hi, w := x[:h], x[h:], p.fwd[h-1:2*h-1]
+	hi = hi[:len(lo)]
+	w = w[:len(lo)]
+	for k := range lo {
+		hi[k] = lo[k] * w[k]
+	}
+	difStages(x, p.fwd, h/2, 4)
+	convMiddle(x, spec)
+	ditStages(x, p.inv, 4)
+}
+
+func (p *Plan) mustPow2(op string) {
+	if !p.pow2 {
+		panic("fft: " + op + " needs a power-of-two length")
 	}
 }
 
@@ -234,8 +346,8 @@ func (p *Plan) RealForward(dst []complex128, x []float64) {
 	for k := 0; k <= h; k++ {
 		zk := z[k%h]
 		zc := cmplx.Conj(z[(h-k)%h])
-		even := (zk + zc) / 2
-		odd := (zk - zc) / complex(0, 2)
+		even := halve(zk + zc)
+		odd := halveOverI(zk - zc)
 		dst[k] = even + p.rtw[k]*odd
 	}
 	PutComplex(z)
@@ -276,8 +388,8 @@ func (p *Plan) RealInverse(dst []float64, spec []complex128) {
 	for k := 0; k < h; k++ {
 		sk := spec[k]
 		sc := cmplx.Conj(spec[h-k])
-		even := (sk + sc) / 2
-		odd := (sk - sc) / 2 * cmplx.Conj(p.rtw[k])
+		even := halve(sk + sc)
+		odd := halve(sk-sc) * cmplx.Conj(p.rtw[k])
 		z[k] = even + odd*complex(0, 1)
 	}
 	p.half.transform(z, true)
@@ -288,6 +400,14 @@ func (p *Plan) RealInverse(dst []float64, spec []complex128) {
 	}
 	PutComplex(z)
 }
+
+// halve returns c/2 without a runtime complex division: for finite c it
+// has the bits of c/2 up to the sign of an exact-zero part.
+func halve(c complex128) complex128 { return complex(real(c)*0.5, imag(c)*0.5) }
+
+// halveOverI returns c/(2i) as a swap-and-negate times 0.5, with the bits
+// of the complex division for finite c up to the sign of an exact-zero part.
+func halveOverI(c complex128) complex128 { return complex(imag(c)*0.5, -real(c)*0.5) }
 
 // Scratch pools shared by all transform sizes. GetComplex/GetFloat return a
 // slice of exactly the requested length with arbitrary contents;

@@ -15,6 +15,9 @@ var atsetHotPackages = []string{
 	// call and the Monte-Carlo driver re-walks every scenario's waveforms per
 	// sweep; both are per-sample loops over m×K data.
 	"internal/waveform", "internal/experiments",
+	// The FFT history tier runs the transform kernels once per row pair per
+	// segment firing.
+	"internal/fft",
 }
 
 // atsetHotFiles restricts the rule within the hot packages to the files on
@@ -74,6 +77,10 @@ var atsetHotOnly = map[string]map[string]bool{
 	// PR 10 adds the scale sweep (per-size factor/solve timing loops) and the
 	// corner sweep (per-column deviation fold over every corner scenario).
 	"internal/experiments": {"montecarlo.go": true, "scale.go": true, "corners.go": true},
+	// Only the plan kernels (DIT/DIF stages, the fused convolution pass, the
+	// packed real transforms) are hot in internal/fft; fft.go's one-shot
+	// helpers allocate their results by design.
+	"internal/fft": {"plan.go": true},
 }
 
 // atsetFileHot reports whether base in the package at pkgPath is on the hot
