@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -23,12 +24,40 @@ C2 n2 0 1u
 .tran 1m 16m
 `
 
+// goroutineBaseline counts the goroutines running before a test starts its
+// servers. It first runs a batch solve, so core's process-wide history pool,
+// which starts on first use and stays, is already part of the count.
+func goroutineBaseline(t *testing.T) int {
+	t.Helper()
+	offlineColumns(t, solveBody(tinyDeck, 8, 2, 0.5, 1.5, ""))
+	return runtime.NumGoroutine()
+}
+
+// settleGoroutines waits for the goroutine count to fall back to base (see
+// goroutineBaseline). Run after the servers are closed, it proves no handler
+// — and no stream writer goroutine, which its handler joins — outlived the
+// test's jobs.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for i := 0; i < 500; i++ {
+		if runtime.NumGoroutine() <= base {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	buf := make([]byte, 1<<20)
+	t.Fatalf("%d goroutines still running, %d before the test:\n%s",
+		runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+}
+
 // TestClientDisconnectCancelsJob covers the mid-stream cancellation contract:
 // a client that walks away after a few columns must cancel the solve at the
 // next column boundary (context.Canceled → core.ErrCancelled), release its
 // worker slot, drain the queue back to zero, and leave the cancellation
-// recorded in the job's SolveReport.
+// recorded in the job's SolveReport. Neither the cancelled job nor the
+// completed one after it may leave a goroutine behind.
 func TestClientDisconnectCancelsJob(t *testing.T) {
+	base := goroutineBaseline(t)
 	srv := New(Config{Workers: 1, QueueDepth: 4})
 	// Pace the solve so the client reliably disconnects mid-stream: without
 	// this, a 2048-column solve of a 3-state ladder finishes in microseconds.
@@ -99,6 +128,8 @@ func TestClientDisconnectCancelsJob(t *testing.T) {
 	if snap.Cancelled != 1 || snap.Completed != 1 {
 		t.Fatalf("metrics: cancelled=%d completed=%d, want 1/1", snap.Cancelled, snap.Completed)
 	}
+	ts.Close()
+	settleGoroutines(t, base)
 }
 
 // TestQueuedClientDisconnectFreesQueueSlot covers cancellation while still

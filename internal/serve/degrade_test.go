@@ -39,8 +39,10 @@ func (c *fakeClock) Advance(d time.Duration) {
 // TestDeadlineSuspendsResumable runs a paced job under a short per-request
 // deadline: the stream must end with a typed resumable "deadline" error, and
 // resuming must finish the job (the second attempt runs unpaced, inside a
-// fresh budget, on a checkpoint interval halved by the strike).
+// fresh budget, on a checkpoint interval halved by the strike). Neither
+// attempt may leave a goroutine behind.
 func TestDeadlineSuspendsResumable(t *testing.T) {
+	base := goroutineBaseline(t)
 	srv := New(Config{Workers: 1, CheckpointEvery: 4})
 	var expired atomic.Bool
 	srv.columnHook = func(string, int) {
@@ -77,6 +79,8 @@ func TestDeadlineSuspendsResumable(t *testing.T) {
 	if len(res.columns)+len(rest) != 64 {
 		t.Fatalf("combined columns = %d, want 64", len(res.columns)+len(rest))
 	}
+	ts.Close()
+	settleGoroutines(t, base)
 }
 
 // TestDeadlineClockSkew drives the deadline off an injected clock that jumps

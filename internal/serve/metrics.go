@@ -36,6 +36,10 @@ type metrics struct {
 	evictedJobs     int64 // suspended jobs evicted by the pool bound
 	journalRejected int64 // journals renamed aside as unreadable at startup
 
+	// stream is the encode-and-flush layer, advanced lock-free by the
+	// stream writer goroutines.
+	stream streamCounters
+
 	lat      [latencyWindow]time.Duration
 	latNext  int
 	latCount int
@@ -112,6 +116,13 @@ type Snapshot struct {
 		HitRate    float64 `json:"hitRate"`
 		Entries    int     `json:"entries"`
 	} `json:"factorCache"`
+	// Stream counts what the stream writers delivered: records and bytes
+	// written to responses, and the Flush calls that pushed them out.
+	Stream struct {
+		Records int64 `json:"records"`
+		Flushes int64 `json:"flushes"`
+		Bytes   int64 `json:"bytes"`
+	} `json:"stream"`
 	Latency struct {
 		Count    int     `json:"count"`
 		P50Milli float64 `json:"p50ms"`
@@ -144,6 +155,9 @@ func (m *metrics) snapshot(queueDepth, workers, queueCap int) *Snapshot {
 	snap.Resilience.RecoveredJobs = m.recoveredJobs
 	snap.Resilience.EvictedJobs = m.evictedJobs
 	snap.Resilience.JournalRejected = m.journalRejected
+	snap.Stream.Records = m.stream.records.Load()
+	snap.Stream.Flushes = m.stream.flushes.Load()
+	snap.Stream.Bytes = m.stream.bytes.Load()
 	n := m.latCount
 	window := make([]time.Duration, n)
 	copy(window, m.lat[:n])

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -165,8 +166,12 @@ func resumeStream(t *testing.T, client *http.Client, url, jobID string, from int
 
 // TestResumeAfterDisconnectBitwise interrupts the stream by cancelling the
 // client request mid-solve, then resumes by job ID and requires the combined
-// stream to match the offline solve bit for bit.
+// stream to match the offline solve bit for bit. Once every subtest's server
+// is closed, no goroutine may be left behind, here and in the two tests
+// below (the drain and solver-error paths).
 func TestResumeAfterDisconnectBitwise(t *testing.T) {
+	base := goroutineBaseline(t)
+	t.Cleanup(func() { settleGoroutines(t, base) })
 	for _, fx := range resumeFixtures {
 		fx := fx
 		for _, mode := range []string{"exact", "fft"} {
@@ -218,6 +223,8 @@ func TestResumeAfterDisconnectBitwise(t *testing.T) {
 // path), boots a fresh Server over the same journal directory — the process
 // restart — and resumes the recovered job on it.
 func TestResumeAfterDrainRestartBitwise(t *testing.T) {
+	base := goroutineBaseline(t)
+	t.Cleanup(func() { settleGoroutines(t, base) })
 	for _, fx := range resumeFixtures {
 		fx := fx
 		for _, mode := range []string{"exact", "fft"} {
@@ -298,6 +305,8 @@ func TestResumeAfterDrainRestartBitwise(t *testing.T) {
 // NaN (a one-shot fault), checks the typed resumable error trailer, resumes,
 // and requires bitwise identity with the offline solve.
 func TestResumeAfterInjectedFaultBitwise(t *testing.T) {
+	base := goroutineBaseline(t)
+	t.Cleanup(func() { settleGoroutines(t, base) })
 	for _, fx := range resumeFixtures {
 		fx := fx
 		for _, mode := range []string{"exact", "fft"} {
@@ -347,4 +356,60 @@ func TestResumeAfterInjectedFaultBitwise(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestResumeReplayFailureEndsStream resumes a job whose checkpoint can no
+// longer rebuild its columns. The replay failure latches in the stream
+// writer behind the header: the stream ends there, every line written is
+// valid JSON, and the handler leaves no goroutine behind.
+func TestResumeReplayFailureEndsStream(t *testing.T) {
+	base := goroutineBaseline(t)
+	srv := New(Config{Workers: 1, CheckpointEvery: 4})
+	srv.columnHook = func(string, int) { time.Sleep(200 * time.Microsecond) }
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/solve",
+		strings.NewReader(solveBody(tinyDeck, 256, 2, 0.5, 1.5, "")))
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, got, _, _ := readStream(t, resp, cancel, 64)
+	if hdr == nil || len(got) < 64 {
+		t.Fatalf("first stream: header %v, %d columns", hdr, len(got))
+	}
+	// Once the first handler has suspended the job, break its checkpoint: no
+	// scenario is within it any more, so replaying column 0 fails (and so
+	// does the solve's own checkpoint validation).
+	entry := srv.reg.lookup(hdr.Job)
+	waitFor(t, func() bool { return srv.reg.attach(entry) == nil })
+	entry.mu.Lock()
+	if entry.cp == nil || entry.cp.Columns == 0 {
+		entry.mu.Unlock()
+		t.Fatal("suspended job holds no checkpoint")
+	}
+	entry.cp.K = 0
+	entry.mu.Unlock()
+	srv.reg.detach(entry)
+
+	resp, err = ts.Client().Post(ts.URL+"/v1/resume", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"job": %q, "from": 0}`, hdr.Job)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("resume: status %d, %v", resp.StatusCode, err)
+	}
+	lines := strings.SplitAfter(string(body), "\n")
+	if len(lines) != 2 || lines[1] != "" || !json.Valid([]byte(lines[0])) ||
+		!strings.HasPrefix(lines[0], `{"type":"header"`) {
+		t.Fatalf("resumed stream = %q, want only the header record", body)
+	}
+	ts.Close()
+	settleGoroutines(t, base)
 }

@@ -182,8 +182,9 @@ type Done struct {
 // POST /v1/resume, GET /v1/jobs, GET /metrics, and GET /healthz. Create it
 // with New; it spawns no goroutines of its own while serving (jobs run on
 // their request's handler goroutine, throttled by the admission queue;
-// journal recovery happens synchronously inside New; Drain spawns one
-// transient waiter), so shutting down the enclosing http.Server drains it.
+// journal recovery happens synchronously inside New; each stream's writer
+// goroutine is joined before its handler returns), so shutting down the
+// enclosing http.Server drains it.
 type Server struct {
 	cfg     Config
 	cache   *core.FactorCache
@@ -198,7 +199,12 @@ type Server struct {
 	draining    atomic.Bool
 	drainCtx    context.Context
 	drainCancel context.CancelFunc
-	jobsWG      sync.WaitGroup
+	// jobs counts the jobs holding a worker slot, and jobsIdle, when a drain
+	// is waiting, is closed as jobs falls to zero. (A sync.WaitGroup does not
+	// fit: a job admitted just before a drain may start while Drain waits.)
+	jobsMu   sync.Mutex
+	jobs     int
+	jobsIdle chan struct{}
 
 	// OnJobDone, when non-nil, is invoked after every job that reached a
 	// worker slot, success or failure. Set it before serving traffic; it must
@@ -263,14 +269,44 @@ func New(cfg Config) *Server {
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.drainCancel()
-	idle := make(chan struct{})
-	go func() { s.jobsWG.Wait(); close(idle) }()
 	select {
-	case <-idle:
+	case <-s.idle():
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("serve: drain incomplete: %w", ctx.Err())
 	}
+}
+
+// jobStarted and jobEnded bracket a job's hold on a worker slot; the
+// jobEnded that leaves no job running wakes a waiting Drain.
+func (s *Server) jobStarted() { s.jobsMu.Lock(); s.jobs++; s.jobsMu.Unlock() }
+
+func (s *Server) jobEnded() {
+	s.jobsMu.Lock()
+	s.jobs--
+	var idle chan struct{}
+	if s.jobs == 0 {
+		idle, s.jobsIdle = s.jobsIdle, nil
+	}
+	s.jobsMu.Unlock()
+	if idle != nil {
+		close(idle)
+	}
+}
+
+// idle returns a channel that is closed once no job holds a worker slot.
+func (s *Server) idle() <-chan struct{} {
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	if s.jobs == 0 {
+		idle := make(chan struct{})
+		close(idle)
+		return idle
+	}
+	if s.jobsIdle == nil {
+		s.jobsIdle = make(chan struct{})
+	}
+	return s.jobsIdle
 }
 
 // ServeHTTP dispatches to the service's endpoints.
@@ -443,8 +479,8 @@ func (s *Server) executeJob(w http.ResponseWriter, r *http.Request, job *job, bo
 	s.bo.admitted()
 	s.met.startJob()
 	defer s.met.endJob()
-	s.jobsWG.Add(1)
-	defer s.jobsWG.Done()
+	s.jobStarted()
+	defer s.jobEnded()
 
 	if entry == nil {
 		entry = s.registerJob(job, body)
@@ -488,8 +524,10 @@ func (s *Server) executeJob(w http.ResponseWriter, r *http.Request, job *job, bo
 		defer dcancel()
 	}
 
+	sw := newStreamWriter(w, &s.met.stream)
+	defer sw.close()
 	start := s.cfg.Clock()
-	done, columns := s.runJob(dctx, w, job, entry, from, plan)
+	done, columns := s.runJob(dctx, sw, job, entry, from, plan)
 	done.Duration = s.cfg.Clock().Sub(start)
 	s.met.observeLatency(done.Duration)
 	s.finishJob(w, r, done, entry, columns, dctx, deadlineSet, fp, fpOK)
@@ -610,13 +648,12 @@ func (s *Server) suspendEntry(e *jobEntry, kind string, strike bool) {
 }
 
 // runJob executes one admitted job on the calling goroutine, streaming
-// columns to w as the batch solve commits them. For resumes, columns
+// columns to sw as the batch solve commits them. For resumes, columns
 // [from, committed) replay bit-for-bit from the in-memory checkpoint before
 // the solve continues at the checkpoint boundary. The terminal record is the
 // caller's (finishJob) responsibility.
-func (s *Server) runJob(ctx context.Context, w http.ResponseWriter, job *job, entry *jobEntry, from int, plan degradedPlan) (Done, int) {
+func (s *Server) runJob(ctx context.Context, sw *streamWriter, job *job, entry *jobEntry, from int, plan degradedPlan) (Done, int) {
 	rep := &core.SolveReport{}
-	sw := newStreamWriter(w)
 	sw.header(job, entry.id, from)
 
 	columns := from
@@ -636,7 +673,7 @@ func (s *Server) runJob(ctx context.Context, w http.ResponseWriter, job *job, en
 			}
 			for sidx := range bufs {
 				if err := cp.StateColumn(bufs[sidx], sidx, j, job.scenarios[sidx].X0); err != nil {
-					sw.err = err
+					sw.fail(err)
 					break
 				}
 			}
