@@ -38,142 +38,76 @@ func SolveAdaptiveCtx(ctx context.Context, sys *System, u []waveform.Signal, ste
 	if err != nil {
 		return nil, err
 	}
-	uc, err := expandInputs(sys, u, ab)
-	if err != nil {
-		return nil, err
-	}
+	m := len(steps)
+	r := &columnRun{ctx: ctx, opt: single(opt), rep: rep, sys: sys, bas: ab, n: sys.N(), m: m,
+		times: make([]float64, m), dmats: make([]*mat.Dense, len(sys.Terms)), kernels: newKernelCache()}
 	if !isExactZero(sys.BOrder) {
-		db, err := ab.DiffMatrixAlpha(sys.BOrder)
-		if err != nil {
+		if r.bmat, err = ab.DiffMatrixAlpha(sys.BOrder); err != nil {
 			return nil, fmt.Errorf("core: input order %g: %w", sys.BOrder, err)
 		}
-		uc = mat.Mul(uc, db)
 	}
-	n, m := sys.N(), len(steps)
-
 	// Materialize D̃ᵅᵏ for each term (dense m×m; the adaptive path is meant
-	// for modest m, where step placement replaces step count).
-	dmats := make([]*mat.Dense, len(sys.Terms))
+	// for modest m, where step placement replaces step count). The
+	// adaptive-grid D̃ᵅ has no Toeplitz structure, so every nonzero-order term
+	// runs through the general (blocked, parallel) history engine — the FFT
+	// fast-convolution tier never applies here, whatever Options.HistoryMode
+	// says (the mode is still validated).
 	for k, t := range sys.Terms {
-		switch t.Order {
-		case 0:
-			dmats[k] = mat.Eye(m)
-		default:
-			d, err := ab.DiffMatrixAlpha(t.Order)
-			if err != nil {
-				return nil, fmt.Errorf("core: term %d (order %g): %w", k, t.Order, err)
-			}
-			dmats[k] = d
+		if isExactZero(t.Order) {
+			r.dmats[k] = mat.Eye(m)
+		} else if r.dmats[k], err = ab.DiffMatrixAlpha(t.Order); err != nil {
+			return nil, fmt.Errorf("core: term %d (order %g): %w", k, t.Order, err)
 		}
 	}
-
-	// Midpoint times per column, for diagnostics.
-	tMid := make([]float64, m)
-	acc := 0.0
 	for j, h := range steps {
-		tMid[j] = acc + h/2
-		acc += h
+		r.times[j] = r.T + h/2
+		r.T += h
 	}
+	return r.solveOne(u, func(st *scenState) columnStep {
+		return &adaptiveStep{r: r, st: st, steps: steps, cache: map[float64]*pencilFactor{}}
+	})
+}
 
-	// Two cache levels: the run-local map keyed by step size (schedules
-	// alternating between a few distinct h values pay for that many
-	// factorizations at most), and behind it the optional shared
-	// Options.FactorCache, which lets repeated SolveAdaptive runs over the
-	// same step ladder skip even those.
-	maxOrder := sys.MaxOrder()
-	cache := map[float64]*pencilFactor{}
-	factorFor := func(j int) (*pencilFactor, error) {
-		h := steps[j]
-		if f, ok := cache[h]; ok {
-			return f, nil
-		}
-		msys, err := assembleLeading(sys, func(k int) float64 { return dmats[k].At(j, j) })
-		if err != nil {
-			return nil, err
-		}
-		f, err := factorPencilCached(msys, h, maxOrder, j, tMid[j], &opt, rep)
-		if err != nil {
-			return nil, err
-		}
-		cache[h] = f
-		return f, nil
-	}
+// adaptiveStep is the driver step of SolveAdaptive. The per-column system
+// matrix M_j = Σ_k D̃ᵅᵏ[j][j]·E_k depends on the column only through h_j, so
+// factorizations are cached at two levels: the run-local map keyed by step
+// size (schedules alternating between a few distinct h values pay for that
+// many factorizations at most), and behind it the optional shared
+// Options.FactorCache, which lets repeated SolveAdaptive runs over the same
+// step ladder skip even those.
+type adaptiveStep struct {
+	r     *columnRun
+	st    *scenState
+	steps []float64
+	cache map[float64]*pencilFactor
+}
 
-	// The adaptive-grid D̃ᵅ has no Toeplitz structure, so every nonzero-order
-	// term runs through the general (blocked, parallel) history engine —
-	// the FFT fast-convolution tier never applies here, whatever
-	// Options.HistoryMode says (the mode is still validated).
-	eng, err := newHistoryEngine(n, m, &opt)
+func (a *adaptiveStep) column(j int, tj float64, tiers *[numTiers]int) (int, error) {
+	rhs, err := a.st.rhs(j, tj)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	eng.setGuards(ctx, &opt)
-	for k, t := range sys.Terms {
-		if !isExactZero(t.Order) {
-			eng.addGeneral(k, dmats[k])
-		}
-	}
-	if len(eng.terms) > 0 {
-		rep.HistoryEngine = eng.modeName()
-	}
-
-	cols := make([][]float64, m)
-	rhs := make([]float64, n)
-	ucol := make([]float64, uc.Rows())
-	for j := 0; j < m; j++ {
-		if err := ctx.Err(); err != nil {
-			d := diag(ErrCancelled, j, tMid[j])
-			d.Cause = err
-			return nil, d
-		}
-		if opt.Fault != nil && opt.Fault.ColumnDelay != nil {
-			opt.Fault.ColumnDelay(j)
-		}
-		for i := range rhs {
-			rhs[i] = 0
-		}
-		sys.B.MulVecAdd(1, ucColumnInto(ucol, uc, j), rhs)
-		for k, t := range sys.Terms {
-			if isExactZero(t.Order) {
-				continue
-			}
-			w, err := eng.history(k, j, cols)
-			if err != nil {
-				d := diag(engineErrKind(err), j, tMid[j])
-				d.Order = t.Order
-				d.Cause = err
-				return nil, d
-			}
-			t.Coeff.MulVecAdd(-1, w, rhs)
-		}
-		fac, err := factorFor(j)
+	h := a.steps[j]
+	fac := a.cache[h]
+	if fac == nil {
+		msys, err := assembleLeading(a.r.sys, func(k int) float64 { return a.r.dmats[k].At(j, j) })
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		xj, err := fac.solve(rhs)
-		if err != nil {
-			d := diag(ErrInternal, j, tMid[j])
-			d.Cause = err
-			return nil, d
+		if fac, err = factorPencilCached(msys, h, a.r.sys.MaxOrder(), j, tj, &a.r.opt.Options, a.r.rep); err != nil {
+			return 0, err
 		}
-		if opt.Fault != nil && opt.Fault.CorruptColumn != nil {
-			opt.Fault.CorruptColumn(j, xj)
-		}
-		if i := firstNonFinite(xj); i >= 0 {
-			d := diag(ErrNonFinite, j, tMid[j])
-			d.Cause = fmt.Errorf("state %d is %g", i, xj[i])
-			return nil, d
-		}
-		cols[j] = xj
-		rep.Columns++
+		a.cache[h] = fac
 	}
-	x := mat.NewDense(n, m)
-	for j, col := range cols {
-		for i, v := range col {
-			x.Set(i, j, v)
-		}
+	x := a.st.x(j)
+	if err := fac.solveInto(x, rhs); err != nil {
+		d := diag(ErrInternal, j, tj)
+		d.Cause = err
+		return 0, d
 	}
-	return &Solution{sys: sys, bas: ab, x: x}, nil
+	tiers[fac.tier]++
+	a.st.commit(j, x)
+	return 0, nil
 }
 
 // AdaptiveOptions configures the on-the-fly step controller.
@@ -306,7 +240,12 @@ func SolveAdaptiveAutoCtx(ctx context.Context, sys *System, u []waveform.Signal,
 		if err != nil {
 			return nil, err
 		}
-		return fac.solve(rhs)
+		x := make([]float64, n)
+		if err := fac.solveInto(x, rhs); err != nil {
+			return nil, err
+		}
+		rep.TierSolves[fac.tier]++
+		return x, nil
 	}
 	// advance updates the step-independent histories w ← −w − 4·x.
 	advance := func(s map[int][]float64, x []float64) {

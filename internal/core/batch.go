@@ -3,40 +3,55 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"opmsim/internal/basis"
 	"opmsim/internal/fft"
 	"opmsim/internal/mat"
-	"opmsim/internal/vecops"
 	"opmsim/internal/waveform"
 )
 
-// The batch engine runs K scenarios that share one circuit pencil — the same
-// (E_k, A, h, α, method), differing only in inputs and initial state — through
-// a single factorization and blocked multi-RHS kernels. This is the paper's
-// §IV amortization argument applied once more: just as one factorization of
-// M = Σ_k c₀⁽ᵏ⁾·E_k serves all m BPF columns, it also serves all K scenarios
-// of a Monte-Carlo corner set or parameter sweep; and just as the triangular
-// solves dominate the per-column cost, solving the K scenarios' column-j
-// right-hand sides as one n×K panel amortizes the factor's irregular index
-// streams over K contiguous updates (see internal/sparse panel kernels).
+// The column driver. Every OPM solver — Solve, SolveNonlinear, SolveAdaptive
+// and both SolveBatch engines — is the left-to-right substitution of eq. (28)
+// over the BPF columns, and columnRun.run is the one place that loop is
+// written. Per column it runs, in this order: the ctx check, Fault.ColumnDelay,
+// the group steps (each assembles its scenarios' right-hand sides, solves and
+// commits them), Fault.CorruptColumn, the non-finite screen, the first-error
+// scan, the Columns/TierSolves accounting, the column hook (x + x0) and the
+// checkpoint deltas. The solvers differ only in their step kind:
 //
-// Structure: the solve is column-synchronous. For each column j the scenarios
-// are partitioned into groups of PanelWidth; each group — fanned out over the
-// shared worker pool — assembles its scenarios' right-hand sides (exactly the
-// scalar operations Solve performs), panel-solves them through a private view
-// of the shared factorization, and advances its scenarios' history state.
-// Scenario groups own disjoint state and the partition depends only on K and
-// PanelWidth, never on worker count or scheduling, so results are
-// deterministic under any Options.Workers.
+//   - memberStep: each member assembles its own right-hand side; members
+//     riding the shared factorization are solved together as one panel (SMW
+//     members then take their Woodbury correction), refactored members are
+//     solved through their private factorization. An amplitude scenario is a
+//     panel member with no updates, and a one-scenario Solve is a group of
+//     one such member.
+//   - panelStep (panel.go): the integer-order fast path, with right-hand
+//     sides, history recurrences and input injection all at panel
+//     granularity.
+//   - newtonStep: SolveNonlinear's damped Newton iteration.
+//   - adaptiveStep: SolveAdaptive's per-step-size factorizations.
+//
+// The batch engine runs K scenarios that share one circuit pencil through a
+// single factorization and blocked multi-RHS kernels: just as one
+// factorization of M = Σ_k c₀⁽ᵏ⁾·E_k serves all m BPF columns (the paper's §IV
+// amortization), it serves all K scenarios of a corner set or sweep, and
+// solving the K column-j right-hand sides as one n×K panel amortizes the
+// factor's irregular index streams over K contiguous updates. Scenarios are
+// partitioned into contiguous groups of PanelWidth, a pure function of K and
+// PanelWidth; groups own disjoint state and fan out over the shared worker
+// pool, so results never depend on Options.Workers or scheduling. A group of
+// width 1 takes the member-wise step, whose one-column panel solve runs the
+// tier's scalar kernel.
 //
 // Determinism contract: SolveBatch is bitwise-identical, scenario by
 // scenario, to K sequential Solve calls with the same Options. Every
 // floating-point operation of the sequential path runs in the same order —
 // panel kernels are column-wise identical to their one-vector counterparts,
-// panel assembly/extraction are pure copies, and per-scenario history engines
-// are worker-count-invariant by construction (batch runs them with serial
-// bursts, which the engine contract guarantees changes nothing).
+// panel assembly/extraction are pure copies, and the history engines are
+// worker-count-invariant by construction. A run with several groups folds
+// history serially inside each group task; a single-group run keeps
+// Options.Workers for its engine.
 
 // batchPanelWidth is the default scenario-panel width, matching the dense
 // kernels' luPanelWidth: wide enough to amortize factor index streams, narrow
@@ -126,18 +141,453 @@ type BatchOptions struct {
 }
 
 // scenState is the per-scenario solve state: exactly what one sequential
-// Solve call would keep, owned by the scenario's group task during the
-// column loop.
+// Solve call keeps, owned by the scenario's group step during the column
+// loop.
 type scenState struct {
+	s     int       // scenario index, for diagnostics
+	sys   *System   // matrices the rhs reads: the run's system, or an ApplyDelta materialization
+	ups   []RankOne // SMW path: term-level updates for the rank-1 rhs corrections
+	smw   *smwFactor
+	pf    *pencilFactor // refactored scenario: private factorization (nil → group panel member)
+	slot  int           // panel member: column in the group's panel
 	uc    *mat.Dense
 	x0    []float64
 	shift []float64
 	hist  []*intHistory
 	eng   *historyEngine
-	cols  [][]float64
-	xbuf  []float64
-	rhs   []float64
+	cols  [][]float64 // committed columns; nil when xbuf is a ring
+	xbuf  []float64   // column slab: column j at slot j (mod ring)
+	ring  int
+	b     []float64 // right-hand side scratch
 	ucol  []float64
+}
+
+// x returns the slab column holding column j.
+func (st *scenState) x(j int) []float64 {
+	n := len(st.b)
+	if st.ring > 0 {
+		j %= st.ring
+	}
+	return st.xbuf[j*n : (j+1)*n : (j+1)*n]
+}
+
+// rhs assembles column j's right-hand side b = shift + B·u_j − Σ_k E_k·s_j⁽ᵏ⁾
+// (minus δ·(vᵀs)·u for every SMW update of term k — the exact contribution the
+// materialized E_k + δuvᵀ would add) into st.b.
+func (st *scenState) rhs(j int, tj float64) ([]float64, error) {
+	b := st.b
+	copy(b, st.shift)
+	st.sys.B.MulVecAdd(1, ucColumnInto(st.ucol, st.uc, j), b)
+	for k, t := range st.sys.Terms {
+		var w []float64
+		switch {
+		case isExactZero(t.Order):
+			continue
+		case st.hist[k] != nil:
+			w = st.hist[k].current()
+		default:
+			var err error
+			if w, err = st.eng.history(k, j, st.cols); err != nil {
+				d := diag(engineErrKind(err), j, tj)
+				d.Order = t.Order
+				d.Cause = fmt.Errorf("scenario %d: %w", st.s, err)
+				return nil, d
+			}
+		}
+		t.Coeff.MulVecAdd(-1, w, b)
+		for _, u := range st.ups {
+			if u.Term == k {
+				u.U.ScatterAdd(-(u.Scale * u.V.Dot(w)), b)
+			}
+		}
+	}
+	return b, nil
+}
+
+// commit records x — the slab column st.x(j) — as column j and advances the
+// integer-order recurrences past it; rhs(j) computed their s_j.
+func (st *scenState) commit(j int, x []float64) {
+	if st.cols != nil {
+		st.cols[j] = x
+	}
+	for _, ih := range st.hist {
+		if ih != nil {
+			ih.advance(x)
+		}
+	}
+}
+
+// columnStep advances one scenario group through column j: it solves and
+// commits each member's column into its slab and counts its linear solves per
+// tier. On failure it returns the failing scenario's index and diagnostic.
+type columnStep interface {
+	column(j int, tj float64, tiers *[numTiers]int) (int, error)
+}
+
+// columnRun is one solve: the column grid, the run-wide options, the
+// scenario states and the group steps that advance them. run is the column
+// driver.
+type columnRun struct {
+	ctx     context.Context
+	opt     *BatchOptions
+	rep     *SolveReport
+	sys     *System
+	bas     basis.Basis
+	n, m    int
+	T, h    float64      // span; uniform step (unused when times is set)
+	times   []float64    // adaptive grid: interval midpoints
+	coeffs  [][]float64  // uniform grid: Toeplitz coefficients of Dᵅᵏ per term
+	dmats   []*mat.Dense // adaptive grid: D̃ᵅᵏ per term
+	bcoef   []float64    // uniform grid: Dᵝ coefficients of the input order
+	bmat    *mat.Dense   // adaptive grid: D̃ᵝ of the input order
+	kernels *kernelCache // FFT kernel spectra shared across scenario engines
+	serial  bool         // several groups run concurrently: engines fold serially
+	ring    int          // >0: slab ring length (envelope runs)
+	states  []*scenState
+	steps   []columnStep
+}
+
+// single adapts a one-scenario solver's options to the driver, forwarding
+// the per-column hook.
+func single(opt Options) *BatchOptions {
+	bo := &BatchOptions{Options: opt}
+	if f := opt.OnColumn; f != nil {
+		bo.OnColumn = func(j int, t float64, cols [][]float64) { f(j, t, cols[0]) }
+	}
+	return bo
+}
+
+// newUniformRun validates sys and builds the m-interval BPF grid over [0, T)
+// shared by Solve, SolveNonlinear and SolveBatch.
+func newUniformRun(ctx context.Context, sys *System, m int, T float64, opt *BatchOptions, rep *SolveReport) (*columnRun, error) {
+	if err := sys.Validate(); err != nil {
+		return nil, err
+	}
+	bpf, err := basis.NewBPF(m, T)
+	if err != nil {
+		return nil, err
+	}
+	r := &columnRun{ctx: ctx, opt: opt, rep: rep, sys: sys, bas: bpf, n: sys.N(), m: m, T: T, h: bpf.Step(),
+		coeffs: make([][]float64, len(sys.Terms)), kernels: newKernelCache()}
+	for k, t := range sys.Terms {
+		r.coeffs[k] = bpf.DiffCoeffs(t.Order)
+	}
+	if !isExactZero(sys.BOrder) {
+		r.bcoef = bpf.DiffCoeffs(sys.BOrder)
+	}
+	return r, nil
+}
+
+// lead is the per-term scalar of the uniform leading pencil M = Σ_k c₀⁽ᵏ⁾·E_k.
+func (r *columnRun) lead(k int) float64 { return r.coeffs[k][0] }
+
+// time is the midpoint of column j's interval.
+func (r *columnRun) time(j int) float64 {
+	if r.times != nil {
+		return r.times[j]
+	}
+	return (float64(j) + 0.5) * r.h
+}
+
+// inputs expands u on the run's grid and applies the input order: the p×m
+// input coefficient matrix U of eq. (11).
+func (r *columnRun) inputs(u []waveform.Signal) (*mat.Dense, error) {
+	uc, err := expandInputs(r.sys, u, r.bas)
+	switch {
+	case err != nil:
+		return nil, err
+	case r.bcoef != nil:
+		uc = applyInputOrder(uc, r.bcoef)
+	case r.bmat != nil:
+		uc = mat.Mul(uc, r.bmat)
+	}
+	return uc, nil
+}
+
+// prepareScenario builds scenario s's state against sys (the run's system or
+// its ApplyDelta materialization): initial state, integer-order recurrences,
+// and the general history engine. uc is the scenario's input coefficient
+// matrix, possibly shared read-only with other scenarios.
+func (r *columnRun) prepareScenario(sys *System, s int, x0 []float64, uc *mat.Dense) (*scenState, error) {
+	x0, shift, err := prepareInitialState(sys, x0)
+	if err != nil {
+		return nil, err
+	}
+	n, slab := r.n, r.m
+	if r.ring > 0 {
+		slab = r.ring
+	}
+	st := &scenState{
+		s: s, sys: sys, uc: uc, x0: x0, shift: shift, ring: r.ring,
+		hist: make([]*intHistory, len(sys.Terms)),
+		xbuf: make([]float64, n*slab),
+		b:    make([]float64, n),
+		ucol: make([]float64, uc.Rows()),
+	}
+	if r.ring == 0 {
+		st.cols = make([][]float64, r.m)
+	}
+	if st.eng, err = newHistoryEngine(n, r.m, &r.opt.Options); err != nil {
+		return nil, err
+	}
+	if r.serial {
+		st.eng.workers = 1
+	}
+	st.eng.kernels = r.kernels
+	st.eng.setGuards(r.ctx, &r.opt.Options)
+	for k, t := range sys.Terms {
+		switch {
+		case isExactZero(t.Order):
+		case r.dmats != nil:
+			st.eng.addGeneral(k, r.dmats[k])
+		case isExactEq(t.Order, float64(int(t.Order))):
+			st.hist[k] = newIntHistory(int(t.Order), r.h, n)
+		default:
+			st.eng.addToeplitz(k, r.coeffs[k])
+		}
+	}
+	return st, nil
+}
+
+// prepareScenarios builds every scenario's state through prep, fanned out
+// over the worker pool. Inputs are expanded once per distinct signal slice
+// (identified by backing-array identity: Monte-Carlo scenarios built from one
+// []Signal share it); expansion is deterministic, so sharing changes no bits.
+func (r *columnRun) prepareScenarios(scenarios []Scenario, prep func(s int, uc *mat.Dense) (*scenState, error)) error {
+	if on, err := r.opt.historyFFTEnabled(r.m); err == nil && on && r.serial {
+		// Concurrent scenario engines would race to build the same plans.
+		var sizes []int
+		for L := historyFFTBase; L <= r.m; L *= 2 {
+			sizes = append(sizes, 2*L)
+		}
+		fft.Prewarm(sizes...)
+	}
+	type ucSlot struct {
+		uc  *mat.Dense
+		err error
+	}
+	K := len(scenarios)
+	slots := map[*waveform.Signal]*ucSlot{}
+	slotOf := make([]*ucSlot, K)
+	var expand []func()
+	for s := range scenarios {
+		var key *waveform.Signal
+		if u := scenarios[s].U; len(u) > 0 {
+			key = &u[0]
+		}
+		sl := slots[key]
+		if sl == nil {
+			sl = &ucSlot{}
+			slots[key] = sl
+			expand = append(expand, func() { sl.uc, sl.err = r.inputs(scenarios[s].U) })
+		}
+		slotOf[s] = sl
+	}
+	r.states = make([]*scenState, K)
+	errs := make([]error, K)
+	run := func(tasks []func()) error {
+		if err := historyPoolDo(tasks); err != nil {
+			return &Diagnostic{Kind: ErrInternal, Column: -1, Time: 0, Cause: err}
+		}
+		return nil
+	}
+	if err := run(expand); err != nil {
+		return err
+	}
+	tasks := make([]func(), K)
+	for s := range tasks {
+		tasks[s] = func() {
+			if errs[s] = slotOf[s].err; errs[s] == nil {
+				r.states[s], errs[s] = prep(s, slotOf[s].uc)
+			}
+		}
+	}
+	if err := run(tasks); err != nil {
+		return err
+	}
+	for s, err := range errs {
+		if err != nil && K > 1 {
+			err = fmt.Errorf("core: batch scenario %d: %w", s, err)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runTasks runs one task on the calling goroutine (so a single group's
+// history engine may itself use the pool) and several over the pool.
+func runTasks(tasks []func()) error {
+	if len(tasks) == 1 {
+		return runRecovered(tasks[0])
+	}
+	return historyPoolDo(tasks)
+}
+
+// firstNonFinite returns the index of the first NaN/±Inf entry of x, or −1.
+func firstNonFinite(x []float64) int {
+	for i, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
+}
+
+// run is the column driver: it resumes from opt.ResumeFrom when set, runs
+// columns j0..m−1 through the group steps under the per-column protocol
+// described at the top of this file, and assembles the Solutions.
+func (r *columnRun) run() ([]*Solution, error) {
+	opt, rep, n, K := r.opt, r.rep, r.n, len(r.states)
+	engine := ""
+	if len(r.states[0].eng.terms) > 0 {
+		engine = r.states[0].eng.modeName()
+		rep.HistoryEngine = engine
+	}
+	j0 := 0
+	if cp := opt.ResumeFrom; cp != nil {
+		if err := cp.validateFor(n, r.m, K, r.T, engine); err != nil {
+			return nil, err
+		}
+		j0 = cp.Columns
+		if err := r.resume(cp); err != nil {
+			d := diag(engineErrKind(err), j0, r.time(j0))
+			d.Cause = fmt.Errorf("batch resume replay: %w", err)
+			return nil, d
+		}
+	}
+
+	// emitDelta hands columns [lastCp, hi) to OnCheckpoint as fresh copies,
+	// at interval boundaries and on every abort after a new commit.
+	lastCp := j0
+	emitDelta := func(hi int) {
+		if opt.OnCheckpoint == nil || hi <= lastCp {
+			return
+		}
+		d := &CheckpointDelta{N: n, M: r.m, K: K, T: r.T, Engine: engine, From: lastCp, To: hi, Slabs: make([][]float64, K)}
+		for s, st := range r.states {
+			d.Slabs[s] = append([]float64(nil), st.xbuf[lastCp*n:hi*n]...)
+		}
+		lastCp = hi
+		opt.OnCheckpoint(d)
+	}
+
+	// The group tasks are built once; they read the column from j and tj.
+	var j int
+	var tj float64
+	errs := make([]error, K)
+	tiers := make([][numTiers]int, len(r.steps))
+	tasks := make([]func(), len(r.steps))
+	for g, step := range r.steps {
+		tasks[g] = func() {
+			if s, err := step.column(j, tj, &tiers[g]); err != nil {
+				errs[s] = err
+			}
+		}
+	}
+	var hook [][]float64
+	if opt.OnColumn != nil {
+		hook = make([][]float64, K)
+		for s := range hook {
+			hook[s] = make([]float64, n)
+		}
+	}
+	column := func() error {
+		if err := r.ctx.Err(); err != nil {
+			d := diag(ErrCancelled, j, tj)
+			d.Cause = err
+			return d
+		}
+		if opt.Fault != nil && opt.Fault.ColumnDelay != nil {
+			opt.Fault.ColumnDelay(j)
+		}
+		if err := runTasks(tasks); err != nil {
+			d := diag(ErrInternal, j, tj)
+			d.Cause = err
+			return d
+		}
+		for s, st := range r.states {
+			x := st.x(j)
+			if opt.Fault != nil && opt.Fault.CorruptColumn != nil {
+				opt.Fault.CorruptColumn(j, x)
+			}
+			if i := firstNonFinite(x); i >= 0 && errs[s] == nil {
+				d := diag(ErrNonFinite, j, tj)
+				d.Cause = fmt.Errorf("scenario %d: state %d is %g (poisoned input sample or overflow?)", s, i, x[i])
+				errs[s] = d
+			}
+		}
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for j = j0; j < r.m; j++ {
+		tj = r.time(j)
+		if err := column(); err != nil {
+			// Column j may be partially committed across groups; the delta
+			// covers only the fully-committed prefix [lastCp, j).
+			emitDelta(j)
+			return nil, err
+		}
+		rep.Columns += K
+		for g := range tiers {
+			for t, c := range tiers[g] {
+				rep.TierSolves[t] += c
+			}
+			tiers[g] = [numTiers]int{}
+		}
+		if hook != nil {
+			// Same operands and order as the Solution assembly, so every
+			// streamed column matches its Solution entry bit for bit.
+			for s, st := range r.states {
+				x := st.x(j)
+				for i, x0 := range st.x0 {
+					hook[s][i] = x[i] + x0
+				}
+			}
+			opt.OnColumn(j, tj, hook)
+		}
+		if opt.CheckpointEvery > 0 && (j+1)%opt.CheckpointEvery == 0 && j+1 < r.m {
+			emitDelta(j + 1)
+		}
+	}
+	if opt.DiscardSolutions {
+		return nil, nil
+	}
+
+	// Solution assembly (pure data movement, one task per scenario): the slab
+	// is m×n and the Solution matrix n×m, so the transpose is tiled to keep
+	// both sides cache-resident — per element it is the one addition x + x0.
+	sols := make([]*Solution, K)
+	fin := make([]func(), K)
+	for s, st := range r.states {
+		fin[s] = func() {
+			const tile = 64
+			x := mat.NewDense(n, r.m)
+			xd := x.Data()
+			for i0 := 0; i0 < n; i0 += tile {
+				i1 := min(i0+tile, n)
+				for c0 := 0; c0 < r.m; c0 += tile {
+					c1 := min(c0+tile, r.m)
+					for i := i0; i < i1; i++ {
+						xr, x0i := xd[i*r.m:(i+1)*r.m], st.x0[i]
+						for c := c0; c < c1; c++ {
+							xr[c] = st.xbuf[c*n+i] + x0i
+						}
+					}
+				}
+			}
+			sols[s] = &Solution{sys: r.sys, bas: r.bas, x: x}
+		}
+	}
+	if err := runTasks(fin); err != nil {
+		return nil, &Diagnostic{Kind: ErrInternal, Column: r.m - 1, Time: r.T, Cause: err}
+	}
+	return sols, nil
 }
 
 // SolveBatch simulates K scenarios over [0, T) with m uniform BPF intervals
@@ -155,586 +605,167 @@ func SolveBatch(sys *System, scenarios []Scenario, m int, T float64, opt BatchOp
 func SolveBatchCtx(ctx context.Context, sys *System, scenarios []Scenario, m int, T float64, opt BatchOptions) (_ []*Solution, err error) {
 	rep := opt.report()
 	defer func() { rep.Err = err }()
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	K := len(scenarios)
-	if K == 0 {
+	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("core: SolveBatch needs at least one scenario")
 	}
-	bpf, err := basis.NewBPF(m, T)
+	return solveUniform(ctx, sys, scenarios, m, T, &opt, rep)
+}
+
+// solveUniform is the uniform-grid linear solve behind Solve and SolveBatch:
+// one shared factorization of the leading pencil, scenario groups of
+// PanelWidth, and the column driver.
+func solveUniform(ctx context.Context, sys *System, scenarios []Scenario, m int, T float64, opt *BatchOptions, rep *SolveReport) ([]*Solution, error) {
+	r, err := newUniformRun(ctx, sys, m, T, opt, rep)
 	if err != nil {
 		return nil, err
 	}
+	msys, err := assembleLeading(sys, r.lead)
+	if err != nil {
+		return nil, err
+	}
+	shared, err := factorPencilCached(msys, r.h, sys.MaxOrder(), -1, 0, &opt.Options, rep)
+	if err != nil {
+		return nil, err
+	}
+	K := len(scenarios)
 	width := opt.PanelWidth
 	if width <= 0 {
 		width = batchPanelWidth
 	}
-	if width > K {
-		width = K
-	}
-	n := sys.N()
-
-	// Shared pencil: coefficient sequences, assembled leading matrix, one
-	// factorization for the whole batch (through the cache when attached).
-	coeffs := make([][]float64, len(sys.Terms))
-	for k, t := range sys.Terms {
-		coeffs[k] = bpf.DiffCoeffs(t.Order)
-	}
-	msys, err := assembleLeading(sys, func(k int) float64 { return coeffs[k][0] })
-	if err != nil {
-		return nil, err
-	}
-	shared, err := factorPencilCached(msys, bpf.Step(), sys.MaxOrder(), -1, 0, &opt.Options, rep)
-	if err != nil {
-		return nil, err
-	}
-
+	width = min(width, K)
+	r.serial = K > width
 	// Scenarios that perturb the pencil itself route through the
 	// parameter-varying engine (SMW updates + crossover refactorization).
 	for s := range scenarios {
 		if scenarios[s].Delta.Rank() > 0 {
-			return solveParamBatch(ctx, sys, scenarios, m, T, &opt, rep, bpf, coeffs, shared)
+			return r.solveParamBatch(scenarios, shared, width)
 		}
 	}
-
-	// Per-scenario preparation — input expansion dominates — fans out over
-	// the worker pool; each task writes only its scenario's slot. Kernel
-	// spectra of the FFT history tier are shared across scenario engines, and
-	// the FFT plans they need are prewarmed once up front.
-	kernels := newKernelCache()
-	if on, ferr := opt.historyFFTEnabled(m); ferr == nil && on {
-		var sizes []int
-		for L := historyFFTBase; L <= m; L *= 2 {
-			sizes = append(sizes, 2*L)
-		}
-		fft.Prewarm(sizes...)
+	if err := r.prepareScenarios(scenarios, func(s int, uc *mat.Dense) (*scenState, error) {
+		return r.prepareScenario(sys, s, scenarios[s].X0, uc)
+	}); err != nil {
+		return nil, err
 	}
-	states := make([]*scenState, K)
-	scenErr := make([]error, K)
-	prep := make([]func(), K)
-	for s := range scenarios {
-		s := s
-		prep[s] = func() {
-			states[s], scenErr[s] = prepareScenario(ctx, sys, &scenarios[s], bpf, m, coeffs, &opt, kernels, nil, m)
-		}
-	}
-	if err := historyPoolDo(prep); err != nil {
-		return nil, &Diagnostic{Kind: ErrInternal, Column: -1, Time: 0, Cause: err}
-	}
-	for s := 0; s < K; s++ {
-		if scenErr[s] != nil {
-			return nil, fmt.Errorf("core: batch scenario %d: %w", s, scenErr[s])
-		}
-	}
-	if st := states[0]; len(st.eng.terms) > 0 {
-		rep.HistoryEngine = st.eng.modeName()
-	}
-
-	// Scenario groups: contiguous ranges of width scenarios, each with a
-	// private factorization view, panels, and scratch. The partition is a
-	// pure function of (K, width) — the determinism hinge. Systems whose
-	// history is entirely integer-order (no fractional engine terms) take
-	// the panel-native column path: right-hand-side assembly, history
-	// recurrences, and input injection all run at panel granularity, so the
-	// per-column work is panel kernels plus one n×w gather instead of
-	// per-scenario vector loops with scatter/gather on both sides.
-	h := bpf.Step()
-	fast := len(states[0].eng.terms) == 0
-	maxLag := 0
-	if fast {
-		for _, t := range sys.Terms {
-			if p := int(t.Order); !isExactZero(t.Order) && p > maxLag {
-				maxLag = p
-			}
-		}
-	}
-	nGroups := (K + width - 1) / width
-	groups := make([]*batchGroup, nGroups)
-	for g := range groups {
-		lo := g * width
-		hi := lo + width
-		if hi > K {
-			hi = K
-		}
-		w := hi - lo
-		gr := &batchGroup{lo: lo, hi: hi, maxLag: maxLag, pf: shared.instantiate(rep)}
-		gr.b = mat.NewDense(n, w)
-		gr.scratch = gr.pf.newPanelScratch(w)
-		if fast {
-			gr.fast = true
-			gr.shiftP = mat.NewDense(n, w)
-			for i := 0; i < n; i++ {
-				row := gr.shiftP.Row(i)
-				for t := 0; t < w; t++ {
-					row[t] = states[lo+t].shift[i]
-				}
-			}
-			gr.uP = mat.NewDense(sys.Inputs(), w)
-			//lint:ignore allocsite per-group setup, once per scenario group, not per column; the buffers escape into the group state
-			gr.acc = make([]float64, w)
-			//lint:ignore allocsite same one-time group setup as above
-			gr.hist = make([]*panelIntHistory, len(sys.Terms))
-			for k, t := range sys.Terms {
-				if p := int(t.Order); !isExactZero(t.Order) {
-					gr.hist[k] = newPanelIntHistory(p, h, n, w)
-				}
-			}
-			for i := 0; i <= maxLag; i++ {
-				gr.xpool = append(gr.xpool, mat.NewDense(n, w))
-			}
+	// Systems whose history is entirely integer-order (no engine terms) take
+	// the panel-native step in groups wider than one scenario.
+	fast := len(r.states[0].eng.terms) == 0
+	for lo := 0; lo < K; lo += width {
+		members := r.states[lo:min(lo+width, K)]
+		if fast && len(members) > 1 {
+			r.steps = append(r.steps, newPanelStep(sys, members, shared.instantiate(), r.h))
 		} else {
-			gr.x = mat.NewDense(n, w)
-		}
-		groups[g] = gr
-	}
-
-	// Resume: adopt the checkpoint's committed prefix and replay the history
-	// state before entering the column loop. The engine name is resolved the
-	// same way the report records it — empty when no fractional terms exist.
-	engineName := ""
-	if len(states[0].eng.terms) > 0 {
-		engineName = states[0].eng.modeName()
-	}
-	j0 := 0
-	if cp := opt.ResumeFrom; cp != nil {
-		if err := cp.validateFor(n, m, K, T, engineName); err != nil {
-			return nil, err
-		}
-		j0 = cp.Columns
-		if err := resumeBatch(sys, states, groups, cp, n); err != nil {
-			d := diag(engineErrKind(err), j0, (float64(j0)+0.5)*h)
-			d.Cause = fmt.Errorf("batch resume replay: %w", err)
-			return nil, d
+			r.steps = append(r.steps, newMemberStep(members, shared))
 		}
 	}
-
-	// emitDelta hands columns [lastCp, hi) to OnCheckpoint as fresh copies.
-	// It runs at interval boundaries and on every abort path after at least
-	// one new column committed, so an interrupted solve always surfaces its
-	// committed tail.
-	lastCp := j0
-	emitDelta := func(hi int) {
-		if opt.OnCheckpoint == nil || hi <= lastCp {
-			return
-		}
-		d := &CheckpointDelta{
-			N: n, M: m, K: K, T: T, Engine: engineName,
-			From: lastCp, To: hi,
-			Slabs: make([][]float64, K),
-		}
-		for s := 0; s < K; s++ {
-			d.Slabs[s] = append([]float64(nil), states[s].xbuf[lastCp*n:hi*n]...)
-		}
-		lastCp = hi
-		opt.OnCheckpoint(d)
-	}
-
-	colErr := make([]error, K)
-	tasks := make([]func(), 0, nGroups)
-	var hookCols [][]float64
-	if opt.OnColumn != nil {
-		hookCols = make([][]float64, K)
-		for s := range hookCols {
-			hookCols[s] = make([]float64, n)
-		}
-	}
-	for j := j0; j < m; j++ {
-		tj := (float64(j) + 0.5) * h
-		if err := ctx.Err(); err != nil {
-			emitDelta(j)
-			d := diag(ErrCancelled, j, tj)
-			d.Cause = err
-			return nil, d
-		}
-		if opt.Fault != nil && opt.Fault.ColumnDelay != nil {
-			opt.Fault.ColumnDelay(j)
-		}
-		tasks = tasks[:0]
-		for _, gr := range groups {
-			gr := gr
-			if gr.fast {
-				tasks = append(tasks, func() {
-					batchGroupColumnPanel(sys, states, colErr, j, tj, gr)
-				})
-			} else {
-				tasks = append(tasks, func() {
-					batchGroupColumn(sys, states, colErr, j, tj, gr.lo, gr.hi, gr.b, gr.x, gr.pf, gr.scratch)
-				})
-			}
-		}
-		var ferr error
-		if len(tasks) == 1 {
-			ferr = runRecovered(tasks[0])
-		} else {
-			ferr = historyPoolDo(tasks)
-		}
-		if ferr != nil {
-			emitDelta(j)
-			d := diag(ErrInternal, j, tj)
-			d.Cause = ferr
-			return nil, d
-		}
-		if opt.Fault != nil && opt.Fault.CorruptColumn != nil {
-			// Same injection point Solve exposes: mutate the freshly solved
-			// column, then re-screen it so injected damage surfaces as the
-			// production ErrNonFinite diagnostic.
-			for s := 0; s < K; s++ {
-				xj := states[s].xbuf[j*n : (j+1)*n]
-				opt.Fault.CorruptColumn(j, xj)
-				if i := firstNonFinite(xj); i >= 0 && colErr[s] == nil {
-					d := diag(ErrNonFinite, j, tj)
-					d.Cause = fmt.Errorf("non-finite value in state %d of scenario %d", i, s)
-					colErr[s] = d
-				}
-			}
-		}
-		for s := 0; s < K; s++ {
-			if colErr[s] != nil {
-				// Column j may be partially committed across groups; the
-				// delta covers only the fully-committed prefix [lastCp, j).
-				emitDelta(j)
-				return nil, colErr[s]
-			}
-		}
-		rep.Columns += K
-		rep.TierSolves[shared.tier] += K
-		if opt.OnColumn != nil {
-			// Same operands and order as the final Solution assembly, so
-			// every streamed column matches its Solution entry bit for bit.
-			for s := 0; s < K; s++ {
-				st := states[s]
-				xj := st.xbuf[j*n : (j+1)*n]
-				dst := hookCols[s]
-				for i := 0; i < n; i++ {
-					dst[i] = xj[i] + st.x0[i]
-				}
-			}
-			opt.OnColumn(j, tj, hookCols)
-		}
-		if opt.CheckpointEvery > 0 && (j+1)%opt.CheckpointEvery == 0 && j+1 < m {
-			emitDelta(j + 1)
-		}
-	}
-
-	if opt.DiscardSolutions {
-		return nil, nil
-	}
-
-	// Assemble the per-scenario Solutions (pure data movement; fanned out,
-	// each task owns its scenario's output). The column slab xbuf is m×n and
-	// the Solution matrix n×m; the transpose is tiled so both sides stay
-	// cache-resident — per element it is still the one addition Solve
-	// performs.
-	sols := make([]*Solution, K)
-	fin := make([]func(), K)
-	for s := range sols {
-		s := s
-		fin[s] = func() {
-			const tile = 64
-			st := states[s]
-			x := mat.NewDense(n, m)
-			xd := x.Data()
-			for i0 := 0; i0 < n; i0 += tile {
-				i1 := i0 + tile
-				if i1 > n {
-					i1 = n
-				}
-				for j0 := 0; j0 < m; j0 += tile {
-					j1 := j0 + tile
-					if j1 > m {
-						j1 = m
-					}
-					for i := i0; i < i1; i++ {
-						xr, x0i := xd[i*m:(i+1)*m], st.x0[i]
-						for j := j0; j < j1; j++ {
-							xr[j] = st.xbuf[j*n+i] + x0i
-						}
-					}
-				}
-			}
-			sols[s] = &Solution{sys: sys, bas: bpf, x: x}
-		}
-	}
-	if err := historyPoolDo(fin); err != nil {
-		return nil, &Diagnostic{Kind: ErrInternal, Column: m - 1, Time: T, Cause: err}
-	}
-	return sols, nil
+	return r.run()
 }
 
-// batchGroup is one scenario group's solve state: a private factorization
-// view, the right-hand-side and solution panels, and — on the panel-native
-// fast path — the panel-granularity history state.
-type batchGroup struct {
-	lo, hi  int
-	pf      *pencilFactor
-	b       *mat.Dense
-	x       *mat.Dense // general-path solve target (fast path rotates xpool)
+// solveOne runs a one-scenario solver on the prepared run: it builds the
+// scenario state for the inputs u and drives step(st) through the columns.
+func (r *columnRun) solveOne(u []waveform.Signal, step func(st *scenState) columnStep) (*Solution, error) {
+	uc, err := r.inputs(u)
+	if err != nil {
+		return nil, err
+	}
+	st, err := r.prepareScenario(r.sys, 0, nil, uc)
+	if err != nil {
+		return nil, err
+	}
+	r.states, r.steps = []*scenState{st}, []columnStep{step(st)}
+	sols, err := r.run()
+	if err != nil {
+		return nil, err
+	}
+	return sols[0], nil
+}
+
+// memberStep is the member-wise step (see the top of this file).
+type memberStep struct {
+	members []*scenState
+	pf      *pencilFactor // shared-factorization view for the panel members
+	b, x    *mat.Dense    // n×w panels of the w panel members
+	w       int
 	scratch *panelScratch
-
-	// Panel-native fast path (every nonzero term has integer order).
-	fast   bool
-	maxLag int
-	shiftP *mat.Dense // per-scenario shift vectors as panel columns
-	uP     *mat.Dense // inputs×w gather of the scenarios' u_j columns
-	acc    []float64  // MulPanelAdd row accumulator
-	hist   []*panelIntHistory
-	xpool  []*mat.Dense // solve-target rotation: maxLag+1 panels
-	xlags  []*mat.Dense // solution lag panels, newest first (≤ maxLag)
 }
 
-// panelIntHistory is intHistory at scenario-panel granularity: the same
-// p-term recurrence with every vector operation applied to an n×w panel
-// whose columns are the group's scenarios. Since panel ops are element-wise
-// with no cross-column interaction, each column reproduces the scalar
-// recurrence bit for bit. Ring buffers rotate pointers instead of copying:
-// current() claims a panel from the pool, advance() pushes it into the lag
-// ring and recycles the evicted panel.
-type panelIntHistory struct {
-	p     int
-	gamma []float64
-	binom []float64
-	ss    []*mat.Dense // previous sum panels, newest first
-	pool  []*mat.Dense // spare panels (p+1 total in circulation)
-	s     *mat.Dense   // s_j panel between current() and advance()
-}
-
-func newPanelIntHistory(p int, h float64, n, w int) *panelIntHistory {
-	ih := newIntHistory(p, h, n)
-	ph := &panelIntHistory{p: p, gamma: ih.gamma, binom: ih.binom}
-	for i := 0; i <= p; i++ {
-		ph.pool = append(ph.pool, mat.NewDense(n, w))
-	}
-	return ph
-}
-
-// current computes the s_j panel from the group's solution-lag panels,
-// mirroring intHistory.current term for term (including the γ zero skip).
-func (ph *panelIntHistory) current(xlags []*mat.Dense) *mat.Dense {
-	ph.s = ph.pool[len(ph.pool)-1]
-	ph.pool = ph.pool[:len(ph.pool)-1]
-	sd := ph.s.Data()
-	for i := range sd {
-		sd[i] = 0
-	}
-	kmax := len(xlags)
-	if kmax > ph.p {
-		kmax = ph.p
-	}
-	for k := 0; k < kmax; k++ {
-		if g := ph.gamma[k]; !isExactZero(g) {
-			vecops.AddMul(sd, xlags[k].Data(), g)
+// newMemberStep groups members, numbering those without a private
+// factorization as the panel columns of a view of shared. A lone panel
+// member is solved 1-wide through the view, with no panel copies.
+func newMemberStep(members []*scenState, shared *pencilFactor) *memberStep {
+	g := &memberStep{members: members}
+	for _, st := range members {
+		if st.pf == nil {
+			st.slot = g.w
+			g.w++
 		}
 	}
-	for l := 0; l < len(ph.ss); l++ {
-		vecops.AddMul(sd, ph.ss[l].Data(), -ph.binom[l])
+	if g.w > 0 {
+		g.pf = shared.instantiate()
 	}
-	return ph.s
+	if g.w > 1 {
+		n := len(members[0].b)
+		g.b, g.x = mat.NewDense(n, g.w), mat.NewDense(n, g.w)
+		g.scratch = g.pf.newPanelScratch(g.w)
+	}
+	return g
 }
 
-// advance pushes the s_j panel computed by current into the sum-lag ring.
-func (ph *panelIntHistory) advance() {
-	if len(ph.ss) == ph.p {
-		ph.pool = append(ph.pool, ph.ss[ph.p-1])
-		copy(ph.ss[1:], ph.ss[:ph.p-1])
-	} else {
-		ph.ss = append(ph.ss, nil)
-		copy(ph.ss[1:], ph.ss[:len(ph.ss)-1])
-	}
-	ph.ss[0] = ph.s
-	ph.s = nil
-}
-
-// prepareScenario builds one scenario's solve state: expanded inputs, initial
-// state, integer-order recurrences, and the general history engine. The
-// engine runs serial bursts (workers = 1) because it is invoked from inside
-// pool tasks — its results are worker-count-invariant, so this changes no
-// bits, only avoids handing pool work to the pool.
-//
-// uc, when non-nil, is a fully-processed input coefficient matrix (expansion
-// plus BOrder differentiation) shared read-only across scenarios — the
-// parameter-varying engine expands each distinct signal set once. slabCols
-// sizes the column slab: m for the full solution slab, or a smaller ring
-// (parameter-varying envelope runs with no general-engine terms, which never
-// read cols) — cols is nil then, so any engine access would fail loudly.
-func prepareScenario(ctx context.Context, sys *System, sc *Scenario, bpf *basis.BPF, m int, coeffs [][]float64, opt *BatchOptions, kernels *kernelCache, uc *mat.Dense, slabCols int) (*scenState, error) {
-	if uc == nil {
-		var err error
-		uc, err = expandInputs(sys, sc.U, bpf)
+func (g *memberStep) column(j int, tj float64, tiers *[numTiers]int) (int, error) {
+	panel := g.w > 1
+	for _, st := range g.members {
+		b, err := st.rhs(j, tj)
 		if err != nil {
-			return nil, err
+			return st.s, err
 		}
-		if !isExactZero(sys.BOrder) {
-			uc = applyInputOrder(uc, bpf.DiffCoeffs(sys.BOrder))
-		}
-	}
-	x0, shift, err := prepareInitialState(sys, sc.X0)
-	if err != nil {
-		return nil, err
-	}
-	n := sys.N()
-	st := &scenState{
-		uc: uc, x0: x0, shift: shift,
-		hist: make([]*intHistory, len(sys.Terms)),
-		xbuf: make([]float64, n*slabCols),
-		rhs:  make([]float64, n),
-		ucol: make([]float64, uc.Rows()),
-	}
-	if slabCols == m {
-		st.cols = make([][]float64, m)
-	}
-	eng, err := newHistoryEngine(n, m, &opt.Options)
-	if err != nil {
-		return nil, err
-	}
-	eng.workers = 1
-	eng.kernels = kernels
-	eng.setGuards(ctx, &opt.Options)
-	for k, t := range sys.Terms {
-		switch {
-		case isExactZero(t.Order):
-		case isExactEq(t.Order, float64(int(t.Order))):
-			st.hist[k] = newIntHistory(int(t.Order), bpf.Step(), n)
-		default:
-			eng.addToeplitz(k, coeffs[k])
-		}
-	}
-	st.eng = eng
-	return st, nil
-}
-
-// batchGroupColumn advances scenarios [lo, hi) through column j: assemble
-// each scenario's right-hand side with the exact scalar operations Solve
-// uses, panel-solve the group, and commit each scenario's column. Errors land
-// in colErr under the scenario's own index (each index is written by exactly
-// one task); on any assembly error the group's solve is skipped — the batch
-// aborts after this column.
-func batchGroupColumn(sys *System, states []*scenState, colErr []error, j int, tj float64, lo, hi int, b, x *mat.Dense, pf *pencilFactor, scratch *panelScratch) {
-	n := sys.N()
-	for s := lo; s < hi; s++ {
-		st := states[s]
-		rhs := st.rhs
-		for i := range rhs {
-			rhs[i] = st.shift[i]
-		}
-		sys.B.MulVecAdd(1, ucColumnInto(st.ucol, st.uc, j), rhs)
-		for k, t := range sys.Terms {
-			switch {
-			case isExactZero(t.Order):
-				continue
-			case st.hist[k] != nil:
-				t.Coeff.MulVecAdd(-1, st.hist[k].current(), rhs)
-			default:
-				w, err := st.eng.history(k, j, st.cols)
-				if err != nil {
-					d := diag(engineErrKind(err), j, tj)
-					d.Order = t.Order
-					d.Cause = fmt.Errorf("batch scenario %d: %w", s, err)
-					colErr[s] = d
-					return
-				}
-				t.Coeff.MulVecAdd(-1, w, rhs)
-			}
-		}
-		// Scatter into panel column s−lo: pure copies, no arithmetic.
-		bd, w := b.Data(), hi-lo
-		for i := 0; i < n; i++ {
-			bd[i*w+(s-lo)] = rhs[i]
-		}
-	}
-	if err := pf.solvePanelInto(x, b, scratch); err != nil {
-		d := diag(ErrInternal, j, tj)
-		d.Cause = fmt.Errorf("batch scenarios [%d,%d): %w", lo, hi, err)
-		colErr[lo] = d
-		return
-	}
-	xd, w := x.Data(), hi-lo
-	for s := lo; s < hi; s++ {
-		st := states[s]
-		xj := st.xbuf[j*n : (j+1)*n : (j+1)*n]
-		for i := 0; i < n; i++ {
-			xj[i] = xd[i*w+(s-lo)]
-		}
-		if i := firstNonFinite(xj); i >= 0 {
-			d := diag(ErrNonFinite, j, tj)
-			d.Cause = fmt.Errorf("batch scenario %d: state %d is %g (poisoned input sample or overflow?)", s, i, xj[i])
-			colErr[s] = d
-			return
-		}
-		st.cols[j] = xj
-		for k := range sys.Terms {
-			if st.hist[k] != nil {
-				st.hist[k].advance(xj)
+		if panel && st.pf == nil {
+			bd := g.b.Data()
+			for i, v := range b {
+				bd[i*g.w+st.slot] = v
 			}
 		}
 	}
-}
-
-// batchGroupColumnPanel is batchGroupColumn for the panel-native fast path:
-// every step — shift, input injection, history recurrences, the solve — runs
-// at panel granularity, and only the committed solution column is gathered
-// per scenario. Per panel column the operations match the scalar Solve loop
-// exactly: panel kernels are column-wise identical to their one-vector
-// counterparts and the history panels mirror intHistory's recurrence, so the
-// fast path preserves the batch engine's bitwise contract.
-func batchGroupColumnPanel(sys *System, states []*scenState, colErr []error, j int, tj float64, gr *batchGroup) {
-	n := sys.N()
-	w := gr.hi - gr.lo
-	// rhs panel = shift + B·u_j − Σ_k E_k·s_j⁽ᵏ⁾, assembled panel-wide.
-	copy(gr.b.Data(), gr.shiftP.Data())
-	for c := 0; c < gr.uP.Rows(); c++ {
-		urow := gr.uP.Row(c)
-		for t := 0; t < w; t++ {
-			urow[t] = states[gr.lo+t].uc.Row(c)[j]
+	if panel {
+		if err := g.pf.solvePanelInto(g.x, g.b, g.scratch); err != nil {
+			d := diag(ErrInternal, j, tj)
+			d.Cause = fmt.Errorf("scenario %d's group: %w", g.members[0].s, err)
+			return g.members[0].s, d
 		}
+		tiers[g.pf.tier] += g.w
 	}
-	sys.B.MulPanelAdd(1, gr.uP, gr.b, gr.acc)
-	for k, t := range sys.Terms {
-		if gr.hist[k] == nil {
-			continue // order-0 term: no history contribution
-		}
-		t.Coeff.MulPanelAdd(-1, gr.hist[k].current(gr.xlags), gr.b, gr.acc)
-	}
-	xcur := gr.xpool[0]
-	gr.xpool = gr.xpool[1:]
-	if err := gr.pf.solvePanelInto(xcur, gr.b, gr.scratch); err != nil {
-		d := diag(ErrInternal, j, tj)
-		d.Cause = fmt.Errorf("batch scenarios [%d,%d): %w", gr.lo, gr.hi, err)
-		colErr[gr.lo] = d
-		return
-	}
-	xd := xcur.Data()
-	for s := gr.lo; s < gr.hi; s++ {
-		st := states[s]
-		xj := st.xbuf[j*n : (j+1)*n : (j+1)*n]
-		for i := 0; i < n; i++ {
-			xj[i] = xd[i*w+(s-gr.lo)]
-		}
-		if i := firstNonFinite(xj); i >= 0 {
-			d := diag(ErrNonFinite, j, tj)
-			d.Cause = fmt.Errorf("batch scenario %d: state %d is %g (poisoned input sample or overflow?)", s, i, xj[i])
-			colErr[s] = d
-			return
-		}
-		st.cols[j] = xj
-	}
-	// Rotate the solution panel into the lag ring (the evicted panel becomes
-	// the next solve target) and advance each term's recurrence.
-	if gr.maxLag > 0 {
-		if len(gr.xlags) == gr.maxLag {
-			gr.xpool = append(gr.xpool, gr.xlags[gr.maxLag-1])
-			copy(gr.xlags[1:], gr.xlags[:gr.maxLag-1])
+	for _, st := range g.members {
+		x := st.x(j)
+		if panel && st.pf == nil {
+			xd := g.x.Data()
+			for i := range x {
+				x[i] = xd[i*g.w+st.slot]
+			}
 		} else {
-			gr.xlags = append(gr.xlags, nil)
-			copy(gr.xlags[1:], gr.xlags[:len(gr.xlags)-1])
+			pf := st.pf
+			if pf == nil {
+				pf = g.pf
+			}
+			if err := pf.solveInto(x, st.b); err != nil {
+				d := diag(ErrInternal, j, tj)
+				d.Cause = fmt.Errorf("scenario %d: %w", st.s, err)
+				return st.s, d
+			}
+			tiers[pf.tier]++
 		}
-		gr.xlags[0] = xcur
-	} else {
-		gr.xpool = append(gr.xpool, xcur)
+		if st.smw != nil {
+			st.smw.correct(x)
+		}
+		st.commit(j, x)
 	}
-	for k := range gr.hist {
-		if gr.hist[k] != nil {
-			gr.hist[k].advance()
+	return 0, nil
+}
+
+// replay rebuilds the members' history state through column j0 from their
+// committed slabs (see checkpoint.go).
+func (g *memberStep) replay(j0 int) error {
+	for _, st := range g.members {
+		if err := replayScenario(st, j0); err != nil {
+			return err
 		}
 	}
+	return nil
 }

@@ -35,10 +35,10 @@ import (
 //     in ascending fire-column order. Replaying the firings below j0 in that
 //     same order reproduces the accumulator bits exactly.
 //
-// The single-solve path (Solve/SolveCtx) is not checkpointable; run a
-// one-scenario batch instead — SolveBatch with K = 1 is bitwise-identical to
-// Solve by the batch determinism contract, and that is the configuration the
-// service layer uses.
+// Solve runs the same column driver as a one-scenario batch, so a
+// one-scenario SolveBatch is Solve with checkpointing: that is the
+// configuration the service layer uses. Solve itself takes no checkpoint
+// options.
 
 // ErrCheckpointMismatch reports a checkpoint offered to a solve (or a delta
 // offered to a checkpoint) whose shape — state dimension, grid, span,
@@ -217,40 +217,30 @@ func fpMix64(h, v uint64) uint64 {
 	return h
 }
 
-// resumeBatch restores the batch solver's internal state to the end of the
-// checkpoint's committed prefix: it prefills each scenario's column slab,
-// replays the integer-order recurrences (scalar or panel-granular, matching
-// the path the live loop will take), and refires the FFT tier's history
-// segments. All replay work runs in the exact floating-point operation order
-// of the original solve, so the continuation is bitwise-exact. Fan-out
-// mirrors the solver's own: one task per scenario (or per group on the panel
-// fast path).
-func resumeBatch(sys *System, states []*scenState, groups []*batchGroup, cp *Checkpoint, n int) error {
-	j0 := cp.Columns
-	for s, st := range states {
+// resume restores the run's state to the end of the checkpoint's committed
+// prefix: it prefills each scenario's column slab and has every group step
+// replay its history state (integer-order recurrences, scalar or
+// panel-granular to match the step, and the FFT tier's segment firings) in
+// the exact floating-point operation order of the original solve, so the
+// continuation is bitwise-exact. Fan-out is one task per group, as in the
+// column loop.
+func (r *columnRun) resume(cp *Checkpoint) error {
+	j0, n := cp.Columns, r.n
+	for s, st := range r.states {
 		copy(st.xbuf[:j0*n], cp.Slabs[s])
 		for j := 0; j < j0; j++ {
-			st.cols[j] = st.xbuf[j*n : (j+1)*n : (j+1)*n]
+			st.cols[j] = st.x(j)
 		}
 	}
 	if j0 == 0 {
 		return nil
 	}
-	if groups[0].fast {
-		tasks := make([]func(), len(groups))
-		for g, gr := range groups {
-			gr := gr
-			tasks[g] = func() { replayPanelGroup(sys, states, gr, n, j0) }
-		}
-		return historyPoolDo(tasks)
+	errs := make([]error, len(r.steps))
+	tasks := make([]func(), len(r.steps))
+	for g, step := range r.steps {
+		tasks[g] = func() { errs[g] = step.(interface{ replay(int) error }).replay(j0) }
 	}
-	errs := make([]error, len(states))
-	tasks := make([]func(), len(states))
-	for s, st := range states {
-		s, st := s, st
-		tasks[s] = func() { errs[s] = replayScenario(sys, st, j0) }
-	}
-	if err := historyPoolDo(tasks); err != nil {
+	if err := runTasks(tasks); err != nil {
 		return err
 	}
 	for _, err := range errs {
@@ -261,64 +251,21 @@ func resumeBatch(sys *System, states []*scenState, groups []*batchGroup, cp *Che
 	return nil
 }
 
-// replayScenario rebuilds one scenario's general-path history state through
+// replayScenario rebuilds one scenario's member-wise history state through
 // column j0: the integer-order recurrences step column by column exactly as
-// batchGroupColumn does (current then advance, terms in system order), and
-// the history engine refires its FFT segments. The exact tier needs no
-// replay — its chunk heads are split-position-invariant ascending folds that
-// the engine rebuilds lazily on the first history call.
-func replayScenario(sys *System, st *scenState, j0 int) error {
+// rhs and commit do, and the history engine refires its FFT segments. The
+// exact tier needs no replay — its chunk heads are split-position-invariant
+// ascending folds that the engine rebuilds lazily on the first history call.
+func replayScenario(st *scenState, j0 int) error {
 	for j := 0; j < j0; j++ {
-		for k := range sys.Terms {
-			if ih := st.hist[k]; ih != nil {
+		for _, ih := range st.hist {
+			if ih != nil {
 				ih.current()
-				ih.advance(st.cols[j])
 			}
 		}
+		st.commit(j, st.cols[j])
 	}
 	return st.eng.resumeAt(j0, st.cols)
-}
-
-// replayPanelGroup rebuilds one scenario group's panel-native history state
-// through column j0, mirroring batchGroupColumnPanel's per-column sequence —
-// recurrence current(), solution-panel claim and gather, lag-ring rotation,
-// recurrence advance() — minus the solve itself (the committed columns are
-// gathered from the checkpointed slabs instead).
-func replayPanelGroup(sys *System, states []*scenState, gr *batchGroup, n, j0 int) {
-	w := gr.hi - gr.lo
-	for j := 0; j < j0; j++ {
-		for k := range sys.Terms {
-			if gr.hist[k] != nil {
-				gr.hist[k].current(gr.xlags)
-			}
-		}
-		xcur := gr.xpool[0]
-		gr.xpool = gr.xpool[1:]
-		xd := xcur.Data()
-		for s := gr.lo; s < gr.hi; s++ {
-			xj := states[s].cols[j]
-			for i := 0; i < n; i++ {
-				xd[i*w+(s-gr.lo)] = xj[i]
-			}
-		}
-		if gr.maxLag > 0 {
-			if len(gr.xlags) == gr.maxLag {
-				gr.xpool = append(gr.xpool, gr.xlags[gr.maxLag-1])
-				copy(gr.xlags[1:], gr.xlags[:gr.maxLag-1])
-			} else {
-				gr.xlags = append(gr.xlags, nil)
-				copy(gr.xlags[1:], gr.xlags[:len(gr.xlags)-1])
-			}
-			gr.xlags[0] = xcur
-		} else {
-			gr.xpool = append(gr.xpool, xcur)
-		}
-		for k := range gr.hist {
-			if gr.hist[k] != nil {
-				gr.hist[k].advance()
-			}
-		}
-	}
 }
 
 // resumeAt replays the engine-internal history state a run committed through

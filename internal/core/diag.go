@@ -97,13 +97,20 @@ func (d *Diagnostic) Unwrap() []error {
 }
 
 // Tier identifies which factorization backend served a linear solve in the
-// graceful-degradation chain.
+// graceful-degradation chain. The constants are in chain order.
 type Tier int
 
 const (
-	// TierSparseLU is the fast path: Gilbert–Peierls sparse LU with RCM
-	// pre-ordering, shared across all columns.
-	TierSparseLU Tier = iota
+	// TierSupernodal is the large-grid fast path tried first when engaged
+	// (Options.Supernodal / SupernodalMinN): nested-dissection domain
+	// decomposition with supernodal blocked domain factors and a dense
+	// interface Schur complement. A failed or ill-conditioned supernodal
+	// factorization falls through to TierSparseLU, so it never counts as
+	// degradation.
+	TierSupernodal Tier = iota
+	// TierSparseLU is the default fast path: Gilbert–Peierls sparse LU with
+	// RCM pre-ordering, shared across all columns.
+	TierSparseLU
 	// TierDenseLU is the first fallback: dense partial-pivoting LU with one
 	// step of iterative refinement against the sparse matrix.
 	TierDenseLU
@@ -111,14 +118,6 @@ const (
 	// produces the minimum-residual solution for numerically rank-deficient
 	// pencils that LU rejects.
 	TierQR
-	// TierSupernodal is the large-grid fast path tried before TierSparseLU
-	// when engaged (Options.Supernodal / SupernodalMinN): nested-dissection
-	// domain decomposition with supernodal blocked domain factors and a dense
-	// interface Schur complement. It sits above the scalar sparse tier in the
-	// chain — a failed or ill-conditioned supernodal factorization falls
-	// through to TierSparseLU — so it never counts as degradation. (Appended
-	// after TierQR to keep the existing tier indices stable in reports.)
-	TierSupernodal
 	numTiers
 )
 

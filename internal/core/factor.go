@@ -57,10 +57,9 @@ type pencilFactor struct {
 	qr      *mat.QR
 	a       *sparse.CSR
 	cond    float64
-	report  *SolveReport
 	scratch []float64 // dense-tier refinement residual, lazily sized
 	// factorNS is the wall-clock cost of building this factorization, stamped
-	// by factorPencil and carried through template/instantiate so cache hits
+	// by factorPencil and carried through instantiate so cache hits
 	// still know their pencil family's refactorization cost. It feeds only the
 	// SMW update-vs-refactor crossover heuristic (parambatch.go), never any
 	// numerical path.
@@ -90,7 +89,7 @@ func factorPencilChain(a *sparse.CSR, col int, t float64, opt *Options, rep *Sol
 		return opt.Fault != nil && opt.Fault.FactorFail != nil && opt.Fault.FactorFail(col, int(tier))
 	}
 	rep.Factorizations++
-	pf := &pencilFactor{a: a, report: rep}
+	pf := &pencilFactor{a: a}
 
 	// Supernodal/BBD fast tier: tried first when engaged, abandoned silently
 	// (never recorded as a Fallback — the scalar sparse LU below it upholds
@@ -199,9 +198,13 @@ func (pf *pencilFactor) newPanelScratch(k int) *panelScratch {
 // x is bitwise-identical to a solveInto call on the matching column of b —
 // the sparse and dense tiers run the same refinement sequence through the
 // multi-RHS kernels, the QR backstop falls back to per-column least-squares
-// solves. Unlike solveInto it does NOT touch the report: batch orchestrators
-// run groups concurrently and account K solves per column themselves.
+// solves — so a one-column panel goes straight to the scalar kernel, which
+// skips the panel kernels' setup. Like solveInto it is unsafe for concurrent
+// calls on one factorization.
 func (pf *pencilFactor) solvePanelInto(x, b *mat.Dense, s *panelScratch) error {
+	if b.Cols() == 1 {
+		return pf.solveInto(x.Data(), b.Data())
+	}
 	switch pf.tier {
 	case TierSupernodal:
 		return pf.bbd.SolvePanelInto(x, b, s.bbd)
@@ -244,25 +247,12 @@ func (pf *pencilFactor) solvePanelInto(x, b *mat.Dense, s *panelScratch) error {
 	return fmt.Errorf("core: unknown factorization tier %d", int(pf.tier))
 }
 
-// solve serves one column right-hand side through whichever tier the chain
-// settled on, counting it in the report. rhs is not modified.
-func (pf *pencilFactor) solve(rhs []float64) ([]float64, error) {
-	x := make([]float64, len(rhs))
-	if err := pf.solveInto(x, rhs); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// solveInto is solve writing into a caller-owned dst (len(rhs), not aliasing
-// rhs). It performs the identical floating-point operations in the identical
-// order — same tier, same refinement sequence — so the column loops can
-// reuse destination buffers without perturbing any bitwise-determinism
-// guarantee; the only difference is that the scratch lives on the
-// factorization instead of the heap, which makes solveInto (like the sparse
-// SolveInto beneath it) unsafe for concurrent calls.
+// solveInto serves one column right-hand side through whichever tier the
+// chain settled on, writing into a caller-owned dst (len(rhs), not aliasing
+// rhs; rhs is not modified). The scratch lives on the factorization, which
+// makes solveInto (like the sparse SolveInto beneath it) unsafe for
+// concurrent calls; callers count the solve in SolveReport.TierSolves.
 func (pf *pencilFactor) solveInto(dst, rhs []float64) error {
-	pf.report.TierSolves[pf.tier]++
 	switch pf.tier {
 	case TierSupernodal:
 		return pf.bbd.SolveInto(dst, rhs)

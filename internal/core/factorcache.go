@@ -59,13 +59,13 @@ type factorKey struct {
 	snMinN     int
 }
 
-// factorEntry couples the cached template with the fallback record to replay
+// factorEntry couples the cached view with the fallback record to replay
 // into the report of every run the entry serves, so a hit still documents
 // which tier is solving.
 type factorEntry struct {
 	key      factorKey
-	pf       *pencilFactor // template: report-less, scratch-less
-	fallback *Fallback     // non-nil when the template sits below sparse LU
+	pf       *pencilFactor // never solved through, so its scratch stays nil
+	fallback *Fallback     // non-nil when the factorization sits below sparse LU
 }
 
 // NewFactorCache returns an empty cache holding at most capacity
@@ -179,27 +179,13 @@ func cacheKey(a *sparse.CSR, h, alpha float64, opt *Options) factorKey {
 	}
 }
 
-// template returns a report-less, scratch-less copy of pf suitable for
-// caching: the sparse factorization is detached via Share so the template is
-// never written to (its lazily-sized scratch stays nil forever), making later
-// concurrent Share calls from cache hits race-free.
-func (pf *pencilFactor) template() *pencilFactor {
-	t := &pencilFactor{tier: pf.tier, dense: pf.dense, qr: pf.qr, a: pf.a, cond: pf.cond, factorNS: pf.factorNS}
-	if pf.sp != nil {
-		t.sp = pf.sp.Share()
-	}
-	if pf.bbd != nil {
-		t.bbd = pf.bbd.Share()
-	}
-	return t
-}
-
-// instantiate returns a per-run view of a cached template: shared immutable
-// factors, private solve scratch, and the given report receiving the tier
-// accounting. Solves through an instance are bitwise-identical to solves
-// through the originally built factorization.
-func (pf *pencilFactor) instantiate(rep *SolveReport) *pencilFactor {
-	inst := &pencilFactor{tier: pf.tier, dense: pf.dense, qr: pf.qr, a: pf.a, cond: pf.cond, factorNS: pf.factorNS, report: rep}
+// instantiate returns a view of pf: shared immutable factors, private solve
+// scratch (the sparse factorizations are detached via Share). Solves through
+// a view are bitwise-identical to solves through pf. The cache stores views
+// that are never solved through, so their lazily-sized scratch stays nil
+// and concurrent Share calls from cache hits are race-free.
+func (pf *pencilFactor) instantiate() *pencilFactor {
+	inst := &pencilFactor{tier: pf.tier, dense: pf.dense, qr: pf.qr, a: pf.a, cond: pf.cond, factorNS: pf.factorNS}
 	if pf.sp != nil {
 		inst.sp = pf.sp.Share()
 	}
@@ -212,7 +198,7 @@ func (pf *pencilFactor) instantiate(rep *SolveReport) *pencilFactor {
 // factorPencilCached is factorPencil behind Options.FactorCache: a hit reuses
 // the cached factorization through a fresh view (replaying its fallback
 // record and condition estimate into this run's report); a miss factors,
-// serves, and caches a template. With no cache attached — or with
+// serves, and caches a view. With no cache attached — or with
 // factorization fault injection active, whose per-call hooks a cached entry
 // would bypass — it degrades to plain factorPencil.
 func factorPencilCached(a *sparse.CSR, h, alpha float64, col int, t float64, opt *Options, rep *SolveReport) (*pencilFactor, error) {
@@ -229,14 +215,14 @@ func factorPencilCached(a *sparse.CSR, h, alpha float64, col int, t float64, opt
 			fb.Column = col
 			rep.Fallbacks = append(rep.Fallbacks, fb)
 		}
-		return e.pf.instantiate(rep), nil
+		return e.pf.instantiate(), nil
 	}
 	rep.FactorCacheMisses++
 	pf, err := factorPencil(a, col, t, opt, rep)
 	if err != nil {
 		return nil, err
 	}
-	e := &factorEntry{key: key, pf: pf.template()}
+	e := &factorEntry{key: key, pf: pf.instantiate()}
 	if pf.tier != TierSparseLU && len(rep.Fallbacks) > 0 {
 		fb := rep.Fallbacks[len(rep.Fallbacks)-1]
 		fb.Reason += " (cached)"

@@ -127,41 +127,125 @@ func TestFaultAllTiersFailIsSingularPencil(t *testing.T) {
 	}
 }
 
-// A NaN injected into column k must abort the run at exactly that column with
-// ErrNonFinite, before the poison reaches the history recurrence.
-func TestFaultNaNColumnIsNonFinite(t *testing.T) {
-	fx := goldenFixtures()[0]
+// The error protocol is the column driver's, so every entry point reports a
+// fault with the same Kind, Column and midpoint Time. The entry points run
+// on the 256-column fractional line with the exact history engine (its first
+// worker tasks fire at the chunk boundary, column 64) and Workers: 4, so
+// chunk bursts use the pool; SolveAdaptive runs an integer-order system on
+// the same uniform steps instead, because a fractional adaptive grid needs
+// pairwise-distinct steps.
+type protocolEntry struct {
+	name string
+	run  func(ctx context.Context, opt core.Options) error
+}
+
+func protocolEntries(t *testing.T) (entries []protocolEntry, h float64) {
+	fx := goldenFixtures()[1] // fractional_line
 	sys, u := fx.sys(t)
-	const col = 37
-	_, err := core.Solve(sys, u, fx.m, fx.T, core.Options{Fault: faultinject.NaNAt(col, 2)})
-	d := asDiagnostic(t, err, core.ErrNonFinite)
-	if d.Column != col {
-		t.Fatalf("Column = %d, want %d", d.Column, col)
+	dae, err := core.NewDAE(scalar(1), scalar(-1), scalar(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	h := fx.T / float64(fx.m)
-	if wantT := (col + 0.5) * h; math.Abs(d.Time-wantT) > 1e-12 {
-		t.Fatalf("Time = %g, want %g", d.Time, wantT)
+	h = fx.T / float64(fx.m)
+	steps := make([]float64, fx.m)
+	for j := range steps {
+		steps[j] = h
+	}
+	unit := sparse.Vec{Idx: []int{0}, Val: []float64{1}}
+	delta := &core.PencilDelta{Updates: []core.RankOne{{Term: 0, Scale: 1e-3, U: unit, V: unit}}}
+	batch := func(ctx context.Context, opt core.Options, scs []core.Scenario) error {
+		_, err := core.SolveBatchCtx(ctx, sys, scs, fx.m, fx.T, core.BatchOptions{Options: opt})
+		return err
+	}
+	return []protocolEntry{
+		{"Solve", func(ctx context.Context, opt core.Options) error {
+			_, err := core.SolveCtx(ctx, sys, u, fx.m, fx.T, opt)
+			return err
+		}},
+		{"SolveNonlinear", func(ctx context.Context, opt core.Options) error {
+			_, err := core.SolveNonlinearCtx(ctx, sys, nopNL{}, u, fx.m, fx.T, core.NonlinearOptions{Options: opt})
+			return err
+		}},
+		{"SolveAdaptive", func(ctx context.Context, opt core.Options) error {
+			_, err := core.SolveAdaptiveCtx(ctx, dae, []waveform.Signal{waveform.Step(1, 0)}, steps, opt)
+			return err
+		}},
+		{"SolveBatch", func(ctx context.Context, opt core.Options) error {
+			return batch(ctx, opt, []core.Scenario{{U: u}, {U: u}, {U: u}})
+		}},
+		{"SolveBatchDelta", func(ctx context.Context, opt core.Options) error {
+			return batch(ctx, opt, []core.Scenario{{U: u, Delta: delta}, {U: u}})
+		}},
+	}, h
+}
+
+// protocolCase is one injected fault and the diagnostic it must produce.
+type protocolCase struct {
+	name  string
+	kind  error
+	col   int
+	hooks func(cancel func()) *faultinject.Hooks
+	cause error // wrapped by the diagnostic, when non-nil
+}
+
+var errInjectedPanic = errors.New("injected worker panic")
+
+var protocolCases = []protocolCase{
+	// A NaN injected into column 5 aborts the run at exactly that column,
+	// before the poison reaches the history recurrence.
+	{name: "nan", kind: core.ErrNonFinite, col: 5,
+		hooks: func(func()) *faultinject.Hooks { return faultinject.NaNAt(5, 0) }},
+	// A cancel during column 5's delay lets column 5 commit; the ctx check
+	// of column 6 stops the run.
+	{name: "cancel", kind: core.ErrCancelled, col: 6, cause: context.Canceled,
+		hooks: func(cancel func()) *faultinject.Hooks {
+			return &faultinject.Hooks{ColumnDelay: func(j int) {
+				if j == 5 {
+					cancel()
+				}
+			}}
+		}},
+	// A panicking history worker is recovered by the pool and surfaces as
+	// ErrInternal at the first chunk boundary — the process must not crash.
+	{name: "panic", kind: core.ErrInternal, col: 64,
+		hooks: func(func()) *faultinject.Hooks { return faultinject.PanicWorker(errInjectedPanic.Error()) }},
+}
+
+func checkProtocol(t *testing.T, entry, fault string) {
+	t.Helper()
+	entries, h := protocolEntries(t)
+	for _, e := range entries {
+		for _, c := range protocolCases {
+			if (entry != "" && e.name != entry) || (fault != "" && c.name != fault) {
+				continue
+			}
+			t.Run(e.name+"/"+c.name, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				err := e.run(ctx, core.Options{Workers: 4, HistoryMode: core.HistoryExact, Fault: c.hooks(cancel)})
+				d := asDiagnostic(t, err, c.kind)
+				if d.Column != c.col {
+					t.Fatalf("Column = %d, want %d", d.Column, c.col)
+				}
+				if want := (float64(c.col) + 0.5) * h; math.Abs(d.Time-want) > 1e-9*want {
+					t.Fatalf("Time = %g, want %g", d.Time, want)
+				}
+				if c.cause != nil && !errors.Is(err, c.cause) {
+					t.Fatalf("error does not wrap %v: %v", c.cause, err)
+				}
+				if c.kind == core.ErrInternal && (d.Cause == nil || !strings.Contains(d.Cause.Error(), errInjectedPanic.Error())) {
+					t.Fatalf("cause does not carry the panic value: %v", d.Cause)
+				}
+			})
+		}
 	}
 }
 
-// A panicking history worker must be recovered by the pool and surfaced as
-// ErrInternal — the process must not crash. The fractional fixture with
-// m = 256 guarantees chunk advances (and hence worker tasks) happen.
-func TestFaultWorkerPanicIsInternal(t *testing.T) {
-	fx := goldenFixtures()[1] // fractional_line
-	sys, u := fx.sys(t)
-	_, err := core.Solve(sys, u, fx.m, fx.T, core.Options{
-		Workers: 4,
-		Fault:   faultinject.PanicWorker("injected worker panic"),
-	})
-	d := asDiagnostic(t, err, core.ErrInternal)
-	if d.Column <= 0 {
-		t.Fatalf("Column = %d, want a mid-run chunk boundary", d.Column)
-	}
-	if d.Cause == nil || !strings.Contains(d.Cause.Error(), "injected worker panic") {
-		t.Fatalf("cause does not carry the panic value: %v", d.Cause)
-	}
-}
+func TestFaultErrorProtocol(t *testing.T) { checkProtocol(t, "", "") }
+
+func TestFaultNaNColumnIsNonFinite(t *testing.T) { checkProtocol(t, "Solve", "nan") }
+
+func TestFaultWorkerPanicIsInternal(t *testing.T) { checkProtocol(t, "Solve", "panic") }
 
 // A 1ms deadline against stalled columns must expire mid-run and surface as
 // ErrCancelled wrapping context.DeadlineExceeded. (This is the CI
@@ -248,18 +332,7 @@ func TestFaultAdaptiveRetryBudgetExhausted(t *testing.T) {
 }
 
 // The explicit-steps adaptive path shares the per-column guards.
-func TestFaultAdaptiveExplicitNaN(t *testing.T) {
-	sys, err := core.NewDAE(scalar(1), scalar(-1), scalar(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = core.SolveAdaptive(sys, []waveform.Signal{waveform.Step(1, 0)},
-		[]float64{0.1, 0.2, 0.3, 0.4}, core.Options{Fault: faultinject.NaNAt(2, -1)})
-	d := asDiagnostic(t, err, core.ErrNonFinite)
-	if d.Column != 2 {
-		t.Fatalf("Column = %d, want 2", d.Column)
-	}
-}
+func TestFaultAdaptiveExplicitNaN(t *testing.T) { checkProtocol(t, "SolveAdaptive", "nan") }
 
 // nopNL is a zero nonlinearity, so SolveNonlinear behaves like Solve while
 // still exercising the Newton path's guards.
@@ -274,23 +347,8 @@ func (nopNL) StampJacobian(x []float64, jac *sparse.COO) {}
 
 // The Newton path shares the corruption and cancellation guards.
 func TestFaultNonlinearNaNAndCancel(t *testing.T) {
-	sys, err := core.NewDAE(scalar(1), scalar(-1), scalar(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := []waveform.Signal{waveform.Step(1, 0)}
-	_, err = core.SolveNonlinear(sys, nopNL{}, u, 16, 1, core.NonlinearOptions{
-		Options: core.Options{Fault: faultinject.NaNAt(3, -1)},
-	})
-	d := asDiagnostic(t, err, core.ErrNonFinite)
-	if d.Column != 3 {
-		t.Fatalf("Column = %d, want 3", d.Column)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = core.SolveNonlinearCtx(ctx, sys, nopNL{}, u, 16, 1, core.NonlinearOptions{})
-	asDiagnostic(t, err, core.ErrCancelled)
+	checkProtocol(t, "SolveNonlinear", "nan")
+	checkProtocol(t, "SolveNonlinear", "cancel")
 }
 
 // A fault-free run with a report attached must stay entirely on the sparse

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"opmsim/internal/basis"
-	"opmsim/internal/mat"
 	"opmsim/internal/sparse"
 	"opmsim/internal/waveform"
 )
@@ -67,9 +65,6 @@ func SolveNonlinear(sys *System, g Nonlinearity, u []waveform.Signal, m int, T f
 func SolveNonlinearCtx(ctx context.Context, sys *System, g Nonlinearity, u []waveform.Signal, m int, T float64, opt NonlinearOptions) (_ *Solution, err error) {
 	rep := opt.report()
 	defer func() { rep.Err = err }()
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
 	if g == nil {
 		return nil, fmt.Errorf("core: SolveNonlinear requires a nonlinearity (use Solve)")
 	}
@@ -82,196 +77,121 @@ func SolveNonlinearCtx(ctx context.Context, sys *System, g Nonlinearity, u []wav
 	if opt.Tol <= 0 {
 		opt.Tol = 1e-10
 	}
-	bpf, err := basis.NewBPF(m, T)
+	r, err := newUniformRun(ctx, sys, m, T, single(opt.Options), rep)
 	if err != nil {
 		return nil, err
 	}
-	uc, err := expandInputs(sys, u, bpf)
+	m0, err := assembleLeading(sys, r.lead)
 	if err != nil {
 		return nil, err
-	}
-	if !isExactZero(sys.BOrder) {
-		uc = applyInputOrder(uc, bpf.DiffCoeffs(sys.BOrder))
 	}
 	n := sys.N()
-	coeffs := make([][]float64, len(sys.Terms))
-	for k, t := range sys.Terms {
-		coeffs[k] = bpf.DiffCoeffs(t.Order)
-	}
-	m0, err := assembleLeading(sys, func(k int) float64 { return coeffs[k][0] })
-	if err != nil {
-		return nil, err
-	}
-	hist := make([]*intHistory, len(sys.Terms))
-	eng, err := newHistoryEngine(n, m, &opt.Options)
-	if err != nil {
-		return nil, err
-	}
-	eng.setGuards(ctx, &opt.Options)
-	for k, t := range sys.Terms {
-		switch {
-		case isExactZero(t.Order):
-		case isExactEq(t.Order, float64(int(t.Order))):
-			hist[k] = newIntHistory(int(t.Order), bpf.Step(), n)
-		default:
-			eng.addToeplitz(k, coeffs[k])
-		}
-	}
-	if len(eng.terms) > 0 {
-		rep.HistoryEngine = eng.modeName()
-	}
+	return r.solveOne(u, func(st *scenState) columnStep {
+		return &newtonStep{st: st, g: g, m0: m0, opt: &opt, rep: rep,
+			gval: make([]float64, n), resid: make([]float64, n), delta: make([]float64, n),
+			xTrial: make([]float64, n), rTrial: make([]float64, n)}
+	})
+}
 
-	// residAt writes M₀·x + g(x) − rhs into out and returns its 2-norm.
-	gval := make([]float64, n)
-	residAt := func(x, rhs, out []float64) float64 {
-		for i := range out {
-			out[i] = -rhs[i]
-		}
-		m0.MulVecAdd(1, x, out)
-		g.Eval(x, gval)
-		s := 0.0
-		for i := range out {
-			out[i] += gval[i]
-			s += out[i] * out[i]
-		}
-		return math.Sqrt(s)
-	}
+// newtonStep is the driver step of SolveNonlinear: column j's right-hand side
+// comes from the shared history machinery, then damped Newton solves
+// M₀·x_j + g(x_j) = rhs, warm-started from column j−1.
+type newtonStep struct {
+	st  *scenState
+	g   Nonlinearity
+	m0  *sparse.CSR
+	opt *NonlinearOptions
+	rep *SolveReport
 
-	h := bpf.Step()
-	cols := make([][]float64, m)
-	rhs := make([]float64, n)
-	ucol := make([]float64, uc.Rows())
-	resid := make([]float64, n)
-	xj := make([]float64, n)
-	xTrial := make([]float64, n)
-	rTrial := make([]float64, n)
-	for j := 0; j < m; j++ {
-		tj := (float64(j) + 0.5) * h
-		if err := ctx.Err(); err != nil {
-			d := diag(ErrCancelled, j, tj)
-			d.Cause = err
-			return nil, d
-		}
-		if opt.Fault != nil && opt.Fault.ColumnDelay != nil {
-			opt.Fault.ColumnDelay(j)
-		}
-		for i := range rhs {
-			rhs[i] = 0
-		}
-		sys.B.MulVecAdd(1, ucColumnInto(ucol, uc, j), rhs)
-		for k, t := range sys.Terms {
-			switch {
-			case isExactZero(t.Order):
-				continue
-			case hist[k] != nil:
-				t.Coeff.MulVecAdd(-1, hist[k].current(), rhs)
-			default:
-				w, err := eng.history(k, j, cols)
-				if err != nil {
-					d := diag(engineErrKind(err), j, tj)
-					d.Order = t.Order
-					d.Cause = err
-					return nil, d
-				}
-				t.Coeff.MulVecAdd(-1, w, rhs)
+	gval, resid, delta, xTrial, rTrial []float64
+}
+
+// residAt writes M₀·x + g(x) − rhs into out and returns its 2-norm.
+func (ns *newtonStep) residAt(x, rhs, out []float64) float64 {
+	for i := range out {
+		out[i] = -rhs[i]
+	}
+	ns.m0.MulVecAdd(1, x, out)
+	ns.g.Eval(x, ns.gval)
+	s := 0.0
+	for i := range out {
+		out[i] += ns.gval[i]
+		s += out[i] * out[i]
+	}
+	return math.Sqrt(s)
+}
+
+func (ns *newtonStep) column(j int, tj float64, tiers *[numTiers]int) (int, error) {
+	st, opt, n := ns.st, ns.opt, len(ns.resid)
+	rhs, err := st.rhs(j, tj)
+	if err != nil {
+		return 0, err
+	}
+	// Warm start from the previous column (the slab starts zeroed).
+	xj := st.x(j)
+	if j > 0 {
+		copy(xj, st.x(j-1))
+	}
+	for it := 0; it < opt.MaxNewton; it++ {
+		phi0 := ns.residAt(xj, rhs, ns.resid)
+		// Jacobian = M₀ + ∂g/∂x, assembled sparse each iteration and run
+		// through the same tiered factorization chain as the linear
+		// pencils: a transiently singular Jacobian degrades to dense LU
+		// or QR instead of aborting the whole run.
+		jac := sparse.NewCOO(n, n)
+		for r := 0; r < n; r++ {
+			for p := ns.m0.RowPtr[r]; p < ns.m0.RowPtr[r+1]; p++ {
+				jac.Add(r, ns.m0.ColIdx[p], ns.m0.Val[p])
 			}
 		}
-		// Warm start from the previous column.
-		if j > 0 {
-			copy(xj, cols[j-1])
-		} else {
-			for i := range xj {
-				xj[i] = 0
-			}
-		}
-		converged := false
-		for it := 0; it < opt.MaxNewton; it++ {
-			phi0 := residAt(xj, rhs, resid)
-			// Jacobian = M₀ + ∂g/∂x, assembled sparse each iteration and run
-			// through the same tiered factorization chain as the linear
-			// pencils: a transiently singular Jacobian degrades to dense LU
-			// or QR instead of aborting the whole run.
-			jac := sparse.NewCOO(n, n)
-			for r := 0; r < n; r++ {
-				for p := m0.RowPtr[r]; p < m0.RowPtr[r+1]; p++ {
-					jac.Add(r, m0.ColIdx[p], m0.Val[p])
-				}
-			}
-			g.StampJacobian(xj, jac)
-			fac, err := factorPencil(jac.ToCSR(), j, tj, &opt.Options, rep)
-			if err != nil {
-				var d *Diagnostic
-				if de, ok := err.(*Diagnostic); ok {
-					d = de
-				} else {
-					d = diag(ErrSingularPencil, j, tj)
-					d.Cause = err
-				}
-				return nil, d
-			}
-			delta, err := fac.solve(resid)
-			if err != nil {
-				d := diag(ErrInternal, j, tj)
+		ns.g.StampJacobian(xj, jac)
+		fac, err := factorPencil(jac.ToCSR(), j, tj, &opt.Options, ns.rep)
+		if err != nil {
+			if _, ok := err.(*Diagnostic); !ok {
+				d := diag(ErrSingularPencil, j, tj)
 				d.Cause = err
-				return nil, d
+				err = d
 			}
-			// Armijo backtracking: halve the step until the residual shows
-			// sufficient decrease; after maxArmijoHalvings take the smallest
-			// trial regardless, so a flat line search still makes progress.
-			step := 1.0
-			var phiTrial float64
-			for halve := 0; ; halve++ {
-				for i := range xTrial {
-					xTrial[i] = xj[i] - step*delta[i]
-				}
-				phiTrial = residAt(xTrial, rhs, rTrial)
-				if opt.NoDamping || phiTrial <= (1-armijoC*step)*phi0 || halve >= maxArmijoHalvings {
-					break
-				}
-				step /= 2
-				rep.NewtonDampings++
+			return 0, err
+		}
+		delta := ns.delta
+		if err := fac.solveInto(delta, ns.resid); err != nil {
+			d := diag(ErrInternal, j, tj)
+			d.Cause = err
+			return 0, d
+		}
+		tiers[fac.tier]++
+		// Armijo backtracking: halve the step until the residual shows
+		// sufficient decrease; after maxArmijoHalvings take the smallest
+		// trial regardless, so a flat line search still makes progress.
+		step := 1.0
+		for halve := 0; ; halve++ {
+			for i := range ns.xTrial {
+				ns.xTrial[i] = xj[i] - step*delta[i]
 			}
-			copy(xj, xTrial)
-			// Convergence on the undamped Newton direction, as before the
-			// damping existed: near the solution the full step satisfies
-			// Armijo, so well-behaved problems see identical iterates.
-			norm := 0.0
-			xnorm := 0.0
-			for i := range delta {
-				norm += delta[i] * delta[i]
-				xnorm += xj[i] * xj[i]
-			}
-			if norm <= opt.Tol*opt.Tol*(1+xnorm) {
-				converged = true
+			phiTrial := ns.residAt(ns.xTrial, rhs, ns.rTrial)
+			if opt.NoDamping || phiTrial <= (1-armijoC*step)*phi0 || halve >= maxArmijoHalvings {
 				break
 			}
+			step /= 2
+			ns.rep.NewtonDampings++
 		}
-		if !converged {
-			d := diag(ErrNonConvergence, j, tj)
-			d.Cause = fmt.Errorf("Newton did not converge within %d iterations (after damped retries)", opt.MaxNewton)
-			return nil, d
+		copy(xj, ns.xTrial)
+		// Convergence on the undamped Newton direction, as before the
+		// damping existed: near the solution the full step satisfies
+		// Armijo, so well-behaved problems see identical iterates.
+		norm := 0.0
+		xnorm := 0.0
+		for i := range delta {
+			norm += delta[i] * delta[i]
+			xnorm += xj[i] * xj[i]
 		}
-		if opt.Fault != nil && opt.Fault.CorruptColumn != nil {
-			opt.Fault.CorruptColumn(j, xj)
-		}
-		if i := firstNonFinite(xj); i >= 0 {
-			d := diag(ErrNonFinite, j, tj)
-			d.Cause = fmt.Errorf("state %d is %g", i, xj[i])
-			return nil, d
-		}
-		cols[j] = append([]float64(nil), xj...)
-		rep.Columns++
-		for k := range sys.Terms {
-			if hist[k] != nil {
-				hist[k].advance(cols[j])
-			}
+		if norm <= opt.Tol*opt.Tol*(1+xnorm) {
+			st.commit(j, xj)
+			return 0, nil
 		}
 	}
-	x := mat.NewDense(n, m)
-	for j, col := range cols {
-		for i, v := range col {
-			x.Set(i, j, v)
-		}
-	}
-	return &Solution{sys: sys, bas: bpf, x: x}, nil
+	d := diag(ErrNonConvergence, j, tj)
+	d.Cause = fmt.Errorf("Newton did not converge within %d iterations (after damped retries)", opt.MaxNewton)
+	return 0, d
 }

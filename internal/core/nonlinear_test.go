@@ -32,9 +32,25 @@ func TestSolveNonlinearCubic(t *testing.T) {
 		B: scalarCSR(1),
 	}
 	m, T := 1024, 5.0
-	sol, err := SolveNonlinear(sys, cubicNL{k: 1}, []waveform.Signal{waveform.Step(1, 0)}, m, T, NonlinearOptions{})
+	var hooked [][]float64
+	opt := NonlinearOptions{Options: Options{OnColumn: func(j int, _ float64, x []float64) {
+		hooked = append(hooked, append([]float64(nil), x...))
+	}}}
+	sol, err := SolveNonlinear(sys, cubicNL{k: 1}, []waveform.Signal{waveform.Step(1, 0)}, m, T, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The hook sees every column exactly as the Solution holds it.
+	xs := sol.Coefficients()
+	if len(hooked) != m {
+		t.Fatalf("OnColumn fired %d times, want %d", len(hooked), m)
+	}
+	for j, col := range hooked {
+		for i, v := range col {
+			if math.Float64bits(v) != math.Float64bits(xs.At(i, j)) {
+				t.Fatalf("hooked column %d state %d = %x, Solution has %x", j, i, math.Float64bits(v), math.Float64bits(xs.At(i, j)))
+			}
+		}
 	}
 	// Reference: backward Euler with Newton, 100k steps.
 	steps := 100000

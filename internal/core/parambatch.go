@@ -1,14 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"opmsim/internal/basis"
-	"opmsim/internal/fft"
 	"opmsim/internal/mat"
-	"opmsim/internal/waveform"
 )
 
 // The parameter-varying batch engine: scenarios that perturb the shared
@@ -24,13 +20,13 @@ import (
 //
 //   - refactor fallback: past the crossover rank the scenario materializes
 //     ApplyDelta(sys, delta), factors its own leading pencil, and solves its
-//     columns 1-wide through the panel kernel — bit-for-bit the sequential
+//     columns through it — bit-for-bit the sequential
 //     Solve(ApplyDelta(sys, delta), …) path.
 //
 // The crossover between them is decided once per run (resolveUpdateRankLimit)
 // from the measured factorization cost of the pencil family and a probe
-// solve. Grouping, the column barrier, OnColumn, fault injection, and the
-// determinism story all mirror batch.go; checkpoint/resume is the one feature
+// solve. Both paths are members of batch.go's member-wise step and run
+// through its column driver; checkpoint/resume is the one feature
 // the parameter-varying engine does not support (per-scenario factorization
 // state is not captured by a column-slab checkpoint), so ResumeFrom errors
 // and CheckpointEvery/OnCheckpoint are ignored.
@@ -42,45 +38,6 @@ import (
 // with the refactored result to the ≤1e-12 relative level of the waveform
 // contract (see the property tests) and are themselves bitwise-reproducible
 // for a fixed path assignment.
-
-// paramScen is one scenario's parameter-varying solve state.
-type paramScen struct {
-	s    int
-	st   *scenState
-	sys  *System   // matrices the rhs assembly reads: base, or ApplyDelta materialization
-	ups  []RankOne // SMW path: term-level updates for rhs/shift corrections (nil on refactor path)
-	smw  *smwFactor
-	slot int // ≥0: column in the group's shared base panel; −1: refactor member
-	// Refactor path: private factorization of the perturbed leading pencil
-	// and 1-wide solve panels (solvePanelInto is column-wise bitwise-identical
-	// to solveInto, and unlike solveInto it never touches a report — so group
-	// tasks can run it concurrently).
-	pf     *pencilFactor
-	x1, b1 *mat.Dense
-	s1     *panelScratch
-}
-
-// applyTermDelta folds the rank-1 rhs corrections of term k against the
-// history vector w: rhs −= δ·(vᵀw)·u for every update targeting k, the exact
-// contribution the materialized E_k + δuvᵀ would have added via MulVecAdd.
-func (ps *paramScen) applyTermDelta(k int, w, rhs []float64) {
-	for _, u := range ps.ups {
-		if u.Term != k {
-			continue
-		}
-		u.U.ScatterAdd(-(u.Scale * u.V.Dot(w)), rhs)
-	}
-}
-
-// paramGroup is one scenario group: the shared-base panel for its SMW/nominal
-// members plus the group's refactor members, advanced together per column.
-type paramGroup struct {
-	members []*paramScen
-	w       int // number of panel (SMW/nominal) members
-	b, x    *mat.Dense
-	pf      *pencilFactor
-	scratch *panelScratch
-}
 
 // resolveUpdateRankLimit turns BatchOptions.UpdateRankLimit into the rank
 // bound actually used: the caller's explicit limit, or the measured
@@ -104,7 +61,7 @@ func resolveUpdateRankLimit(shared *pencilFactor, n, m int, opt *BatchOptions) i
 	if factorNS < 1 {
 		return -1
 	}
-	probe := shared.instantiate(&SolveReport{})
+	probe := shared.instantiate()
 	zero := make([]float64, n)
 	dst := make([]float64, n)
 	//lint:ignore nondet timing feeds only the SMW-vs-refactor path choice, whose paths agree to 1e-12 and can be pinned via BatchOptions.UpdateRankLimit
@@ -134,17 +91,15 @@ func resolveUpdateRankLimit(shared *pencilFactor, n, m int, opt *BatchOptions) i
 	return lim
 }
 
-// solveParamBatch is the SolveBatchCtx tail for batches where at least one
+// solveParamBatch is the solveUniform tail for batches where at least one
 // scenario carries a pencil delta. shared is the already-built factorization
-// of the unperturbed leading pencil; coeffs the per-term BPF coefficient
-// sequences.
-func solveParamBatch(ctx context.Context, sys *System, scenarios []Scenario, m int, T float64, opt *BatchOptions, rep *SolveReport, bpf *basis.BPF, coeffs [][]float64, shared *pencilFactor) ([]*Solution, error) {
+// of the unperturbed leading pencil, width the scenario-group width.
+func (r *columnRun) solveParamBatch(scenarios []Scenario, shared *pencilFactor, width int) ([]*Solution, error) {
+	opt, rep, sys, n, m := r.opt, r.rep, r.sys, r.n, r.m
 	if opt.ResumeFrom != nil {
 		return nil, fmt.Errorf("core: checkpoint resume is not supported for parameter-varying batches (scenario pencil deltas present)")
 	}
 	K := len(scenarios)
-	n := sys.N()
-	h := bpf.Step()
 	for s := range scenarios {
 		if err := scenarios[s].Delta.validate(sys); err != nil {
 			return nil, fmt.Errorf("core: batch scenario %d: %w", s, err)
@@ -163,8 +118,8 @@ func solveParamBatch(ctx context.Context, sys *System, scenarios []Scenario, m i
 		if d.Rank() == 0 {
 			continue
 		}
-		pups[s] = pencilUpdates(d, coeffs)
-		if r := len(pups[s]); r > 0 && (limit < 0 || r > limit) {
+		pups[s] = pencilUpdates(d, r.coeffs)
+		if rank := len(pups[s]); rank > 0 && (limit < 0 || rank > limit) {
 			refac[s] = true
 		}
 	}
@@ -178,68 +133,13 @@ func solveParamBatch(ctx context.Context, sys *System, scenarios []Scenario, m i
 		switch {
 		case isExactZero(t.Order):
 		case isExactEq(t.Order, float64(int(t.Order))):
-			if p := int(t.Order); p > maxLag {
-				maxLag = p
-			}
+			maxLag = max(maxLag, int(t.Order))
 		default:
 			engineFree = false
 		}
 	}
-	ringLen := 0
-	slabCols := m
 	if opt.DiscardSolutions && engineFree && maxLag+1 < m {
-		ringLen = maxLag + 1
-		slabCols = ringLen
-	}
-
-	// Shared input expansion: Monte-Carlo scenarios typically reuse one
-	// signal set across thousands of pencil perturbations, so the BPF input
-	// coefficients are expanded once per distinct signal slice (identified by
-	// backing-array identity — scenarios built from the same []Signal share).
-	// Expansion is deterministic, so sharing changes no bits.
-	type ucSlot struct {
-		u   []waveform.Signal
-		uc  *mat.Dense
-		err error
-	}
-	slots := map[*waveform.Signal]*ucSlot{}
-	slotOfScen := make([]*ucSlot, K)
-	var slotOrder []*ucSlot
-	for s := range scenarios {
-		var key *waveform.Signal
-		if len(scenarios[s].U) > 0 {
-			key = &scenarios[s].U[0]
-		}
-		sl, ok := slots[key]
-		if !ok {
-			sl = &ucSlot{u: scenarios[s].U}
-			slots[key] = sl
-			slotOrder = append(slotOrder, sl)
-		}
-		slotOfScen[s] = sl
-	}
-	expand := make([]func(), len(slotOrder))
-	for i, sl := range slotOrder {
-		sl := sl
-		expand[i] = func() {
-			uc, err := expandInputs(sys, sl.u, bpf)
-			if err == nil && !isExactZero(sys.BOrder) {
-				uc = applyInputOrder(uc, bpf.DiffCoeffs(sys.BOrder))
-			}
-			sl.uc, sl.err = uc, err
-		}
-	}
-	if err := historyPoolDo(expand); err != nil {
-		return nil, &Diagnostic{Kind: ErrInternal, Column: -1, Time: 0, Cause: err}
-	}
-
-	kernels := newKernelCache()
-	if on, ferr := opt.historyFFTEnabled(m); ferr == nil && on {
-		var sizes []int
-		for L := historyFFTBase; L <= m; L *= 2 {
-			sizes = append(sizes, 2*L)
-		}
-		fft.Prewarm(sizes...)
+		r.ring = maxLag + 1
 	}
 
 	// Per-scenario preparation fans out over the worker pool. Tasks touch only
@@ -247,102 +147,77 @@ func solveParamBatch(ctx context.Context, sys *System, scenarios []Scenario, m i
 	// (refactor path, into a task-local report merged sequentially below), or
 	// SMW setup against a pre-instantiated base view. A singular capacitance
 	// matrix demotes the scenario to the refactor path in-task.
-	scen := make([]*paramScen, K)
-	scenErr := make([]error, K)
 	localRep := make([]*SolveReport, K)
 	views := make([]*pencilFactor, K)
 	for s := range scenarios {
 		localRep[s] = &SolveReport{}
 		if !refac[s] && len(pups[s]) > 0 {
-			views[s] = shared.instantiate(&SolveReport{})
+			views[s] = shared.instantiate()
 		}
 	}
-	scale := func(k int) float64 { return coeffs[k][0] }
-	prep := make([]func(), K)
-	for s := range scenarios {
-		s := s
-		prep[s] = func() {
-			ps := &paramScen{s: s, sys: sys, slot: -1}
-			scen[s] = ps
-			buildRefac := func(d *PencilDelta) error {
-				psys, err := ApplyDelta(sys, d)
-				if err != nil {
-					return err
-				}
-				msys, err := assembleLeading(psys, scale)
-				if err != nil {
-					return err
-				}
-				pf, err := factorPencil(msys, -1, 0, &opt.Options, localRep[s])
-				if err != nil {
-					return err
-				}
-				ps.sys, ps.pf = psys, pf
-				ps.ups, ps.smw = nil, nil
-				ps.x1 = mat.NewDense(n, 1)
-				ps.b1 = mat.NewDense(n, 1)
-				ps.s1 = pf.newPanelScratch(1)
-				return nil
+	err := r.prepareScenarios(scenarios, func(s int, uc *mat.Dense) (*scenState, error) {
+		d := scenarios[s].Delta
+		psys := sys
+		var ups []RankOne
+		if d.Rank() > 0 {
+			ups = d.Updates
+		}
+		var pf *pencilFactor
+		var smw *smwFactor
+		refactor := func() (err error) {
+			if psys, err = ApplyDelta(sys, d); err != nil {
+				return err
 			}
-			d := scenarios[s].Delta
-			switch {
-			case refac[s]:
-				if err := buildRefac(d); err != nil {
-					scenErr[s] = err
-					return
-				}
-			case len(pups[s]) > 0:
-				sf, err := newSMWFactor(views[s], pups[s], n)
-				if err != nil {
-					// Capacitance singular: the perturbed pencil needs its own
-					// factorization (whose tier chain classifies it properly).
-					localRep[s].Warnings = append(localRep[s].Warnings,
-						fmt.Sprintf("scenario %d: %v; refactored", s, err))
-					refac[s] = true
-					if err := buildRefac(d); err != nil {
-						scenErr[s] = err
-						return
-					}
-				} else {
-					ps.smw, ps.ups = sf, d.Updates
-				}
-			case d.Rank() > 0:
-				// Delta touches only terms with zero leading coefficient: the
-				// pencil is unchanged, but the rhs corrections still apply.
-				ps.ups = d.Updates
-			}
-			st, err := prepareScenario(ctx, ps.sys, &scenarios[s], bpf, m, coeffs, opt, kernels, slotOfScen[s].uc, slabCols)
+			msys, err := assembleLeading(psys, r.lead)
 			if err != nil {
-				scenErr[s] = err
-				return
+				return err
 			}
-			if ps.pf == nil && len(ps.ups) > 0 && scenarios[s].X0 != nil {
-				// SMW path with a nonzero initial state: order-0 updates enter
-				// the constant shift g = −Σ_{α=0} E_k·x₀ as −δ·(vᵀx₀)·u.
-				for _, u := range ps.ups {
-					if isExactZero(sys.Terms[u.Term].Order) {
-						u.U.ScatterAdd(-(u.Scale * u.V.Dot(st.x0)), st.shift)
-					}
+			pf, err = factorPencil(msys, -1, 0, &opt.Options, localRep[s])
+			ups = nil
+			return err
+		}
+		switch {
+		case refac[s]:
+			if err := refactor(); err != nil {
+				return nil, err
+			}
+		case len(pups[s]) > 0:
+			var err error
+			if smw, err = newSMWFactor(views[s], pups[s], n); err != nil {
+				// Capacitance singular: the perturbed pencil needs its own
+				// factorization (whose tier chain classifies it properly).
+				localRep[s].Warnings = append(localRep[s].Warnings, fmt.Sprintf("scenario %d: %v; refactored", s, err))
+				refac[s] = true
+				if err := refactor(); err != nil {
+					return nil, err
 				}
 			}
-			ps.st = st
 		}
-	}
-	if err := historyPoolDo(prep); err != nil {
-		return nil, &Diagnostic{Kind: ErrInternal, Column: -1, Time: 0, Cause: err}
-	}
-	for s := 0; s < K; s++ {
-		if serr := slotOfScen[s].err; serr != nil {
-			return nil, fmt.Errorf("core: batch scenario %d: %w", s, serr)
+		// Otherwise a delta touching only terms with a zero leading
+		// coefficient leaves the pencil unchanged, but its rhs corrections
+		// still apply.
+		st, err := r.prepareScenario(psys, s, scenarios[s].X0, uc)
+		if err != nil {
+			return nil, err
 		}
-		if scenErr[s] != nil {
-			return nil, fmt.Errorf("core: batch scenario %d: %w", s, scenErr[s])
+		st.pf, st.smw, st.ups = pf, smw, ups
+		if pf == nil && scenarios[s].X0 != nil {
+			// SMW path with a nonzero initial state: order-0 updates enter
+			// the constant shift g = −Σ_{α=0} E_k·x₀ as −δ·(vᵀx₀)·u.
+			for _, u := range ups {
+				if isExactZero(sys.Terms[u.Term].Order) {
+					u.U.ScatterAdd(-(u.Scale * u.V.Dot(st.x0)), st.shift)
+				}
+			}
 		}
+		return st, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Sequential merge of per-scenario prep accounting, in scenario order.
-	for s := 0; s < K; s++ {
-		lr := localRep[s]
+	for s, lr := range localRep {
 		rep.Factorizations += lr.Factorizations
 		rep.Fallbacks = append(rep.Fallbacks, lr.Fallbacks...)
 		rep.Warnings = append(rep.Warnings, lr.Warnings...)
@@ -350,7 +225,7 @@ func solveParamBatch(ctx context.Context, sys *System, scenarios []Scenario, m i
 		switch {
 		case refac[s]:
 			rep.PencilRefactors++
-		case scen[s].smw != nil:
+		case r.states[s].smw != nil:
 			rep.PencilUpdates++
 			if opt.FactorCache != nil {
 				rep.FactorCacheUpdateHits++
@@ -358,247 +233,15 @@ func solveParamBatch(ctx context.Context, sys *System, scenarios []Scenario, m i
 			}
 		}
 	}
-	if st := scen[0].st; len(st.eng.terms) > 0 {
-		rep.HistoryEngine = st.eng.modeName()
-	}
 
-	// Scenario groups: the same contiguous (K, width) partition as batch.go.
-	// Panel members (SMW + nominal) share the group's base panel solve; each
-	// refactor member solves 1-wide through its private factorization inside
-	// the same group task.
-	width := opt.PanelWidth
-	if width <= 0 {
-		width = batchPanelWidth
+	// Scenario groups: the same contiguous (K, width) partition as the
+	// amplitude batch, all taking the member-wise step. Parameter-varying
+	// runs emit no checkpoint deltas.
+	for lo := 0; lo < K; lo += width {
+		r.steps = append(r.steps, newMemberStep(r.states[lo:min(lo+width, K)], shared))
 	}
-	if width > K {
-		width = K
-	}
-	nGroups := (K + width - 1) / width
-	groups := make([]*paramGroup, nGroups)
-	tierCount := [numTiers]int{}
-	for g := range groups {
-		lo := g * width
-		hi := lo + width
-		if hi > K {
-			hi = K
-		}
-		gr := &paramGroup{}
-		for s := lo; s < hi; s++ {
-			ps := scen[s]
-			if ps.pf == nil {
-				ps.slot = gr.w
-				gr.w++
-				tierCount[shared.tier]++
-			} else {
-				tierCount[ps.pf.tier]++
-			}
-			gr.members = append(gr.members, ps)
-		}
-		if gr.w > 0 {
-			gr.b = mat.NewDense(n, gr.w)
-			gr.x = mat.NewDense(n, gr.w)
-			gr.pf = shared.instantiate(rep)
-			gr.scratch = gr.pf.newPanelScratch(gr.w)
-		}
-		groups[g] = gr
-	}
-
-	colErr := make([]error, K)
-	tasks := make([]func(), 0, nGroups)
-	var hookCols [][]float64
-	if opt.OnColumn != nil {
-		hookCols = make([][]float64, K)
-		for s := range hookCols {
-			hookCols[s] = make([]float64, n)
-		}
-	}
-	for j := 0; j < m; j++ {
-		tj := (float64(j) + 0.5) * h
-		slot := j
-		if ringLen > 0 {
-			slot = j % ringLen
-		}
-		if err := ctx.Err(); err != nil {
-			d := diag(ErrCancelled, j, tj)
-			d.Cause = err
-			return nil, d
-		}
-		if opt.Fault != nil && opt.Fault.ColumnDelay != nil {
-			opt.Fault.ColumnDelay(j)
-		}
-		tasks = tasks[:0]
-		for _, gr := range groups {
-			gr := gr
-			tasks = append(tasks, func() {
-				paramGroupColumn(n, colErr, j, slot, tj, gr)
-			})
-		}
-		var ferr error
-		if len(tasks) == 1 {
-			ferr = runRecovered(tasks[0])
-		} else {
-			ferr = historyPoolDo(tasks)
-		}
-		if ferr != nil {
-			d := diag(ErrInternal, j, tj)
-			d.Cause = ferr
-			return nil, d
-		}
-		if opt.Fault != nil && opt.Fault.CorruptColumn != nil {
-			for s := 0; s < K; s++ {
-				xj := scen[s].st.xbuf[slot*n : (slot+1)*n]
-				opt.Fault.CorruptColumn(j, xj)
-				if i := firstNonFinite(xj); i >= 0 && colErr[s] == nil {
-					d := diag(ErrNonFinite, j, tj)
-					d.Cause = fmt.Errorf("non-finite value in state %d of scenario %d", i, s)
-					colErr[s] = d
-				}
-			}
-		}
-		for s := 0; s < K; s++ {
-			if colErr[s] != nil {
-				return nil, colErr[s]
-			}
-		}
-		rep.Columns += K
-		for t := Tier(0); t < numTiers; t++ {
-			rep.TierSolves[t] += tierCount[t]
-		}
-		if opt.OnColumn != nil {
-			for s := 0; s < K; s++ {
-				st := scen[s].st
-				xj := st.xbuf[slot*n : (slot+1)*n]
-				dst := hookCols[s]
-				for i := 0; i < n; i++ {
-					dst[i] = xj[i] + st.x0[i]
-				}
-			}
-			opt.OnColumn(j, tj, hookCols)
-		}
-	}
-
-	if opt.DiscardSolutions {
-		return nil, nil
-	}
-	sols := make([]*Solution, K)
-	fin := make([]func(), K)
-	for s := range sols {
-		s := s
-		fin[s] = func() {
-			const tile = 64
-			st := scen[s].st
-			x := mat.NewDense(n, m)
-			xd := x.Data()
-			for i0 := 0; i0 < n; i0 += tile {
-				i1 := i0 + tile
-				if i1 > n {
-					i1 = n
-				}
-				for j0 := 0; j0 < m; j0 += tile {
-					j1 := j0 + tile
-					if j1 > m {
-						j1 = m
-					}
-					for i := i0; i < i1; i++ {
-						xr, x0i := xd[i*m:(i+1)*m], st.x0[i]
-						for j := j0; j < j1; j++ {
-							xr[j] = st.xbuf[j*n+i] + x0i
-						}
-					}
-				}
-			}
-			sols[s] = &Solution{sys: sys, bas: bpf, x: x}
-		}
-	}
-	if err := historyPoolDo(fin); err != nil {
-		return nil, &Diagnostic{Kind: ErrInternal, Column: m - 1, Time: T, Cause: err}
-	}
-	return sols, nil
-}
-
-// paramGroupColumn advances one group through column j (committed into slab
-// slot `slot`): assemble every member's right-hand side with the exact scalar
-// operations Solve uses (plus the SMW rank-1 rhs corrections), panel-solve
-// the shared-base members together, solve refactor members 1-wide, apply the
-// Woodbury correction, and commit. Mirrors batchGroupColumn's error protocol:
-// each colErr index is written by exactly one task.
-func paramGroupColumn(n int, colErr []error, j, slot int, tj float64, gr *paramGroup) {
-	for _, ps := range gr.members {
-		st := ps.st
-		rhs := st.rhs
-		copy(rhs, st.shift)
-		ps.sys.B.MulVecAdd(1, ucColumnInto(st.ucol, st.uc, j), rhs)
-		for k, t := range ps.sys.Terms {
-			var w []float64
-			switch {
-			case isExactZero(t.Order):
-				continue
-			case st.hist[k] != nil:
-				w = st.hist[k].current()
-			default:
-				var err error
-				w, err = st.eng.history(k, j, st.cols)
-				if err != nil {
-					d := diag(engineErrKind(err), j, tj)
-					d.Order = t.Order
-					d.Cause = fmt.Errorf("batch scenario %d: %w", ps.s, err)
-					colErr[ps.s] = d
-					return
-				}
-			}
-			t.Coeff.MulVecAdd(-1, w, rhs)
-			ps.applyTermDelta(k, w, rhs)
-		}
-		if ps.slot >= 0 {
-			bd, w := gr.b.Data(), gr.w
-			for i := 0; i < n; i++ {
-				bd[i*w+ps.slot] = rhs[i]
-			}
-		} else {
-			copy(ps.b1.Data(), rhs)
-		}
-	}
-	if gr.w > 0 {
-		if err := gr.pf.solvePanelInto(gr.x, gr.b, gr.scratch); err != nil {
-			d := diag(ErrInternal, j, tj)
-			d.Cause = fmt.Errorf("batch scenario %d's group: %w", gr.members[0].s, err)
-			colErr[gr.members[0].s] = d
-			return
-		}
-	}
-	for _, ps := range gr.members {
-		st := ps.st
-		xj := st.xbuf[slot*n : (slot+1)*n : (slot+1)*n]
-		if ps.slot >= 0 {
-			xd, w := gr.x.Data(), gr.w
-			for i := 0; i < n; i++ {
-				xj[i] = xd[i*w+ps.slot]
-			}
-			if ps.smw != nil {
-				ps.smw.correct(xj)
-			}
-		} else {
-			if err := ps.pf.solvePanelInto(ps.x1, ps.b1, ps.s1); err != nil {
-				d := diag(ErrInternal, j, tj)
-				d.Cause = fmt.Errorf("batch scenario %d: %w", ps.s, err)
-				colErr[ps.s] = d
-				return
-			}
-			copy(xj, ps.x1.Data())
-		}
-		if i := firstNonFinite(xj); i >= 0 {
-			d := diag(ErrNonFinite, j, tj)
-			d.Cause = fmt.Errorf("batch scenario %d: state %d is %g (poisoned input sample or overflow?)", ps.s, i, xj[i])
-			colErr[ps.s] = d
-			return
-		}
-		if st.cols != nil {
-			st.cols[j] = xj
-		}
-		for k := range ps.sys.Terms {
-			if st.hist[k] != nil {
-				st.hist[k].advance(xj)
-			}
-		}
-	}
+	po := *opt
+	po.OnCheckpoint = nil
+	r.opt = &po
+	return r.run()
 }

@@ -126,14 +126,3 @@ func (sf *smwFactor) correct(y []float64) {
 		vecops.SubMul(y, sf.wt.Row(i), zi)
 	}
 }
-
-// updatedSolve solves (M + UVᵀ)·x = rhs: one base-tier solve (counted in the
-// report like any solveInto) plus the Woodbury correction. dst must not alias
-// rhs. Like solveInto it is unsafe for concurrent calls on one instance.
-func (sf *smwFactor) updatedSolve(dst, rhs []float64) error {
-	if err := sf.base.solveInto(dst, rhs); err != nil {
-		return err
-	}
-	sf.correct(dst)
-	return nil
-}

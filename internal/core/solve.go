@@ -57,17 +57,18 @@ type Options struct {
 	// cache is bypassed (a cached factorization would short-circuit the
 	// injected failures).
 	FactorCache *FactorCache
-	// OnColumn, when non-nil, is invoked by Solve/SolveCtx after each
-	// solution column commits, with the column index, the interval-midpoint
-	// time, and the column values including the X0 offset — bitwise-identical
-	// to column col of the final Solution's coefficient matrix. The slice is
-	// owned by the solver and reused between invocations: consumers must copy
-	// (or encode) it before returning. The hook runs on the solving
-	// goroutine, so a slow consumer throttles the solve — the intended
-	// backpressure for streaming columns to a client. The adaptive and
-	// nonlinear solvers ignore it (their columns are revised after commit);
-	// SolveBatch ignores it too in favour of BatchOptions.OnColumn, whose
-	// barrier semantics keep the hook off the concurrent group tasks.
+	// OnColumn, when non-nil, is invoked by Solve, SolveNonlinear and
+	// SolveAdaptive (and their Ctx variants) after each solution column
+	// commits, with the column index, the interval-midpoint time, and the
+	// column values including the X0 offset — bitwise-identical to column col
+	// of the final Solution's coefficient matrix. The slice is owned by the
+	// solver and reused between invocations: consumers must copy (or encode)
+	// it before returning. The hook runs on the solving goroutine, so a slow
+	// consumer throttles the solve — the intended backpressure for streaming
+	// columns to a client. SolveAdaptiveAuto ignores it (its steps are only
+	// known once the controller has accepted them); SolveBatch ignores it in
+	// favour of BatchOptions.OnColumn, whose barrier semantics keep the hook
+	// off the concurrent group tasks.
 	OnColumn func(col int, t float64, x []float64)
 	// Supernodal steers the supernodal/domain-decomposed factorization tier
 	// (nested-dissection BBD with blocked supernodal domain factors): 0 —
@@ -109,16 +110,6 @@ func (o *Options) report() *SolveReport {
 	return &SolveReport{}
 }
 
-// firstNonFinite returns the index of the first NaN/±Inf entry of x, or −1.
-func firstNonFinite(x []float64) int {
-	for i, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return i
-		}
-	}
-	return -1
-}
-
 // Solve simulates the system over [0, T) with m uniform block-pulse
 // intervals, which is the OPM method of §III–IV:
 //
@@ -140,162 +131,11 @@ func Solve(sys *System, u []waveform.Signal, m int, T float64, opt Options) (*So
 func SolveCtx(ctx context.Context, sys *System, u []waveform.Signal, m int, T float64, opt Options) (_ *Solution, err error) {
 	rep := opt.report()
 	defer func() { rep.Err = err }()
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	bpf, err := basis.NewBPF(m, T)
+	sols, err := solveUniform(ctx, sys, []Scenario{{U: u, X0: opt.X0}}, m, T, single(opt), rep)
 	if err != nil {
 		return nil, err
 	}
-	uc, err := expandInputs(sys, u, bpf)
-	if err != nil {
-		return nil, err
-	}
-	if !isExactZero(sys.BOrder) {
-		uc = applyInputOrder(uc, bpf.DiffCoeffs(sys.BOrder))
-	}
-
-	x0, shift, err := prepareInitialState(sys, opt.X0)
-	if err != nil {
-		return nil, err
-	}
-
-	n := sys.N()
-	// Per-term Toeplitz coefficient sequences c⁽ᵏ⁾ of Dᵅᵏ.
-	coeffs := make([][]float64, len(sys.Terms))
-	for k, t := range sys.Terms {
-		coeffs[k] = bpf.DiffCoeffs(t.Order)
-	}
-	// M = Σ_k c₀⁽ᵏ⁾ E_k, factored once and reused for all m columns — through
-	// the tiered chain, so a failed or ill-conditioned sparse factorization
-	// degrades to dense LU + refinement, then QR, instead of aborting.
-	msys, err := assembleLeading(sys, func(k int) float64 { return coeffs[k][0] })
-	if err != nil {
-		return nil, err
-	}
-	fac, err := factorPencilCached(msys, bpf.Step(), sys.MaxOrder(), -1, 0, &opt, rep)
-	if err != nil {
-		return nil, err
-	}
-
-	// Fast-path history for integer orders p ≥ 1: because
-	// (1+q)ᵖ·ρ_p(q) = (2/h)ᵖ(1−q)ᵖ is a degree-p polynomial, the Toeplitz
-	// coefficients obey a p-term linear recurrence and so do the history
-	// sums s_j = Σ_{i<j} c_{j−i}·x_i:
-	//
-	//	s_j = Σ_{k=1..p} γ_k·x_{j−k} − Σ_{l=1..p} C(p,l)·s_{j−l},
-	//	γ_k = C(p,k)·(2/h)ᵖ·((−1)ᵏ − 1)   (zero for even k).
-	//
-	// For p = 1 this is the classical s_j = −(4/h)x_{j−1} − s_{j−1} of
-	// §III-A; for p ≥ 2 it keeps high-order solves at O(p·n) per column
-	// instead of O(n·j). Fractional orders fall back to the full history,
-	// matching the paper's complexity discussion for eq. (28).
-	hist := make([]*intHistory, len(sys.Terms))
-	eng, err := newHistoryEngine(n, m, &opt)
-	if err != nil {
-		return nil, err
-	}
-	eng.setGuards(ctx, &opt)
-	for k, t := range sys.Terms {
-		switch {
-		case isExactZero(t.Order):
-		case isExactEq(t.Order, float64(int(t.Order))):
-			hist[k] = newIntHistory(int(t.Order), bpf.Step(), n)
-		default:
-			// Fractional orders have no short recurrence: full Toeplitz
-			// history (blocked parallel folds, or segmented fast
-			// convolution on the FFT tier).
-			eng.addToeplitz(k, coeffs[k])
-		}
-	}
-	if len(eng.terms) > 0 {
-		rep.HistoryEngine = eng.modeName()
-	}
-
-	h := bpf.Step()
-	cols := make([][]float64, m)
-	// One slab backs all solution columns: cols[j] = xbuf[j·n:(j+1)·n]. The
-	// column loop below allocates nothing per iteration — the slab, the rhs
-	// and input-column buffers, and the factorization's internal scratch are
-	// all reused — which matters once m reaches the thousands the FFT
-	// history tier targets.
-	xbuf := make([]float64, n*m)
-	rhs := make([]float64, n)
-	ucol := make([]float64, uc.Rows())
-	var hook []float64
-	if opt.OnColumn != nil {
-		hook = make([]float64, n)
-	}
-	for j := 0; j < m; j++ {
-		tj := (float64(j) + 0.5) * h
-		if err := ctx.Err(); err != nil {
-			d := diag(ErrCancelled, j, tj)
-			d.Cause = err
-			return nil, d
-		}
-		if opt.Fault != nil && opt.Fault.ColumnDelay != nil {
-			opt.Fault.ColumnDelay(j)
-		}
-		// rhs = B·u_j + shift − Σ_k E_k·s_j⁽ᵏ⁾.
-		for i := range rhs {
-			rhs[i] = shift[i]
-		}
-		sys.B.MulVecAdd(1, ucColumnInto(ucol, uc, j), rhs)
-		for k, t := range sys.Terms {
-			switch {
-			case isExactZero(t.Order):
-				continue
-			case hist[k] != nil:
-				t.Coeff.MulVecAdd(-1, hist[k].current(), rhs)
-			default:
-				w, err := eng.history(k, j, cols)
-				if err != nil {
-					d := diag(engineErrKind(err), j, tj)
-					d.Order = t.Order
-					d.Cause = err
-					return nil, d
-				}
-				t.Coeff.MulVecAdd(-1, w, rhs)
-			}
-		}
-		xj := xbuf[j*n : (j+1)*n : (j+1)*n]
-		if err := fac.solveInto(xj, rhs); err != nil {
-			d := diag(ErrInternal, j, tj)
-			d.Cause = err
-			return nil, d
-		}
-		if opt.Fault != nil && opt.Fault.CorruptColumn != nil {
-			opt.Fault.CorruptColumn(j, xj)
-		}
-		if i := firstNonFinite(xj); i >= 0 {
-			d := diag(ErrNonFinite, j, tj)
-			d.Cause = fmt.Errorf("state %d is %g (poisoned input sample or overflow?)", i, xj[i])
-			return nil, d
-		}
-		cols[j] = xj
-		rep.Columns++
-		for k := range sys.Terms {
-			if hist[k] != nil {
-				hist[k].advance(xj)
-			}
-		}
-		if opt.OnColumn != nil {
-			// Same operands and order as the final assembly below, so the
-			// streamed column matches the Solution entry bit for bit.
-			for i := range hook {
-				hook[i] = xj[i] + x0[i]
-			}
-			opt.OnColumn(j, tj, hook)
-		}
-	}
-	x := mat.NewDense(n, m)
-	for i := 0; i < n; i++ {
-		xr, x0i := x.Row(i), x0[i]
-		for j, col := range cols {
-			xr[j] = col[i] + x0i
-		}
-	}
-	return &Solution{sys: sys, bas: bpf, x: x}, nil
+	return sols[0], nil
 }
 
 // expandInputs expands each input channel in the given basis and returns the
@@ -316,9 +156,20 @@ func expandInputs(sys *System, u []waveform.Signal, b basis.Basis) (*mat.Dense, 
 	return uc, nil
 }
 
-// intHistory maintains the history sum of an integer-order term via the
-// p-term recurrence documented in Solve. Protocol per column: call current()
-// exactly once (it computes s_j), use the result, then call advance(x_j).
+// intHistory maintains the history sum of an integer-order term p ≥ 1.
+// Because (1+q)ᵖ·ρ_p(q) = (2/h)ᵖ(1−q)ᵖ is a degree-p polynomial, the Toeplitz
+// coefficients obey a p-term linear recurrence and so do the history sums
+// s_j = Σ_{i<j} c_{j−i}·x_i:
+//
+//	s_j = Σ_{k=1..p} γ_k·x_{j−k} − Σ_{l=1..p} C(p,l)·s_{j−l},
+//	γ_k = C(p,k)·(2/h)ᵖ·((−1)ᵏ − 1)   (zero for even k).
+//
+// For p = 1 this is the classical s_j = −(4/h)x_{j−1} − s_{j−1} of §III-A;
+// for p ≥ 2 it keeps high-order solves at O(p·n) per column instead of
+// O(n·j). Fractional orders have no such recurrence and use the full history
+// engine, matching the paper's complexity discussion for eq. (28). Protocol
+// per column: call current() exactly once (it computes s_j), use the result,
+// then call advance(x_j).
 type intHistory struct {
 	p     int
 	gamma []float64   // γ_k, k = 1..p (zero for even k)
@@ -453,10 +304,6 @@ func ucColumnInto(dst []float64, uc *mat.Dense, j int) []float64 {
 	return dst
 }
 
-func ucColumn(uc *mat.Dense, j int) []float64 {
-	return ucColumnInto(make([]float64, uc.Rows()), uc, j)
-}
-
 // assembleLeading combines the term coefficient matrices with the given
 // per-term scalars.
 func assembleLeading(sys *System, scale func(k int) float64) (*sparse.CSR, error) {
@@ -576,8 +423,9 @@ func ResidualNorm(sys *System, sol *Solution, u []waveform.Signal) (float64, err
 		}
 	}
 	bu := mat.NewDense(n, m)
+	ucol := make([]float64, uc.Rows())
 	for j := 0; j < m; j++ {
-		col := sys.B.MulVec(ucColumn(uc, j), nil)
+		col := sys.B.MulVec(ucColumnInto(ucol, uc, j), nil)
 		for i := 0; i < n; i++ {
 			//lint:ignore atset column fill from a per-column MulVec result; no row view spans it
 			bu.Set(i, j, col[i])

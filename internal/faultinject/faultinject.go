@@ -16,16 +16,13 @@ import (
 	"time"
 )
 
-// Tier indices mirror core.Tier; they are declared here as plain ints so the
-// core package can depend on faultinject without a cycle.
+// Tier indices mirror core.Tier, in chain order; they are declared here as
+// plain ints so the core package can depend on faultinject without a cycle.
 const (
-	TierSparseLU = 0
-	TierDenseLU  = 1
-	TierQR       = 2
-	// TierSupernodal sits above TierSparseLU in the chain (tried first when
-	// engaged) but carries index 3: it was appended after TierQR to keep the
-	// earlier indices stable in serialized reports.
-	TierSupernodal = 3
+	TierSupernodal = 0
+	TierSparseLU   = 1
+	TierDenseLU    = 2
+	TierQR         = 3
 )
 
 // Hooks is the set of injection points the solver core consults. Every field
