@@ -48,7 +48,7 @@ func main() {
 		mcOut      = flag.String("mcout", "BENCH_montecarlo.json", "machine-readable output path for -experiment montecarlo")
 		scaleOut   = flag.String("scaleout", "BENCH_scale.json", "machine-readable output path for -experiment scale")
 		scaleSizes = flag.String("scalesizes", "", "comma-separated grid node counts for -experiment scale (default 1000,10000,100000; \"smoke\" = the CI-sized instance)")
-		scaleBase  = flag.String("scalebaseline", "", "baseline BENCH_scale.json to guard against: fail when the factorization speedup regresses >25% at any shared size")
+		scaleBase  = flag.String("scalebaseline", "", "baseline BENCH_scale.json to guard against: fail when the factorization or solve speedup regresses >25% at any shared size")
 		history    = flag.String("history", "", "history engine mode for the history ablation: auto, exact, or fft (default: exact)")
 		seed       = flag.Int64("seed", 1, "seed for generated benchmark networks (Table II grid loads, MOR, scaling); same seed, same netlist")
 	)

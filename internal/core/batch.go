@@ -278,6 +278,16 @@ func newUniformRun(ctx context.Context, sys *System, m int, T float64, opt *Batc
 	return r, nil
 }
 
+// solveWorkers is the worker count of the run's supernodal solves: 1 when
+// several groups run concurrently, Options.Workers otherwise — the rule the
+// history engines follow.
+func (r *columnRun) solveWorkers() int {
+	if r.serial {
+		return 1
+	}
+	return r.opt.Workers
+}
+
 // lead is the per-term scalar of the uniform leading pencil M = Σ_k c₀⁽ᵏ⁾·E_k.
 func (r *columnRun) lead(k int) float64 { return r.coeffs[k][0] }
 
@@ -649,12 +659,13 @@ func solveUniform(ctx context.Context, sys *System, scenarios []Scenario, m int,
 	// Systems whose history is entirely integer-order (no engine terms) take
 	// the panel-native step in groups wider than one scenario.
 	fast := len(r.states[0].eng.terms) == 0
+	workers := r.solveWorkers()
 	for lo := 0; lo < K; lo += width {
 		members := r.states[lo:min(lo+width, K)]
 		if fast && len(members) > 1 {
-			r.steps = append(r.steps, newPanelStep(sys, members, shared.instantiate(), r.h))
+			r.steps = append(r.steps, newPanelStep(sys, members, shared.instantiate(workers), r.h))
 		} else {
-			r.steps = append(r.steps, newMemberStep(members, shared))
+			r.steps = append(r.steps, newMemberStep(members, shared, workers))
 		}
 	}
 	return r.run()
@@ -689,9 +700,10 @@ type memberStep struct {
 }
 
 // newMemberStep groups members, numbering those without a private
-// factorization as the panel columns of a view of shared. A lone panel
-// member is solved 1-wide through the view, with no panel copies.
-func newMemberStep(members []*scenState, shared *pencilFactor) *memberStep {
+// factorization as the panel columns of a view of shared solving on workers
+// goroutines. A lone panel member is solved 1-wide through the view, with no
+// panel copies.
+func newMemberStep(members []*scenState, shared *pencilFactor, workers int) *memberStep {
 	g := &memberStep{members: members}
 	for _, st := range members {
 		if st.pf == nil {
@@ -700,7 +712,7 @@ func newMemberStep(members []*scenState, shared *pencilFactor) *memberStep {
 		}
 	}
 	if g.w > 0 {
-		g.pf = shared.instantiate()
+		g.pf = shared.instantiate(workers)
 	}
 	if g.w > 1 {
 		n := len(members[0].b)

@@ -180,11 +180,13 @@ func cacheKey(a *sparse.CSR, h, alpha float64, opt *Options) factorKey {
 }
 
 // instantiate returns a view of pf: shared immutable factors, private solve
-// scratch (the sparse factorizations are detached via Share). Solves through
-// a view are bitwise-identical to solves through pf. The cache stores views
-// that are never solved through, so their lazily-sized scratch stays nil
-// and concurrent Share calls from cache hits are race-free.
-func (pf *pencilFactor) instantiate() *pencilFactor {
+// scratch (the sparse factorizations are detached via Share), and workers
+// goroutines for the supernodal tier's per-domain solve phases (see
+// setSolveWorkers). Solves through a view are bitwise-identical to solves
+// through pf. The cache stores views that are never solved through, so their
+// lazily-sized scratch stays nil and concurrent Share calls from cache hits
+// are race-free.
+func (pf *pencilFactor) instantiate(workers int) *pencilFactor {
 	inst := &pencilFactor{tier: pf.tier, dense: pf.dense, qr: pf.qr, a: pf.a, cond: pf.cond, factorNS: pf.factorNS}
 	if pf.sp != nil {
 		inst.sp = pf.sp.Share()
@@ -192,7 +194,18 @@ func (pf *pencilFactor) instantiate() *pencilFactor {
 	if pf.bbd != nil {
 		inst.bbd = pf.bbd.Share()
 	}
+	inst.setSolveWorkers(workers)
 	return inst
+}
+
+// setSolveWorkers sets the goroutine count of the supernodal tier's
+// per-domain solve phases (≤ 0: GOMAXPROCS); other tiers solve serially.
+// Like the history engines, a factorization solved inside one of several
+// concurrent group tasks takes 1. No value changes a result bit.
+func (pf *pencilFactor) setSolveWorkers(workers int) {
+	if pf.bbd != nil {
+		pf.bbd.SetWorkers(workers)
+	}
 }
 
 // factorPencilCached is factorPencil behind Options.FactorCache: a hit reuses
@@ -215,14 +228,14 @@ func factorPencilCached(a *sparse.CSR, h, alpha float64, col int, t float64, opt
 			fb.Column = col
 			rep.Fallbacks = append(rep.Fallbacks, fb)
 		}
-		return e.pf.instantiate(), nil
+		return e.pf.instantiate(opt.Workers), nil
 	}
 	rep.FactorCacheMisses++
 	pf, err := factorPencil(a, col, t, opt, rep)
 	if err != nil {
 		return nil, err
 	}
-	e := &factorEntry{key: key, pf: pf.instantiate()}
+	e := &factorEntry{key: key, pf: pf.instantiate(opt.Workers)}
 	if pf.tier != TierSparseLU && len(rep.Fallbacks) > 0 {
 		fb := rep.Fallbacks[len(rep.Fallbacks)-1]
 		fb.Reason += " (cached)"

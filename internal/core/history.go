@@ -9,6 +9,7 @@ import (
 
 	"opmsim/internal/faultinject"
 	"opmsim/internal/mat"
+	"opmsim/internal/vecops"
 )
 
 // The history engine evaluates the per-term history sums of eq. (28),
@@ -420,7 +421,7 @@ func (t *historyTerm) fold(j, lo, hi int, cols [][]float64, dst []float64) {
 	if t.toe != nil {
 		c := t.toe
 		for i := lo; i < hi; i++ {
-			mat.Axpy(c[j-i], cols[i], dst)
+			vecops.AddMul(dst, cols[i], c[j-i])
 		}
 		return
 	}
@@ -429,7 +430,7 @@ func (t *historyTerm) fold(j, lo, hi int, cols [][]float64, dst []float64) {
 	col := t.genCols.Row(j)
 	for i := lo; i < hi; i++ {
 		if v := col[i]; !isExactZero(v) {
-			mat.Axpy(v, cols[i], dst)
+			vecops.AddMul(dst, cols[i], v)
 		}
 	}
 }

@@ -61,7 +61,7 @@ func resolveUpdateRankLimit(shared *pencilFactor, n, m int, opt *BatchOptions) i
 	if factorNS < 1 {
 		return -1
 	}
-	probe := shared.instantiate()
+	probe := shared.instantiate(opt.Workers)
 	zero := make([]float64, n)
 	dst := make([]float64, n)
 	//lint:ignore nondet timing feeds only the SMW-vs-refactor path choice, whose paths agree to 1e-12 and can be pinned via BatchOptions.UpdateRankLimit
@@ -149,10 +149,11 @@ func (r *columnRun) solveParamBatch(scenarios []Scenario, shared *pencilFactor, 
 	// matrix demotes the scenario to the refactor path in-task.
 	localRep := make([]*SolveReport, K)
 	views := make([]*pencilFactor, K)
+	workers := r.solveWorkers()
 	for s := range scenarios {
 		localRep[s] = &SolveReport{}
 		if !refac[s] && len(pups[s]) > 0 {
-			views[s] = shared.instantiate()
+			views[s] = shared.instantiate(workers)
 		}
 	}
 	err := r.prepareScenarios(scenarios, func(s int, uc *mat.Dense) (*scenState, error) {
@@ -172,9 +173,12 @@ func (r *columnRun) solveParamBatch(scenarios []Scenario, shared *pencilFactor, 
 			if err != nil {
 				return err
 			}
-			pf, err = factorPencil(msys, -1, 0, &opt.Options, localRep[s])
+			if pf, err = factorPencil(msys, -1, 0, &opt.Options, localRep[s]); err != nil {
+				return err
+			}
+			pf.setSolveWorkers(workers)
 			ups = nil
-			return err
+			return nil
 		}
 		switch {
 		case refac[s]:
@@ -238,7 +242,7 @@ func (r *columnRun) solveParamBatch(scenarios []Scenario, shared *pencilFactor, 
 	// amplitude batch, all taking the member-wise step. Parameter-varying
 	// runs emit no checkpoint deltas.
 	for lo := 0; lo < K; lo += width {
-		r.steps = append(r.steps, newMemberStep(r.states[lo:min(lo+width, K)], shared))
+		r.steps = append(r.steps, newMemberStep(r.states[lo:min(lo+width, K)], shared, workers))
 	}
 	po := *opt
 	po.OnCheckpoint = nil

@@ -142,28 +142,40 @@ func TestSupernodalAutoStaysOffSmallSystems(t *testing.T) {
 func TestSupernodalServesBatch(t *testing.T) {
 	sys, u := gridSystem(t, 900)
 	const m = 16
-	rep := &core.SolveReport{}
-	scenarios := []core.Scenario{{U: u}, {U: u}}
-	sols, err := core.SolveBatch(sys, scenarios, m, 10e-9, core.BatchOptions{
-		Options: core.Options{Supernodal: 1, Report: rep},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sols) != 2 {
-		t.Fatalf("got %d solutions", len(sols))
-	}
-	if rep.TierSolves[core.TierSupernodal] != 2*m {
-		t.Fatalf("supernodal tier served %d of %d batched solves; report: %+v",
-			rep.TierSolves[core.TierSupernodal], 2*m, rep.TierSolves)
-	}
-	// Both scenarios share inputs, so the solutions must agree bitwise.
-	a, b := sols[0].Coefficients(), sols[1].Coefficients()
-	for i := 0; i < a.Rows(); i++ {
-		ra, rb := a.Row(i), b.Row(i)
-		for j := range ra {
-			if math.Float64bits(ra[j]) != math.Float64bits(rb[j]) {
-				t.Fatalf("identical scenarios diverged at X[%d][%d]", i, j)
+	ref := solveGrid(t, sys, u, m, core.Options{Supernodal: 1, Workers: 1})
+	// Width 0 runs one group, whose view solves on Options.Workers
+	// goroutines; width 1 runs two concurrent groups, whose views solve
+	// serially. Neither may change a bit.
+	for _, workers := range []int{1, 4} {
+		for _, width := range []int{0, 1} {
+			rep := &core.SolveReport{}
+			scenarios := []core.Scenario{{U: u}, {U: u}}
+			sols, err := core.SolveBatch(sys, scenarios, m, 10e-9, core.BatchOptions{
+				Options:    core.Options{Supernodal: 1, Workers: workers, Report: rep},
+				PanelWidth: width,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sols) != 2 {
+				t.Fatalf("got %d solutions", len(sols))
+			}
+			if rep.TierSolves[core.TierSupernodal] != 2*m {
+				t.Fatalf("workers=%d width=%d: supernodal tier served %d of %d batched solves; report: %+v",
+					workers, width, rep.TierSolves[core.TierSupernodal], 2*m, rep.TierSolves)
+			}
+			// Both scenarios share inputs, so both must reproduce the
+			// sequential solve bitwise.
+			for s, sol := range sols {
+				x := sol.Coefficients()
+				for i := 0; i < x.Rows(); i++ {
+					for j, v := range x.Row(i) {
+						if math.Float64bits(v) != math.Float64bits(ref[i][j]) {
+							t.Fatalf("workers=%d width=%d: scenario %d X[%d][%d] = %.17g, Solve got %.17g",
+								workers, width, s, i, j, v, ref[i][j])
+						}
+					}
+				}
 			}
 		}
 	}

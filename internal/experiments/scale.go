@@ -20,7 +20,7 @@ import (
 // report the speedup. The committed smoke baseline (BENCH_scale_smoke.json)
 // plus CompareScaleReports form the CI regression guard: speedup ratios are
 // machine-portable where absolute times are not, so the guard compares
-// ratios.
+// ratios: both the factorization and the per-vector solve speedup.
 
 // ScaleConfig parameterizes the sweep.
 type ScaleConfig struct {
@@ -34,7 +34,7 @@ type ScaleConfig struct {
 	// every value, so it only affects wall-clock on multi-core hosts.
 	Workers int
 	// Solves is the number of single-vector solves timed per leg after the
-	// factorization (default 8).
+	// factorization (default 8); the report holds their mean.
 	Solves int
 }
 
@@ -81,6 +81,7 @@ type ScaleRow struct {
 
 // ScaleReport is the machine-readable result written to BENCH_scale.json.
 type ScaleReport struct {
+	Provenance Provenance `json:"provenance"`
 	GOMAXPROCS int        `json:"gomaxprocs"`
 	Workers    int        `json:"workers"`
 	Rows       []ScaleRow `json:"rows"`
@@ -127,7 +128,7 @@ func ScaleBench(cfg ScaleConfig) (*Table, *ScaleReport, error) {
 	if cfg.Solves <= 0 {
 		cfg.Solves = 8
 	}
-	rep := &ScaleReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: cfg.Workers}
+	rep := &ScaleReport{Provenance: NewProvenance(), GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: cfg.Workers}
 	tbl := &Table{
 		Title:  "Grid scaling: scalar Gilbert–Peierls LU vs supernodal BBD factorization",
 		Header: []string{"n(req)", "states", "nnz", "scalar factor", "BBD factor", "speedup", "parts", "iface", "solve speedup", "rel diff"},
@@ -183,12 +184,12 @@ func ScaleBench(cfg ScaleConfig) (*Table, *ScaleReport, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		row.ScalarSolveNS = dur.Nanoseconds() / int64(cfg.Solves)
+		row.ScalarSolveNS = dur.Nanoseconds()
 		dur, err = timeIt(cfg.Solves, func() error { return bf.SolveInto(xb, b) })
 		if err != nil {
 			return nil, nil, err
 		}
-		row.BBDSolveNS = dur.Nanoseconds() / int64(cfg.Solves)
+		row.BBDSolveNS = dur.Nanoseconds()
 
 		scale := 0.0
 		for _, v := range xs {
@@ -225,10 +226,10 @@ func ScaleBench(cfg ScaleConfig) (*Table, *ScaleReport, error) {
 
 // CompareScaleReports is the bench-regression guard: every baseline size
 // present in the current report must retain at least (1 − tol) of the
-// baseline's factorization speedup. With tol = 0.25 a >25 % regression of
-// the supernodal tier's advantage fails the comparison. Sizes missing from
-// either report are ignored (the smoke run covers a subset of the
-// acceptance sweep).
+// baseline's factorization speedup and of its solve speedup. With tol = 0.25
+// a >25 % regression of the supernodal tier's advantage fails the
+// comparison. Sizes missing from either report are ignored (the smoke run
+// covers a subset of the acceptance sweep).
 func CompareScaleReports(current, baseline *ScaleReport, tol float64) error {
 	if tol <= 0 {
 		tol = 0.25
@@ -244,10 +245,17 @@ func CompareScaleReports(current, baseline *ScaleReport, tol float64) error {
 			continue
 		}
 		matched++
-		floor := base.FactorSpeedup * (1 - tol)
-		if cur.FactorSpeedup < floor {
-			return fmt.Errorf("experiments: scale regression at n=%d: factor speedup %.2fx below %.2fx (baseline %.2fx − %.0f%%)",
-				base.N, cur.FactorSpeedup, floor, base.FactorSpeedup, tol*100)
+		for _, c := range []struct {
+			what      string
+			cur, base float64
+		}{
+			{"factor", cur.FactorSpeedup, base.FactorSpeedup},
+			{"solve", cur.SolveSpeedup, base.SolveSpeedup},
+		} {
+			if floor := c.base * (1 - tol); c.cur < floor {
+				return fmt.Errorf("experiments: scale regression at n=%d: %s speedup %.2fx below %.2fx (baseline %.2fx − %.0f%%)",
+					base.N, c.what, c.cur, floor, c.base, tol*100)
+			}
 		}
 	}
 	if matched == 0 {

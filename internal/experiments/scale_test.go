@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Tiny end-to-end run of the scale harness (CI-sized grid): both legs must
@@ -83,5 +84,44 @@ func TestCompareScaleReports(t *testing.T) {
 	cur := &ScaleReport{Rows: []ScaleRow{{N: 1000, FactorSpeedup: 9.0}, {N: 6000, FactorSpeedup: 3.4}}}
 	if err := CompareScaleReports(cur, mk(6000, 3.5), 0.25); err != nil {
 		t.Fatalf("superset comparison failed: %v", err)
+	}
+	// The solve speedup is guarded the same way.
+	mkSolve := func(factor, solve float64) *ScaleReport {
+		return &ScaleReport{Rows: []ScaleRow{{N: 6000, FactorSpeedup: factor, SolveSpeedup: solve}}}
+	}
+	if err := CompareScaleReports(mkSolve(3.5, 1.6), mkSolve(3.5, 1.8), 0.25); err != nil {
+		t.Fatalf("11%% solve drift within the 25%% band failed: %v", err)
+	}
+	err = CompareScaleReports(mkSolve(3.5, 1.2), mkSolve(3.5, 1.8), 0.25)
+	if err == nil || !strings.Contains(err.Error(), "solve speedup") {
+		t.Fatalf("33%% solve regression: got %v", err)
+	}
+}
+
+// The report's solve times are per solve: timeIt already divides by the
+// repeat count, and dividing again once reported times cfg.Solves too
+// small. A clock that advances a fixed step per reading makes every timed
+// region last exactly that step.
+func TestScaleBenchSolveTimesArePerSolve(t *testing.T) {
+	const step = 8 * time.Millisecond
+	base := time.Unix(0, 0)
+	reads := 0
+	clock = func() time.Time {
+		reads++
+		return base.Add(time.Duration(reads) * step)
+	}
+	t.Cleanup(func() { clock = time.Now })
+	const solves = 8
+	_, rep, err := ScaleBench(ScaleConfig{Sizes: []int{1500}, M: 32, T: 10e-9, Solves: solves})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := rep.Rows[0]
+	if row.ScalarFactorNS != step.Nanoseconds() || row.BBDFactorNS != step.Nanoseconds() {
+		t.Fatalf("factor times %d/%d ns, want %d", row.ScalarFactorNS, row.BBDFactorNS, step.Nanoseconds())
+	}
+	want := (step / solves).Nanoseconds()
+	if row.ScalarSolveNS != want || row.BBDSolveNS != want {
+		t.Fatalf("solve times %d/%d ns, want %d per solve", row.ScalarSolveNS, row.BBDSolveNS, want)
 	}
 }

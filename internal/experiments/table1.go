@@ -161,15 +161,18 @@ func termDense(sys *core.System, order float64) *mat.Dense {
 	panic(fmt.Sprintf("experiments: system has no term of order %g", order))
 }
 
-// timeIt runs f repeat times and returns the average duration.
+// clock is timeIt's time source; tests substitute a deterministic one.
+var clock = time.Now
+
+// timeIt runs f repeat times and returns the average duration of one call.
 func timeIt(repeat int, f func() error) (time.Duration, error) {
-	start := time.Now()
+	start := clock()
 	for i := 0; i < repeat; i++ {
 		if err := f(); err != nil {
 			return 0, err
 		}
 	}
-	return time.Since(start) / time.Duration(repeat), nil
+	return clock().Sub(start) / time.Duration(repeat), nil
 }
 
 // fmtDur renders a duration compactly.

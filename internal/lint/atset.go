@@ -56,11 +56,10 @@ var atsetHotFiles = map[string]bool{
 	"parambatch.go": true,
 	"delta.go":      true,
 	"vec.go":        true,
-	// PR 10 supernodal/BBD surface: the blocked substitution kernels
-	// (snode.go), the dense Schur interface factor (denselu.go), and the
-	// domain-decomposed solve with its Schur patch assembly (bbd.go) run per
-	// column per solve on n=10⁵ grids.
-	"snode.go":   true,
+	// PR 10 supernodal/BBD surface: the dense Schur interface factor
+	// (denselu.go) and the domain-decomposed solve with its Schur patch
+	// assembly (bbd.go) run per column per solve on n=10⁵ grids; the domain
+	// factors' row substitution plan lives in lu.go, listed above.
 	"denselu.go": true,
 	"bbd.go":     true,
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"opmsim/internal/mat"
 	"opmsim/internal/vecops"
@@ -21,7 +22,8 @@ import (
 //	    ⎣G₁ ⋯  G_P  C ⎦
 //
 // Each domain factors independently (Gilbert–Peierls LU with its own RCM
-// ordering, supernodalized — snode.go), its Schur contribution Gᵢ·Dᵢ⁻¹·Fᵢ is
+// ordering and a row substitution plan — rowPlan in lu.go), its Schur
+// contribution Gᵢ·Dᵢ⁻¹·Fᵢ is
 // assembled through 32-wide panel solves (the SubMulRows kernels of
 // panel.go), and the dense interface Schur complement S is factored by the
 // blocked dense LU of denselu.go. Solves run block forward elimination and
@@ -29,12 +31,14 @@ import (
 //
 //	yᵢ = Dᵢ⁻¹·bᵢ,   z = S⁻¹·(b_S − Σᵢ Gᵢ·yᵢ),   xᵢ = Dᵢ⁻¹·(bᵢ − Fᵢ·z),  x_S = z
 //
-// Determinism contract: domain factorizations and Schur patches are computed
-// in parallel across Options.Workers goroutines but each is a pure function
-// of its own domain, and every cross-domain reduction (the Schur fold, the
-// interface right-hand side) runs serially in ascending domain order on the
-// calling goroutine — so factors and solutions are bitwise-identical for
-// every worker count. Solves are serial and deterministic by construction.
+// Determinism contract: domain factorizations, Schur patches and the
+// per-domain phases of every solve run in parallel across Options.Workers
+// goroutines, but each task is a pure function of its own domain and writes
+// only that domain's buffers, and every cross-domain reduction (the Schur
+// fold, the interface right-hand side Σᵢ Gᵢ·yᵢ) runs serially in ascending
+// domain order on the calling goroutine — so factors and solutions are
+// bitwise-identical for every worker count. The interface solve z = S⁻¹·r is
+// serial.
 //
 // Pivoting is confined to the diagonal blocks (threshold pivoting inside
 // each Dᵢ, partial pivoting inside S). A matrix that is regular but has a
@@ -47,8 +51,9 @@ type BBDOptions struct {
 	// PivotTol is the threshold-pivoting tolerance for the domain
 	// factorizations in (0, 1]; 0 selects the default 0.1.
 	PivotTol float64
-	// Workers bounds the goroutines factoring domains concurrently; 0 means
-	// GOMAXPROCS. Results are bitwise-identical for every value.
+	// Workers bounds the goroutines factoring domains and running the
+	// per-domain solve phases concurrently; 0 means GOMAXPROCS. Results are
+	// bitwise-identical for every value.
 	Workers int
 	// Parts is the target domain count (rounded down to a power of two);
 	// 0 picks a size-based default.
@@ -78,7 +83,7 @@ func bbdParts(n int) int {
 // bbdDomain is one independent diagonal block and its interface coupling.
 type bbdDomain struct {
 	nodes []int          // original indices, ascending
-	f     *Factorization // LU of A(dom, dom), supernodalized
+	f     *Factorization // LU of A(dom, dom) with its row plan
 	fi    *CSR           // A(dom, iface): len(nodes) × ni
 	gi    *CSR           // A(iface, dom): ni × len(nodes)
 	fiT   *CSR           // fi transposed (iface-slot rows), for panel fills and transpose solves
@@ -86,6 +91,7 @@ type bbdDomain struct {
 	actR  []int          // iface slots with a nonzero gi row (ascending)
 	patch []float64      // |actR| × |act| Schur contribution, freed after the fold
 	off   int            // offset of this domain's rows in the local slabs
+	gy    []float64      // per-view solve scratch: (Gᵢ·yᵢ)[actR]
 }
 
 // BBD is a ready-to-solve bordered-block-diagonal factorization.
@@ -98,11 +104,16 @@ type BBD struct {
 	ni     int
 	schur  *schurLU
 	nloc   int // Σ len(doms[i].nodes)
+	// workers bounds the goroutines of the per-domain solve phases (≤ 0:
+	// GOMAXPROCS); per view.
+	workers int
 
 	// Solve scratch, lazily sized, per view (Share detaches it).
 	lb, ly, lt []float64 // domain-local slabs, indexed by dom.off
 	ir, iz     []float64 // interface rhs / solution
 	rw, dw     []float64 // refinement residual / correction
+	derr       []error   // per-domain errors of the vector solve phases
+	jx, jb     []float64 // the current vector solve's x and b (the view is its domain job)
 }
 
 // FactorBBD dissects and factors the square matrix a. It returns an error
@@ -123,7 +134,7 @@ func FactorBBD(a *CSR, opt BBDOptions) (*BBD, error) {
 		return nil, fmt.Errorf("sparse: dissection of n=%d produced no usable split", n)
 	}
 
-	b := &BBD{n: n, a: a, refine: opt.Refine, iface: dis.Iface, ni: len(dis.Iface)}
+	b := &BBD{n: n, a: a, refine: opt.Refine, iface: dis.Iface, ni: len(dis.Iface), workers: opt.Workers}
 
 	// Global placement maps: where[v] = domain id (or −1 for interface),
 	// slot[v] = local index within its block.
@@ -191,54 +202,8 @@ func FactorBBD(a *CSR, opt BBDOptions) (*BBD, error) {
 	if isExactZero(tol) {
 		tol = 0.1
 	}
-	build := func(d int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("sparse: domain %d factorization panicked: %v", d, r)
-			}
-		}()
-		dom := b.doms[d]
-		f, ferr := Factor(dcoo[d].ToCSR(), Options{PivotTol: tol, Supernodal: true})
-		if ferr != nil {
-			return fmt.Errorf("sparse: domain %d: %w", d, ferr)
-		}
-		dom.f = f
-		return dom.assemblePatch()
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(b.doms) {
-		workers = len(b.doms)
-	}
-	errs := make([]error, len(b.doms))
-	if workers <= 1 {
-		for d := range b.doms {
-			errs[d] = build(d)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for d := range idx {
-					errs[d] = build(d)
-				}
-			}()
-		}
-		for d := range b.doms {
-			idx <- d
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := b.eachDomain(&bbdBuild{b: b, dcoo: dcoo, tol: tol}, 0, make([]error, len(b.doms))); err != nil {
+		return nil, err
 	}
 
 	// Serial Schur fold in ascending domain order — the deterministic
@@ -260,6 +225,24 @@ func FactorBBD(a *CSR, opt BBDOptions) (*BBD, error) {
 	}
 	b.schur = schur
 	return b, nil
+}
+
+// bbdBuild is FactorBBD's domain job (one phase): factor Dᵢ and assemble
+// its Schur patch.
+type bbdBuild struct {
+	b    *BBD
+	dcoo []*COO
+	tol  float64
+}
+
+func (j *bbdBuild) domain(_, d int) error {
+	f, err := Factor(j.dcoo[d].ToCSR(), Options{PivotTol: j.tol, Supernodal: true})
+	if err != nil {
+		return fmt.Errorf("sparse: domain %d: %w", d, err)
+	}
+	dom := j.b.doms[d]
+	dom.f = f
+	return dom.assemblePatch()
 }
 
 // activeSlots returns the sorted distinct row indices of m with at least one
@@ -345,7 +328,7 @@ func (b *BBD) NNZFactors() int {
 // scratch, mirroring Factorization.Share: views on different goroutines can
 // solve concurrently, bitwise-identically.
 func (b *BBD) Share() *BBD {
-	c := &BBD{n: b.n, a: b.a, refine: b.refine, iface: b.iface, ni: b.ni, schur: b.schur, nloc: b.nloc}
+	c := &BBD{n: b.n, a: b.a, refine: b.refine, iface: b.iface, ni: b.ni, schur: b.schur, nloc: b.nloc, workers: b.workers}
 	for _, dom := range b.doms {
 		c.doms = append(c.doms, &bbdDomain{
 			nodes: dom.nodes, f: dom.f.Share(), fi: dom.fi, gi: dom.gi, fiT: dom.fiT,
@@ -355,6 +338,11 @@ func (b *BBD) Share() *BBD {
 	return c
 }
 
+// SetWorkers sets the goroutine count of this view's per-domain solve
+// phases; w ≤ 0 means GOMAXPROCS. Results are bitwise-identical for every
+// value. Callers that already run several views concurrently pass 1.
+func (b *BBD) SetWorkers(w int) { b.workers = w }
+
 func (b *BBD) ensureScratch() {
 	if b.lb == nil {
 		b.lb = make([]float64, b.nloc)
@@ -362,47 +350,143 @@ func (b *BBD) ensureScratch() {
 		b.lt = make([]float64, b.nloc)
 		b.ir = make([]float64, b.ni)
 		b.iz = make([]float64, b.ni)
+		b.derr = make([]error, len(b.doms))
+		nr := 0
+		for _, dom := range b.doms {
+			nr += len(dom.actR)
+		}
+		gy := make([]float64, nr)
+		for _, dom := range b.doms {
+			dom.gy, gy = gy[:len(dom.actR)], gy[len(dom.actR):]
+		}
 	}
+}
+
+// Phases of a block solve that run per domain (see domainJob).
+const (
+	phaseForward = iota // scatter bᵢ, yᵢ = Dᵢ⁻¹·bᵢ, the Gᵢ·yᵢ row dots
+	phaseBack           // tᵢ = bᵢ − Fᵢ·z, xᵢ = Dᵢ⁻¹·tᵢ, gathered into x
+)
+
+// domainJob is per-domain work — FactorBBD's build or a phase of a block
+// solve: domain(p, d) runs phase p for domain d and writes only d's slabs
+// and buffers (and d's rows of a solution), so the domains of a phase may
+// run in any order on any goroutine.
+type domainJob interface {
+	domain(p, d int) error
+}
+
+// eachDomain runs phase p of job for every domain on up to the view's worker
+// count of goroutines, the caller included, recording each domain's error in
+// errs (len = domain count). It returns the lowest-indexed domain's error; a
+// panicking task becomes its domain's error. No goroutine outlives the call.
+func (b *BBD) eachDomain(job domainJob, p int, errs []error) error {
+	w := b.workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w = min(w, len(b.doms)); w <= 1 {
+		for d := range b.doms {
+			errs[d] = runDomain(job, p, d)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for g := 1; g < w; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				drainDomains(job, p, errs, &next)
+			}()
+		}
+		drainDomains(job, p, errs, &next)
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// drainDomains claims domains from next until none are left.
+func drainDomains(job domainJob, p int, errs []error, next *atomic.Int64) {
+	for d := int(next.Add(1)) - 1; d < len(errs); d = int(next.Add(1)) - 1 {
+		errs[d] = runDomain(job, p, d)
+	}
+}
+
+// runDomain runs one domain task, turning a panic into an error.
+func runDomain(job domainJob, p, d int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sparse: domain %d task panicked: %v", d, r)
+		}
+	}()
+	return job.domain(p, d)
+}
+
+// domain is the domain job of solveOnceInto, on b.jx and b.jb.
+func (b *BBD) domain(p, d int) error {
+	dom := b.doms[d]
+	lo, hi := dom.off, dom.off+len(dom.nodes)
+	lb, ly := b.lb[lo:hi], b.ly[lo:hi]
+	if p == phaseForward {
+		for t, v := range dom.nodes {
+			lb[t] = b.jb[v]
+		}
+		if err := dom.f.SolveInto(ly, lb); err != nil {
+			return err
+		}
+		// MulVecAdd's row sums over the rows that have entries.
+		gi := dom.gi
+		for ri, r := range dom.actR {
+			acc := 0.0
+			for q := gi.RowPtr[r]; q < gi.RowPtr[r+1]; q++ {
+				acc += gi.Val[q] * ly[gi.ColIdx[q]]
+			}
+			dom.gy[ri] = acc
+		}
+		return nil
+	}
+	lt := b.lt[lo:hi]
+	dom.fi.MulVec(b.iz, lt)
+	for t := range lt {
+		lt[t] = lb[t] - lt[t]
+	}
+	if err := dom.f.SolveInto(ly, lt); err != nil {
+		return err
+	}
+	for t, v := range dom.nodes {
+		b.jx[v] = ly[t]
+	}
+	return nil
 }
 
 // solveOnceInto runs one unrefined block solve of A·x = b into x.
 func (b *BBD) solveOnceInto(x, bv []float64) error {
 	b.ensureScratch()
-	// Scatter into block-local coordinates.
-	for _, dom := range b.doms {
-		lb := b.lb[dom.off : dom.off+len(dom.nodes)]
-		for t, v := range dom.nodes {
-			lb[t] = bv[v]
-		}
-	}
+	b.jx, b.jb = x, bv
 	for t, v := range b.iface {
 		b.ir[t] = bv[v]
 	}
-	// yᵢ = Dᵢ⁻¹·bᵢ; interface rhs r = b_S − Σᵢ Gᵢ·yᵢ (ascending fold).
+	// yᵢ = Dᵢ⁻¹·bᵢ per domain; then the interface rhs r = b_S − Σᵢ Gᵢ·yᵢ,
+	// folded in ascending domain order. r − acc is r + (−1)·acc exactly,
+	// MulVecAdd's arithmetic.
+	if err := b.eachDomain(b, phaseForward, b.derr); err != nil {
+		return err
+	}
 	for _, dom := range b.doms {
-		nd := len(dom.nodes)
-		if err := dom.f.SolveInto(b.ly[dom.off:dom.off+nd], b.lb[dom.off:dom.off+nd]); err != nil {
-			return err
+		for ri, r := range dom.actR {
+			b.ir[r] -= dom.gy[ri]
 		}
-		dom.gi.MulVecAdd(-1, b.ly[dom.off:dom.off+nd], b.ir)
 	}
 	// z = S⁻¹·r.
 	b.schur.solveInto(b.iz, b.ir)
-	// xᵢ = Dᵢ⁻¹·(bᵢ − Fᵢ·z).
-	for _, dom := range b.doms {
-		nd := len(dom.nodes)
-		lt := b.lt[dom.off : dom.off+nd]
-		dom.fi.MulVec(b.iz, lt)
-		lb := b.lb[dom.off : dom.off+nd]
-		for t := range lt {
-			lt[t] = lb[t] - lt[t]
-		}
-		if err := dom.f.SolveInto(b.ly[dom.off:dom.off+nd], lt); err != nil {
-			return err
-		}
-		for t, v := range dom.nodes {
-			x[v] = b.ly[dom.off+t]
-		}
+	// xᵢ = Dᵢ⁻¹·(bᵢ − Fᵢ·z) per domain.
+	if err := b.eachDomain(b, phaseBack, b.derr); err != nil {
+		return err
 	}
 	for t, v := range b.iface {
 		x[v] = b.iz[t]
@@ -579,17 +663,22 @@ func (b *BBD) Cond1Est() float64 {
 }
 
 // BBDPanelScratch owns the per-group working panels of BBD.SolvePanelInto:
-// block-local right-hand-side/solution/temp panels per domain, the interface
-// panels, and the per-column Schur vectors. One scratch per concurrently
-// solving task, bound to a panel width.
+// block-local right-hand-side/solution/temp panels per domain, the
+// per-domain Gᵢ·Yᵢ rows, the interface panels, and the per-column Schur
+// vectors. One scratch per concurrently solving task, bound to a panel
+// width. The scratch is also the panel solve's domain job.
 type BBDPanelScratch struct {
 	k          int
 	db, dy, dt []*mat.Dense // per-domain nd×k panels
+	dg         []*mat.Dense // per-domain |actR|×k rows of Gᵢ·Yᵢ
 	ds         []*PanelScratch
 	ib, iz     *mat.Dense // ni×k interface panels
 	col, colx  []float64  // Schur per-column gather/solve pair
-	acc        []float64  // MulPanelAdd accumulator
 	res, cor   *mat.Dense // refinement panels (refine runs only)
+	errs       []error    // per-domain errors of the solve phases
+
+	b     *BBD       // the view solving, for the current call
+	x, bp *mat.Dense // the current call's solution and right-hand side
 }
 
 // NewPanelScratch returns scratch for SolvePanelInto calls on panels of
@@ -601,13 +690,14 @@ func (b *BBD) NewPanelScratch(k int) *BBDPanelScratch {
 		iz:   mat.NewDense(b.ni, k),
 		col:  make([]float64, b.ni),
 		colx: make([]float64, b.ni),
-		acc:  make([]float64, k),
+		errs: make([]error, len(b.doms)),
 	}
 	for _, dom := range b.doms {
 		nd := len(dom.nodes)
 		s.db = append(s.db, mat.NewDense(nd, k))
 		s.dy = append(s.dy, mat.NewDense(nd, k))
 		s.dt = append(s.dt, mat.NewDense(nd, k))
+		s.dg = append(s.dg, mat.NewDense(len(dom.actR), k))
 		s.ds = append(s.ds, dom.f.NewPanelScratch(k))
 	}
 	if b.refine {
@@ -618,8 +708,8 @@ func (b *BBD) NewPanelScratch(k int) *BBDPanelScratch {
 }
 
 // SolvePanelInto solves A·X = B for an n×K panel without modifying b. Every
-// step runs the panel twin of the vector sweep — domain panel solves,
-// MulPanelAdd/MulPanelInto couplings, and column-by-column Schur solves — so
+// step runs the panel twin of the vector sweep — domain panel solves, the
+// Gᵢ/Fᵢ panel couplings, and column-by-column Schur solves — so
 // each column of x is bitwise-identical to a SolveInto call on the matching
 // column of b. s must come from NewPanelScratch(K) on this BBD (or a Share
 // sibling); concurrent calls need distinct scratch.
@@ -654,21 +744,20 @@ func (b *BBD) SolvePanelInto(x, bp *mat.Dense, s *BBDPanelScratch) error {
 // solveOncePanel is one unrefined block panel solve, mirroring solveOnceInto
 // column by column.
 func (b *BBD) solveOncePanel(x, bp *mat.Dense, s *BBDPanelScratch) error {
+	s.b, s.x, s.bp = b, x, bp
 	w := bp.Cols()
-	for d, dom := range b.doms {
-		for t, v := range dom.nodes {
-			copy(s.db[d].Row(t), bp.Row(v))
-		}
-	}
 	for t, v := range b.iface {
 		copy(s.ib.Row(t), bp.Row(v))
 	}
-	// Yᵢ = Dᵢ⁻¹·Bᵢ; interface rhs R = B_S − Σᵢ Gᵢ·Yᵢ (ascending fold).
+	// Yᵢ = Dᵢ⁻¹·Bᵢ per domain; R = B_S − Σᵢ Gᵢ·Yᵢ folded in ascending domain
+	// order, per column MulVecAdd's arithmetic.
+	if err := b.eachDomain(s, phaseForward, s.errs); err != nil {
+		return err
+	}
 	for d, dom := range b.doms {
-		if err := dom.f.SolvePanelInto(s.dy[d], s.db[d], s.ds[d]); err != nil {
-			return err
+		for ri, r := range dom.actR {
+			vecops.AddMul(s.ib.Row(r), s.dg[d].Row(ri), -1)
 		}
-		dom.gi.MulPanelAdd(-1, s.dy[d], s.ib, s.acc)
 	}
 	// Z = S⁻¹·R, column by column — literally the vector path's Schur solve.
 	for c := 0; c < w; c++ {
@@ -680,22 +769,50 @@ func (b *BBD) solveOncePanel(x, bp *mat.Dense, s *BBDPanelScratch) error {
 			s.iz.Row(t)[c] = s.colx[t]
 		}
 	}
-	// Xᵢ = Dᵢ⁻¹·(Bᵢ − Fᵢ·Z).
-	for d, dom := range b.doms {
-		dom.fi.MulPanelInto(s.dt[d], s.iz)
-		td, bd := s.dt[d].Data(), s.db[d].Data()
-		for i, v := range td {
-			td[i] = bd[i] - v
-		}
-		if err := dom.f.SolvePanelInto(s.dy[d], s.dt[d], s.ds[d]); err != nil {
-			return err
-		}
-		for t, v := range dom.nodes {
-			copy(x.Row(v), s.dy[d].Row(t))
-		}
+	// Xᵢ = Dᵢ⁻¹·(Bᵢ − Fᵢ·Z) per domain.
+	if err := b.eachDomain(s, phaseBack, s.errs); err != nil {
+		return err
 	}
 	for t, v := range b.iface {
 		copy(x.Row(v), s.iz.Row(t))
+	}
+	return nil
+}
+
+func (s *BBDPanelScratch) domain(p, d int) error {
+	dom := s.b.doms[d]
+	db, dy := s.db[d], s.dy[d]
+	if p == phaseForward {
+		for t, v := range dom.nodes {
+			copy(db.Row(t), s.bp.Row(v))
+		}
+		if err := dom.f.SolvePanelInto(dy, db, s.ds[d]); err != nil {
+			return err
+		}
+		// MulPanelAdd's per-row accumulators over the rows that have entries.
+		gi := dom.gi
+		for ri, r := range dom.actR {
+			acc := s.dg[d].Row(ri)
+			for t := range acc {
+				acc[t] = 0
+			}
+			for q := gi.RowPtr[r]; q < gi.RowPtr[r+1]; q++ {
+				vecops.AddMul(acc, dy.Row(gi.ColIdx[q]), gi.Val[q])
+			}
+		}
+		return nil
+	}
+	dt := s.dt[d]
+	dom.fi.MulPanelInto(dt, s.iz)
+	td, bd := dt.Data(), db.Data()
+	for i, v := range td {
+		td[i] = bd[i] - v
+	}
+	if err := dom.f.SolvePanelInto(dy, dt, s.ds[d]); err != nil {
+		return err
+	}
+	for t, v := range dom.nodes {
+		copy(s.x.Row(v), dy.Row(t))
 	}
 	return nil
 }

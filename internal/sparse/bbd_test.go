@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"opmsim/internal/mat"
@@ -64,31 +65,135 @@ func TestFactorBBDMatchesScalarSolve(t *testing.T) {
 }
 
 // TestFactorBBDBitwiseAcrossWorkers pins the determinism contract: the
-// factors — and therefore every solve — are bitwise-identical for every
-// worker count, because domain factorizations are pure per-domain functions
-// and all cross-domain reductions run serially in ascending domain order.
+// factors — and every solve through them — are bitwise-identical for every
+// worker count, because domain factorizations and the per-domain solve
+// phases are pure per-domain functions and all cross-domain reductions run
+// serially in ascending domain order.
 func TestFactorBBDBitwiseAcrossWorkers(t *testing.T) {
 	a := gridCSR(24, 24)
-	b := bbdRHS(a.R)
-	var ref []float64
-	for _, workers := range []int{1, 4, 8} {
-		f, err := FactorBBD(a, BBDOptions{Workers: workers, Parts: 4})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	n := a.R
+	b := bbdRHS(n)
+	const k = 5
+	bp := mat.NewDense(n, k)
+	for i := 0; i < n; i++ {
+		for j := range bp.Row(i) {
+			bp.Row(i)[j] = math.Cos(float64(i*k+j)) + 0.25
 		}
-		x, err := f.Solve(b)
-		if err != nil {
+	}
+	var refX, refInto []float64
+	var refPanel *mat.Dense
+	var refCond float64
+	for _, refine := range []bool{false, true} {
+		refX = nil
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			f, err := FactorBBD(a, BBDOptions{Workers: workers, Parts: 4, Refine: refine})
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			x, err := f.Solve(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			into := make([]float64, n)
+			if err := f.SolveInto(into, b); err != nil {
+				t.Fatal(err)
+			}
+			panel := mat.NewDense(n, k)
+			if err := f.SolvePanelInto(panel, bp, f.NewPanelScratch(k)); err != nil {
+				t.Fatal(err)
+			}
+			cond := f.Cond1Est()
+			if refX == nil {
+				refX, refInto, refPanel, refCond = x, into, panel, cond
+				continue
+			}
+			for i := range x {
+				if !bitsEq(x[i], refX[i]) || !bitsEq(into[i], refInto[i]) {
+					t.Fatalf("refine=%v workers=%d: x[%d] = %x / %x, workers=1 gave %x / %x", refine, workers, i,
+						math.Float64bits(x[i]), math.Float64bits(into[i]), math.Float64bits(refX[i]), math.Float64bits(refInto[i]))
+				}
+			}
+			for i, v := range panel.Data() {
+				if !bitsEq(v, refPanel.Data()[i]) {
+					t.Fatalf("refine=%v workers=%d: panel entry %d = %x, workers=1 gave %x",
+						refine, workers, i, math.Float64bits(v), math.Float64bits(refPanel.Data()[i]))
+				}
+			}
+			if !bitsEq(cond, refCond) {
+				t.Fatalf("refine=%v workers=%d: Cond1Est %g, workers=1 gave %g", refine, workers, cond, refCond)
+			}
+		}
+	}
+}
+
+// SetWorkers on a view changes only the schedule: every worker count solves
+// to the same bits, and a view at one worker allocates nothing in steady
+// state.
+func TestBBDSetWorkersBitwiseAndSerialSolveAllocFree(t *testing.T) {
+	a := gridCSR(20, 20)
+	f, err := FactorBBD(a, BBDOptions{Parts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := bbdRHS(a.R)
+	want, err := f.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, a.R)
+	for _, w := range []int{0, 1, 2, 4, 16} {
+		v := f.Share()
+		v.SetWorkers(w)
+		if err := v.SolveInto(x, b); err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = x
-			continue
-		}
 		for i := range x {
-			if !bitsEq(x[i], ref[i]) {
-				t.Fatalf("workers=%d: x[%d] = %x, workers=1 gave %x",
-					workers, i, math.Float64bits(x[i]), math.Float64bits(ref[i]))
+			if !bitsEq(x[i], want[i]) {
+				t.Fatalf("SetWorkers(%d): x[%d] = %x, want %x", w, i, math.Float64bits(x[i]), math.Float64bits(want[i]))
 			}
+		}
+	}
+	v := f.Share()
+	v.SetWorkers(1)
+	if err := v.SolveInto(x, b); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := v.SolveInto(x, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state BBD.SolveInto at one worker allocated %.1f times per call", allocs)
+	}
+}
+
+// panicJob panics in one domain of one phase.
+type panicJob struct{ at int }
+
+func (j panicJob) domain(p, d int) error {
+	if d == j.at && p == phaseBack {
+		panic("boom")
+	}
+	return nil
+}
+
+// A panicking domain task surfaces as that domain's error, never a crash,
+// at every worker count, and the lowest-indexed failure wins.
+func TestBBDDomainPanicBecomesError(t *testing.T) {
+	f, err := FactorBBD(gridCSR(24, 24), BBDOptions{Parts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, f.Parts())
+	for _, w := range []int{1, 2, 3} {
+		f.SetWorkers(w)
+		if err := f.eachDomain(panicJob{at: 2}, phaseForward, errs); err != nil {
+			t.Fatalf("workers=%d: forward phase failed: %v", w, err)
+		}
+		err := f.eachDomain(panicJob{at: 2}, phaseBack, errs)
+		if err == nil || !strings.Contains(err.Error(), "domain 2 task panicked") {
+			t.Fatalf("workers=%d: panic surfaced as %v", w, err)
 		}
 	}
 }

@@ -110,8 +110,34 @@ func (f *schurLU) solveInto(x, b []float64) {
 			x[k], x[p] = x[p], x[k]
 		}
 	}
-	// Forward: unit lower triangle.
-	for i := 1; i < n; i++ {
+	// Forward: unit lower triangle, four rows at a time. The rows share the
+	// prefix j < i, over which they accumulate together; the small triangle
+	// among them follows. Every row still subtracts in ascending j, so the
+	// result is the one-row loop's bit for bit.
+	i := 1
+	for ; i+4 <= n; i += 4 {
+		xp := x[:i]
+		r0 := f.a[i*n : i*n+i+3]
+		r1 := f.a[(i+1)*n : (i+1)*n+i+3]
+		r2 := f.a[(i+2)*n : (i+2)*n+i+3]
+		r3 := f.a[(i+3)*n : (i+3)*n+i+3]
+		s0, s1, s2, s3 := x[i], x[i+1], x[i+2], x[i+3]
+		p0, p1, p2, p3 := r0[:len(xp)], r1[:len(xp)], r2[:len(xp)], r3[:len(xp)]
+		for j, v := range xp {
+			s0 -= p0[j] * v
+			s1 -= p1[j] * v
+			s2 -= p2[j] * v
+			s3 -= p3[j] * v
+		}
+		s1 -= r1[i] * s0
+		s2 -= r2[i] * s0
+		s3 -= r3[i] * s0
+		s2 -= r2[i+1] * s1
+		s3 -= r3[i+1] * s1
+		s3 -= r3[i+2] * s2
+		x[i], x[i+1], x[i+2], x[i+3] = s0, s1, s2, s3
+	}
+	for ; i < n; i++ {
 		ri := f.a[i*n : i*n+i]
 		s := x[i]
 		for j, v := range ri {

@@ -102,3 +102,59 @@ func TestFactorSchurPivotsRowPermutation(t *testing.T) {
 		t.Fatalf("x = %v, want (7, 3)", x)
 	}
 }
+
+// solveForwardOneRow is the one-row forward substitution the interleaved
+// kernel of schurLU.solveInto must reproduce bit for bit.
+func solveForwardOneRow(a []float64, n int, x []float64) {
+	for i := 1; i < n; i++ {
+		ri := a[i*n : i*n+i]
+		s := x[i]
+		for j, v := range ri {
+			s -= v * x[j]
+		}
+		x[i] = s
+	}
+}
+
+// The four-row forward substitution of solveInto is the one-row loop bit
+// for bit, across every remainder of n mod 4 and at the grid-6k interface
+// size.
+func TestSchurForwardFourRowBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 659} {
+		f, err := factorSchur(randomDense(rng, n), n)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			if i%5 != 2 {
+				b[i] = rng.NormFloat64()
+			}
+		}
+		// Reference: the same pivoting, the one-row forward loop, and the
+		// unchanged backward loop.
+		want := append([]float64(nil), b...)
+		for k := 0; k < n; k++ {
+			if p := f.piv[k]; p != k {
+				want[k], want[p] = want[p], want[k]
+			}
+		}
+		solveForwardOneRow(f.a, n, want)
+		for i := n - 1; i >= 0; i-- {
+			ri := f.a[i*n : (i+1)*n]
+			s := want[i]
+			for j := i + 1; j < n; j++ {
+				s -= ri[j] * want[j]
+			}
+			want[i] = s / ri[i]
+		}
+		got := make([]float64, n)
+		f.solveInto(got, b)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: x[%d] = %x, one-row loop %x", n, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}

@@ -31,11 +31,110 @@ type LU struct {
 
 	work []float64 // SolveInto forward-substitution scratch, lazily sized
 
-	// Supernodal blocked-substitution plan (Supernodalize); nil runs the
-	// scalar sweeps. sn is immutable once built and shared across views;
-	// snbuf is per-view gather scratch.
-	sn    *superNodes
-	snbuf []float64
+	// Row-oriented substitution plan (Options.Supernodal); nil runs the
+	// column sweeps. Immutable once built and shared across views.
+	plan *rowPlan
+}
+
+// rowPlan is the row-oriented copy of finished factors that SolveInto runs
+// as one branch-free dot product per row, in pivot coordinates with int32
+// indices. Row i of L lists its columns j < i in ascending order and row i
+// of U its columns j > i in descending order: exactly the order in which the
+// column sweeps deliver their updates to that row.
+//
+// Bitwise contract: the column sweeps skip a column whose source value is an
+// exact zero; the row plan instead subtracts its ±0 product. Every other
+// product reaches the row in the same order, and subtracting a ±0 term from
+// a nonzero running sum leaves it unchanged, while a zero running sum stays
+// zero and may flip sign. A sum that differs from the column sweep's is
+// therefore exactly zero at the end (a non-finite factor entry times a zero
+// source gives NaN instead), so a row whose sum is zero or NaN is recomputed
+// with the skip. Solves are Float64bits-identical to the column sweeps.
+type rowPlan struct {
+	perm   []int32 // pivot position -> original row
+	lp, up []int32 // row pointers of L and U (len n+1)
+	lj, uj []int32 // column indices (pivot positions)
+	lx, ux []float64
+}
+
+// newRowPlan transposes the column-stored factors of f into a rowPlan, or
+// returns nil when an index would overflow int32.
+func newRowPlan(f *LU) *rowPlan {
+	n := f.n
+	if n >= math.MaxInt32 || len(f.lx) >= math.MaxInt32 || len(f.ux) >= math.MaxInt32 {
+		return nil
+	}
+	p := &rowPlan{
+		perm: make([]int32, n),
+		lp:   make([]int32, n+1), lj: make([]int32, len(f.lx)), lx: make([]float64, len(f.lx)),
+		up: make([]int32, n+1), uj: make([]int32, len(f.ux)), ux: make([]float64, len(f.ux)),
+	}
+	for i, r := range f.perm {
+		p.perm[i] = int32(r)
+	}
+	// Counting sort by row: visiting columns ascending (L) or descending (U)
+	// leaves each row's columns in sweep order.
+	for _, r := range f.li {
+		p.lp[f.pinv[r]+1]++
+	}
+	for _, i := range f.ui {
+		p.up[i+1]++
+	}
+	for i := 0; i < n; i++ {
+		p.lp[i+1] += p.lp[i]
+		p.up[i+1] += p.up[i]
+	}
+	next := append([]int32(nil), p.lp[:n]...)
+	for j := 0; j < n; j++ {
+		for q := f.lp[j]; q < f.lp[j+1]; q++ {
+			i := f.pinv[f.li[q]]
+			p.lj[next[i]], p.lx[next[i]] = int32(j), f.lx[q]
+			next[i]++
+		}
+	}
+	copy(next, p.up[:n])
+	for j := n - 1; j >= 0; j-- {
+		for q := f.up[j]; q < f.up[j+1]; q++ {
+			i := f.ui[q]
+			p.uj[next[i]], p.ux[next[i]] = int32(j), f.ux[q]
+			next[i]++
+		}
+	}
+	return p
+}
+
+// solveRows is SolveInto through the row plan: x = A⁻¹·b with no scratch
+// (x must not alias b).
+func (f *LU) solveRows(x, b []float64) {
+	p := f.plan
+	// Forward: y_i = b[perm i] − Σ_{j<i} L_ij·y_j, ascending j.
+	for i := range x {
+		x[i] = rowSum(b[p.perm[i]], p.lj[p.lp[i]:p.lp[i+1]], p.lx[p.lp[i]:p.lp[i+1]], x)
+	}
+	// Backward: x_i = (y_i − Σ_{j>i} U_ij·x_j) / U_ii, descending j.
+	for i := len(x) - 1; i >= 0; i-- {
+		x[i] = rowSum(x[i], p.uj[p.up[i]:p.up[i+1]], p.ux[p.up[i]:p.up[i+1]], x) / f.udiag[i]
+	}
+}
+
+// rowSum returns s − Σ_k vals[k]·x[cols[k]], subtracting in k order: one
+// branch-free pass, redone with the column sweeps' exact-zero skip when the
+// sum is zero or NaN (see rowPlan).
+func rowSum(s float64, cols []int32, vals, x []float64) float64 {
+	vals = vals[:len(cols)]
+	r := s
+	for k, c := range cols {
+		r -= vals[k] * x[c]
+	}
+	if isExactZero(r) || math.IsNaN(r) {
+		r = s
+		for k, c := range cols {
+			if v := x[c]; !isExactZero(v) {
+				r -= vals[k] * v
+			}
+		}
+	}
+	return r
 }
 
 // FactorLU factors the square sparse matrix a with pivot threshold tol in
@@ -252,25 +351,15 @@ func (f *LU) SolveInto(x, b []float64) error {
 	if len(b) != f.n || len(x) != f.n {
 		return fmt.Errorf("sparse: LU SolveInto lengths %d,%d != %d", len(x), len(b), f.n)
 	}
+	if f.plan != nil {
+		f.solveRows(x, b)
+		return nil
+	}
 	if f.work == nil {
 		f.work = make([]float64, f.n)
 	}
 	work := f.work
 	copy(work, b)
-	if f.sn != nil {
-		// Supernodal blocked sweeps: bitwise-identical to the scalar loops
-		// below (see snode.go for the argument), with external-row updates
-		// batched through vecops.
-		if f.snbuf == nil {
-			f.snbuf = make([]float64, f.n)
-		}
-		f.forwardBlocked(work)
-		for j := 0; j < f.n; j++ {
-			x[j] = work[f.perm[j]]
-		}
-		f.backwardBlocked(x)
-		return nil
-	}
 	// Forward: L y = P b, processed column by column in pivot order.
 	for j := 0; j < f.n; j++ {
 		yj := work[f.perm[j]]
@@ -343,9 +432,9 @@ type Options struct {
 	NoRCM bool
 	// Refine enables one step of iterative refinement per solve.
 	Refine bool
-	// Supernodal runs the supernodal symbolic analysis on the finished
-	// factors and routes SolveInto through the blocked substitution kernels
-	// (snode.go). Results are bitwise-identical to the scalar sweeps.
+	// Supernodal builds the row-oriented substitution plan (rowPlan) over
+	// the finished factors and routes SolveInto through it. Results are
+	// bitwise-identical to the column sweeps.
 	Supernodal bool
 }
 
@@ -383,7 +472,7 @@ func Factor(a *CSR, opt Options) (*Factorization, error) {
 		return nil, err
 	}
 	if opt.Supernodal {
-		lu.Supernodalize()
+		lu.plan = newRowPlan(lu)
 	}
 	f.lu = lu
 	return f, nil

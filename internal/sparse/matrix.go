@@ -180,8 +180,9 @@ func (a *CSR) MulVecAdd(s float64, x, y []float64) {
 	}
 	for i := 0; i < a.R; i++ {
 		// Structurally empty rows contribute nothing and are skipped outright.
-		// MulPanelAdd applies the identical skip, which keeps panel and scalar
-		// accumulation bitwise in lockstep row by row.
+		// MulPanelAdd and the BBD solves' Gᵢ·yᵢ folds apply the identical
+		// skip, which keeps panel and scalar accumulation bitwise in lockstep
+		// row by row.
 		if a.RowPtr[i] == a.RowPtr[i+1] {
 			continue
 		}

@@ -105,7 +105,6 @@ func panelZeros(row []float64) int {
 func (f *LU) share() *LU {
 	c := *f
 	c.work = nil
-	c.snbuf = nil // supernodal gather scratch is per-view; the plan (sn) is immutable and shared
 	return &c
 }
 
