@@ -19,9 +19,10 @@
 // SolveBatch call and writes BENCH_batch.json (see -batchout).
 // -experiment montecarlo ablates Sherman–Morrison–Woodbury factor updates
 // against refactorize-every-scenario on Monte-Carlo parameter sweeps of the
-// quickstart RC ladder and the power-grid fixture at N ∈ {1k, 10k, 100k}
-// scenarios and writes BENCH_montecarlo.json (see -mcout); it is excluded
-// from -experiment all because the measured legs take minutes.
+// quickstart RC ladder and the power-grid fixture at N ∈ {1k, 10k}
+// scenarios, at GOMAXPROCS = NumCPU and 1, and writes BENCH_montecarlo.json
+// (see -mcout); it is excluded from -experiment all because the measured
+// legs take minutes.
 package main
 
 import (

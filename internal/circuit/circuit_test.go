@@ -10,6 +10,39 @@ import (
 	"opmsim/internal/waveform"
 )
 
+// Element looks names up in O(1): every added element, by name, with its
+// stored fields; unknown names, rejected elements and coupling names miss,
+// and a coupling name still counts as taken.
+func TestNetlistElementLookup(t *testing.T) {
+	n := New()
+	a, b := n.Node("a"), n.Node("b")
+	for _, add := range []error{
+		n.AddR("R1", a, b, 100), n.AddL("L1", a, 0, 1e-6), n.AddL("L2", b, 0, 2e-6),
+		n.AddK("K1", "L1", "L2", 0.5), n.AddC("C1", b, 0, 1e-9),
+	} {
+		if add != nil {
+			t.Fatal(add)
+		}
+	}
+	if err := n.AddR("R9", a, a, 1); err == nil {
+		t.Fatal("accepted shorted element")
+	}
+	for _, want := range n.Elements() {
+		got, ok := n.Element(want.Name)
+		if !ok || got.Kind != want.Kind || got.NodeA != want.NodeA || got.NodeB != want.NodeB || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+			t.Fatalf("Element(%q) = %+v, %v; want %+v", want.Name, got, ok, want)
+		}
+	}
+	for _, name := range []string{"K1", "R9", "nope", ""} {
+		if _, ok := n.Element(name); ok {
+			t.Fatalf("Element(%q) found an element", name)
+		}
+	}
+	if err := n.AddR("K1", a, b, 1); err == nil {
+		t.Fatal("accepted an element named like a coupling")
+	}
+}
+
 func TestNetlistBuilderValidation(t *testing.T) {
 	n := New()
 	a, b := n.Node("a"), n.Node("b")

@@ -52,10 +52,6 @@ func (n *Netlist) StampDelta(m *MNA, perts []Perturbation) (*core.PencilDelta, e
 	if m == nil || m.Sys == nil {
 		return nil, fmt.Errorf("circuit: StampDelta needs an assembled model")
 	}
-	byName := make(map[string]Element, len(n.elements))
-	for _, e := range n.elements {
-		byName[e.Name] = e
-	}
 	coupled := map[string]bool{}
 	for _, cp := range n.couplings {
 		coupled[cp.L1] = true
@@ -68,7 +64,7 @@ func (n *Netlist) StampDelta(m *MNA, perts []Perturbation) (*core.PencilDelta, e
 			return nil, fmt.Errorf("circuit: duplicate perturbation of %q", p.Name)
 		}
 		seen[p.Name] = true
-		e, ok := byName[p.Name]
+		e, ok := n.Element(p.Name)
 		if !ok {
 			return nil, fmt.Errorf("circuit: perturbation references unknown element %q", p.Name)
 		}

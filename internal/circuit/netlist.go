@@ -91,7 +91,7 @@ type Netlist struct {
 	couplings []Coupling
 	nodeNames []string       // index 1.. → name; ground is index 0
 	nodeIdx   map[string]int // name → index
-	names     map[string]bool
+	names     map[string]int // element name → index in elements; coupling name → −1
 }
 
 // New returns an empty netlist.
@@ -99,7 +99,7 @@ func New() *Netlist {
 	return &Netlist{
 		nodeNames: []string{"0"},
 		nodeIdx:   map[string]int{"0": 0, "gnd": 0, "GND": 0},
-		names:     map[string]bool{},
+		names:     map[string]int{},
 	}
 }
 
@@ -124,11 +124,20 @@ func (n *Netlist) NodeName(idx int) string { return n.nodeNames[idx] }
 // Elements returns the element list (a view).
 func (n *Netlist) Elements() []Element { return n.elements }
 
+// Element returns the element named name; false when no element has that
+// name (coupling names included).
+func (n *Netlist) Element(name string) (Element, bool) {
+	if i, ok := n.names[name]; ok && i >= 0 {
+		return n.elements[i], true
+	}
+	return Element{}, false
+}
+
 func (n *Netlist) add(e Element) error {
 	if e.Name == "" {
 		return fmt.Errorf("circuit: element needs a name")
 	}
-	if n.names[e.Name] {
+	if _, dup := n.names[e.Name]; dup {
 		return fmt.Errorf("circuit: duplicate element name %q", e.Name)
 	}
 	if e.NodeA < 0 || e.NodeA >= len(n.nodeNames) || e.NodeB < 0 || e.NodeB >= len(n.nodeNames) {
@@ -137,7 +146,7 @@ func (n *Netlist) add(e Element) error {
 	if e.NodeA == e.NodeB {
 		return fmt.Errorf("circuit: element %q is shorted (both terminals on node %d)", e.Name, e.NodeA)
 	}
-	n.names[e.Name] = true
+	n.names[e.Name] = len(n.elements)
 	n.elements = append(n.elements, e)
 	return nil
 }
@@ -210,7 +219,7 @@ func (n *Netlist) AddK(name, l1, l2 string, k float64) error {
 	if name == "" {
 		return fmt.Errorf("circuit: coupling needs a name")
 	}
-	if n.names[name] {
+	if _, dup := n.names[name]; dup {
 		return fmt.Errorf("circuit: duplicate element name %q", name)
 	}
 	if l1 == l2 {
@@ -219,7 +228,7 @@ func (n *Netlist) AddK(name, l1, l2 string, k float64) error {
 	if k <= -1 || k >= 1 || isExactZero(k) {
 		return fmt.Errorf("circuit: coupling %q needs 0 < |K| < 1, got %g", name, k)
 	}
-	n.names[name] = true
+	n.names[name] = -1
 	n.couplings = append(n.couplings, Coupling{Name: name, L1: l1, L2: l2, K: k})
 	return nil
 }

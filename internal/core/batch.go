@@ -28,7 +28,9 @@ import (
 //     one such member.
 //   - panelStep (panel.go): the integer-order fast path, with right-hand
 //     sides, history recurrences and input injection all at panel
-//     granularity.
+//     granularity. It serves amplitude groups and parameter groups whose
+//     members all ride the shared factorization (SMW members' rank-1 rhs
+//     corrections and Woodbury corrections apply per panel column).
 //   - newtonStep: SolveNonlinear's damped Newton iteration.
 //   - adaptiveStep: SolveAdaptive's per-step-size factorizations.
 //
@@ -42,7 +44,8 @@ import (
 // PanelWidth; groups own disjoint state and fan out over the shared worker
 // pool, so results never depend on Options.Workers or scheduling. A group of
 // width 1 takes the member-wise step, whose one-column panel solve runs the
-// tier's scalar kernel.
+// tier's scalar kernel; so does a group holding a refactored member, and
+// every group of a system with fractional terms.
 //
 // Determinism contract: SolveBatch is bitwise-identical, scenario by
 // scenario, to K sequential Solve calls with the same Options. Every
@@ -164,7 +167,7 @@ type scenState struct {
 
 // x returns the slab column holding column j.
 func (st *scenState) x(j int) []float64 {
-	n := len(st.b)
+	n := len(st.shift)
 	if st.ring > 0 {
 		j %= st.ring
 	}
@@ -317,24 +320,32 @@ func (r *columnRun) inputs(u []waveform.Signal) (*mat.Dense, error) {
 // prepareScenario builds scenario s's state against sys (the run's system or
 // its ApplyDelta materialization): initial state, integer-order recurrences,
 // and the general history engine. uc is the scenario's input coefficient
-// matrix, possibly shared read-only with other scenarios.
-func (r *columnRun) prepareScenario(sys *System, s int, x0 []float64, uc *mat.Dense) (*scenState, error) {
+// matrix, possibly shared read-only with other scenarios. A panel member
+// (its group takes panelStep, which keeps the recurrences, right-hand sides
+// and solution lags as panels) gets none of the scalar state it would never
+// read, and in a ring run a one-column slab.
+func (r *columnRun) prepareScenario(sys *System, s int, x0 []float64, uc *mat.Dense, panel bool) (*scenState, error) {
 	x0, shift, err := prepareInitialState(sys, x0)
 	if err != nil {
 		return nil, err
 	}
-	n, slab := r.n, r.m
-	if r.ring > 0 {
-		slab = r.ring
+	n, ring := r.n, r.ring
+	if panel && ring > 0 {
+		ring = 1
+	}
+	slab := r.m
+	if ring > 0 {
+		slab = ring
 	}
 	st := &scenState{
-		s: s, sys: sys, uc: uc, x0: x0, shift: shift, ring: r.ring,
+		s: s, sys: sys, uc: uc, x0: x0, shift: shift, ring: ring,
 		hist: make([]*intHistory, len(sys.Terms)),
 		xbuf: make([]float64, n*slab),
-		b:    make([]float64, n),
-		ucol: make([]float64, uc.Rows()),
 	}
-	if r.ring == 0 {
+	if !panel {
+		st.b, st.ucol = make([]float64, n), make([]float64, uc.Rows())
+	}
+	if ring == 0 {
 		st.cols = make([][]float64, r.m)
 	}
 	if st.eng, err = newHistoryEngine(n, r.m, &r.opt.Options); err != nil {
@@ -351,7 +362,9 @@ func (r *columnRun) prepareScenario(sys *System, s int, x0 []float64, uc *mat.De
 		case r.dmats != nil:
 			st.eng.addGeneral(k, r.dmats[k])
 		case isExactEq(t.Order, float64(int(t.Order))):
-			st.hist[k] = newIntHistory(int(t.Order), r.h, n)
+			if !panel {
+				st.hist[k] = newIntHistory(int(t.Order), r.h, n)
+			}
 		default:
 			st.eng.addToeplitz(k, r.coeffs[k])
 		}
@@ -651,24 +664,67 @@ func solveUniform(ctx context.Context, sys *System, scenarios []Scenario, m int,
 			return r.solveParamBatch(scenarios, shared, width)
 		}
 	}
+	panel := r.panelMembers(K, width, nil)
 	if err := r.prepareScenarios(scenarios, func(s int, uc *mat.Dense) (*scenState, error) {
-		return r.prepareScenario(sys, s, scenarios[s].X0, uc)
+		return r.prepareScenario(sys, s, scenarios[s].X0, uc, panel[s])
 	}); err != nil {
 		return nil, err
 	}
-	// Systems whose history is entirely integer-order (no engine terms) take
-	// the panel-native step in groups wider than one scenario.
-	fast := len(r.states[0].eng.terms) == 0
-	workers := r.solveWorkers()
+	r.addGroupSteps(shared, width, panel)
+	return r.run()
+}
+
+// intOrderLag reports whether every term of sys has an integer order — so
+// its history runs entirely on the O(p·n) recurrences, with no history
+// engine — and the largest such order.
+func intOrderLag(sys *System) (maxLag int, ok bool) {
+	for _, t := range sys.Terms {
+		switch {
+		case isExactZero(t.Order):
+		case isExactEq(t.Order, float64(int(t.Order))):
+			maxLag = max(maxLag, int(t.Order))
+		default:
+			return 0, false
+		}
+	}
+	return maxLag, true
+}
+
+// panelMembers partitions K scenarios into the contiguous groups of width
+// and reports, per scenario, whether its group takes the panel-native step:
+// the system's history is integer-order, the group holds more than one
+// scenario, and no member has a private factorization (private[s]; nil
+// means none does).
+func (r *columnRun) panelMembers(K, width int, private []bool) []bool {
+	panel := make([]bool, K)
+	if _, ok := intOrderLag(r.sys); !ok {
+		return panel
+	}
 	for lo := 0; lo < K; lo += width {
-		members := r.states[lo:min(lo+width, K)]
-		if fast && len(members) > 1 {
-			r.steps = append(r.steps, newPanelStep(sys, members, shared.instantiate(workers), r.h))
+		hi := min(lo+width, K)
+		on := hi-lo > 1
+		for s := lo; s < hi && on; s++ {
+			on = private == nil || !private[s]
+		}
+		for s := lo; s < hi; s++ {
+			panel[s] = on
+		}
+	}
+	return panel
+}
+
+// addGroupSteps builds one step per scenario group of width: panelStep for
+// the groups panelMembers marked, the member-wise step otherwise.
+func (r *columnRun) addGroupSteps(shared *pencilFactor, width int, panel []bool) {
+	workers := r.solveWorkers()
+	for lo := 0; lo < len(r.states); lo += width {
+		members := r.states[lo:min(lo+width, len(r.states))]
+		if panel[lo] {
+			r.steps = append(r.steps, newPanelStep(r.sys, members, shared.instantiate(workers), r.h))
 		} else {
 			r.steps = append(r.steps, newMemberStep(members, shared, workers))
 		}
 	}
-	return r.run()
 }
 
 // solveOne runs a one-scenario solver on the prepared run: it builds the
@@ -678,7 +734,7 @@ func (r *columnRun) solveOne(u []waveform.Signal, step func(st *scenState) colum
 	if err != nil {
 		return nil, err
 	}
-	st, err := r.prepareScenario(r.sys, 0, nil, uc)
+	st, err := r.prepareScenario(r.sys, 0, nil, uc, false)
 	if err != nil {
 		return nil, err
 	}

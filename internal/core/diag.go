@@ -198,6 +198,11 @@ type SolveReport struct {
 	// even a rank-1 update), 0 when no parameter-varying batch ran, otherwise
 	// the largest pencil-update rank served by SMW.
 	UpdateCrossoverRank int
+	// UpdateBasisColumns is q, the number of distinct pencil-level update
+	// vectors u_i whose solves W₀ = M⁻¹·[u₁ … u_q] the batch's SMW scenarios
+	// share: the element count of a Monte-Carlo or corner sweep, the total
+	// rank of all-distinct deltas. Zero when no scenario took the SMW path.
+	UpdateBasisColumns int
 	// Err records the run's terminal error — the same *Diagnostic the solver
 	// returned — or nil after a successful solve. Keeping it on the report
 	// lets a consumer holding only the report (a service's job ledger, a
@@ -242,8 +247,8 @@ func (r *SolveReport) Summary() string {
 			r.FactorCacheHits, r.FactorCacheUpdateHits, r.FactorCacheMisses)
 	}
 	if r.PencilUpdates > 0 || r.PencilRefactors > 0 {
-		s += fmt.Sprintf("; pencil deltas: %d SMW updates, %d refactorizations (crossover rank %d)",
-			r.PencilUpdates, r.PencilRefactors, r.UpdateCrossoverRank)
+		s += fmt.Sprintf("; pencil deltas: %d SMW updates, %d refactorizations (crossover rank %d, %d basis columns)",
+			r.PencilUpdates, r.PencilRefactors, r.UpdateCrossoverRank, r.UpdateBasisColumns)
 	}
 	if r.StepRetries > 0 {
 		s += fmt.Sprintf("; %d step retries", r.StepRetries)

@@ -14,6 +14,14 @@ import (
 // match the scalar loop exactly: panel kernels are column-wise identical to
 // their one-vector counterparts and the history panels mirror intHistory's
 // recurrence.
+//
+// Members of a parameter-varying group ride the shared factorization too:
+// after each term's MulPanelAdd a member's rank-1 right-hand-side
+// corrections b −= δ·(vᵀs)·u are applied to its panel column, and after the
+// solve an SMW member's column takes its Woodbury correction before the
+// column enters the lag ring. Both run the same operations in the same
+// order as memberStep's scalar rhs and correct, so a scenario's bits do not
+// depend on which step served it.
 type panelStep struct {
 	sys     *System
 	members []*scenState
@@ -25,15 +33,24 @@ type panelStep struct {
 	uP      *mat.Dense // inputs×w gather of the scenarios' u_j columns
 	acc     []float64  // MulPanelAdd row accumulator
 	hist    []*panelIntHistory
-	xpool   []*mat.Dense // solve-target rotation: maxLag+1 panels
+	fixes   [][]panelFix // per term: the members' rank-1 rhs corrections
+	xpool   []*mat.Dense // spare solve targets (a stack; maxLag+1 panels in circulation)
 	xlags   []*mat.Dense // solution lag panels, newest first (≤ maxLag)
+}
+
+// panelFix is one member's rank-1 right-hand-side correction for a term:
+// panel column t of b gets −δ·(vᵀs)·u, s being column t of the term's
+// history panel.
+type panelFix struct {
+	t  int
+	up RankOne
 }
 
 func newPanelStep(sys *System, members []*scenState, pf *pencilFactor, h float64) *panelStep {
 	n, w := sys.N(), len(members)
 	g := &panelStep{sys: sys, members: members, pf: pf, b: mat.NewDense(n, w), scratch: pf.newPanelScratch(w),
 		shiftP: mat.NewDense(n, w), uP: mat.NewDense(sys.Inputs(), w), acc: make([]float64, w),
-		hist: make([]*panelIntHistory, len(sys.Terms))}
+		hist: make([]*panelIntHistory, len(sys.Terms)), fixes: make([][]panelFix, len(sys.Terms))}
 	for i := 0; i < n; i++ {
 		row := g.shiftP.Row(i)
 		for t, st := range members {
@@ -44,6 +61,13 @@ func newPanelStep(sys *System, members []*scenState, pf *pencilFactor, h float64
 		if p := int(t.Order); !isExactZero(t.Order) {
 			g.hist[k] = newPanelIntHistory(p, h, n, w)
 			g.maxLag = max(g.maxLag, p)
+		}
+	}
+	for t, st := range members {
+		for _, up := range st.ups {
+			if g.hist[up.Term] != nil {
+				g.fixes[up.Term] = append(g.fixes[up.Term], panelFix{t: t, up: up})
+			}
 		}
 	}
 	for i := 0; i <= g.maxLag; i++ {
@@ -63,13 +87,28 @@ func (g *panelStep) column(j int, tj float64, tiers *[numTiers]int) (int, error)
 		}
 	}
 	g.sys.B.MulPanelAdd(1, g.uP, g.b, g.acc)
+	bd := g.b.Data()
 	for k, t := range g.sys.Terms {
-		if g.hist[k] != nil {
-			t.Coeff.MulPanelAdd(-1, g.hist[k].current(g.xlags), g.b, g.acc)
+		if g.hist[k] == nil {
+			continue
+		}
+		s := g.hist[k].current(g.xlags)
+		t.Coeff.MulPanelAdd(-1, s, g.b, g.acc)
+		sd := s.Data()
+		for _, f := range g.fixes[k] {
+			// scenState.rhs's U.ScatterAdd(−(δ·V.Dot(s)), b) on column f.t:
+			// the same products and sums in the same order.
+			dot := 0.0
+			for q, i := range f.up.V.Idx {
+				dot += f.up.V.Val[q] * sd[i*w+f.t]
+			}
+			a := -(f.up.Scale * dot)
+			for q, i := range f.up.U.Idx {
+				bd[i*w+f.t] += a * f.up.U.Val[q]
+			}
 		}
 	}
-	xcur := g.xpool[0]
-	g.xpool = g.xpool[1:]
+	xcur := g.takePanel()
 	if err := g.pf.solvePanelInto(xcur, g.b, g.scratch); err != nil {
 		d := diag(ErrInternal, j, tj)
 		d.Cause = fmt.Errorf("scenario %d's group: %w", g.members[0].s, err)
@@ -82,10 +121,27 @@ func (g *panelStep) column(j int, tj float64, tiers *[numTiers]int) (int, error)
 		for i := range x {
 			x[i] = xd[i*w+t]
 		}
-		st.cols[j] = x
+		if st.smw != nil {
+			st.smw.correct(x)
+			for i, v := range x {
+				xd[i*w+t] = v
+			}
+		}
+		if st.cols != nil {
+			st.cols[j] = x
+		}
 	}
 	g.advance(xcur)
 	return 0, nil
+}
+
+// takePanel pops a spare solution panel off the pool. The pool is a stack,
+// so the rotation never reallocates it; every panel taken is overwritten
+// whole before it is read.
+func (g *panelStep) takePanel() *mat.Dense {
+	x := g.xpool[len(g.xpool)-1]
+	g.xpool = g.xpool[:len(g.xpool)-1]
+	return x
 }
 
 // advance rotates the column's solution panel into the lag ring (the evicted
@@ -121,8 +177,7 @@ func (g *panelStep) replay(j0 int) error {
 				ph.current(g.xlags)
 			}
 		}
-		xcur := g.xpool[0]
-		g.xpool = g.xpool[1:]
+		xcur := g.takePanel()
 		xd := xcur.Data()
 		for t, st := range g.members {
 			for i, v := range st.cols[j] {

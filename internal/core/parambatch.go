@@ -13,10 +13,11 @@ import (
 //
 //   - SMW update path: the scenario's base solve rides the shared panel
 //     factorization exactly like an amplitude scenario, followed by the
-//     Woodbury correction of smw.go; the right-hand-side history terms get
-//     rank-1 corrections (rhs −= δ·(vᵀw)·u per update) instead of
-//     materializing the perturbed E_k, so the per-column cost stays
-//     O(nnz + r·n) regardless of how many scenarios perturb the pencil.
+//     Woodbury correction of smw.go against the batch's one shared basis
+//     W₀ = M⁻¹·[u₁ … u_q]; the right-hand-side history terms get rank-1
+//     corrections (rhs −= δ·(vᵀw)·u per update) instead of materializing
+//     the perturbed E_k, so the per-column cost stays O(nnz + r·n)
+//     regardless of how many scenarios perturb the pencil.
 //
 //   - refactor fallback: past the crossover rank the scenario materializes
 //     ApplyDelta(sys, delta), factors its own leading pencil, and solves its
@@ -25,11 +26,15 @@ import (
 //
 // The crossover between them is decided once per run (resolveUpdateRankLimit)
 // from the measured factorization cost of the pencil family and a probe
-// solve. Both paths are members of batch.go's member-wise step and run
-// through its column driver; checkpoint/resume is the one feature
-// the parameter-varying engine does not support (per-scenario factorization
-// state is not captured by a column-slab checkpoint), so ResumeFrom errors
-// and CheckpointEvery/OnCheckpoint are ignored.
+// solve. Scenario groups run through batch.go's column driver: on an
+// integer-order system a group whose members all ride the shared
+// factorization takes the panel-native step (panel.go), which applies the
+// rank-1 rhs corrections and Woodbury corrections per panel column; a group
+// holding a refactored member, a group of one, and every group of a
+// fractional system take the member-wise step. Checkpoint/resume is the one
+// feature the parameter-varying engine does not support (per-scenario
+// factorization state is not captured by a column-slab checkpoint), so
+// ResumeFrom errors and CheckpointEvery/OnCheckpoint are ignored.
 //
 // Determinism contract: the scenario→path assignment is deterministic given
 // UpdateRankLimit ≠ 0 (the measured auto mode can flip near break-even
@@ -37,7 +42,9 @@ import (
 // scenarios are bitwise-identical to sequential Solve; SMW scenarios agree
 // with the refactored result to the ≤1e-12 relative level of the waveform
 // contract (see the property tests) and are themselves bitwise-reproducible
-// for a fixed path assignment.
+// for a fixed path assignment, whatever the PanelWidth and Workers: the
+// panel and member-wise steps run the same operations in the same order,
+// and the basis columns are independent panel-column solves.
 
 // resolveUpdateRankLimit turns BatchOptions.UpdateRankLimit into the rank
 // bound actually used: the caller's explicit limit, or the measured
@@ -124,87 +131,93 @@ func (r *columnRun) solveParamBatch(scenarios []Scenario, shared *pencilFactor, 
 		}
 	}
 
+	// The shared Woodbury basis over the SMW scenarios' distinct update
+	// vectors, then each SMW scenario's capacitance factorization — cheap
+	// (r² sparse dots and an r×r LU), so it runs before the fan-out and the
+	// path assignment is final when the groups are formed. A singular
+	// capacitance matrix (or a failed basis solve) demotes the scenario to the
+	// refactor path.
+	localRep := make([]*SolveReport, K)
+	for s := range localRep {
+		localRep[s] = &SolveReport{}
+	}
+	basis := newSMWBasis()
+	rows := make([][]int, K)
+	for s := range scenarios {
+		if !refac[s] && len(pups[s]) > 0 {
+			rows[s] = basis.add(pups[s])
+		}
+	}
+	rep.UpdateBasisColumns = len(basis.us)
+	var basisErr error
+	if len(basis.us) > 0 {
+		basisErr = basis.solve(shared, n, opt.Workers)
+	}
+	smws := make([]*smwFactor, K)
+	demote := func(s int, err error) {
+		// The perturbed pencil needs its own factorization (whose tier
+		// chain classifies it properly).
+		localRep[s].Warnings = append(localRep[s].Warnings, fmt.Sprintf("scenario %d: %v; refactored", s, err))
+		refac[s] = true
+	}
+	for s, bs := range rows {
+		if bs == nil {
+			continue
+		}
+		err := basisErr
+		if err == nil {
+			smws[s], err = newSMWFactor(basis, pups[s], bs)
+		}
+		if err != nil {
+			demote(s, err)
+		}
+	}
+
 	// Slab sizing: envelope runs (DiscardSolutions) on systems whose terms
 	// are all integer-order never read past columns, so the per-scenario slab
 	// shrinks to a (maxLag+1)-column ring — intHistory keeps at most maxLag
-	// column references, so a slot is dead by the time it is rewritten.
-	maxLag, engineFree := 0, true
-	for _, t := range sys.Terms {
-		switch {
-		case isExactZero(t.Order):
-		case isExactEq(t.Order, float64(int(t.Order))):
-			maxLag = max(maxLag, int(t.Order))
-		default:
-			engineFree = false
-		}
-	}
-	if opt.DiscardSolutions && engineFree && maxLag+1 < m {
+	// column references, so a slot is dead by the time it is rewritten — and
+	// to one column for panel members, whose lags live in the group's panels.
+	if maxLag, ok := intOrderLag(sys); opt.DiscardSolutions && ok && maxLag+1 < m {
 		r.ring = maxLag + 1
 	}
+	panel := r.panelMembers(K, width, refac)
 
 	// Per-scenario preparation fans out over the worker pool. Tasks touch only
-	// their own slot: state build, ApplyDelta materialization + factorization
-	// (refactor path, into a task-local report merged sequentially below), or
-	// SMW setup against a pre-instantiated base view. A singular capacitance
-	// matrix demotes the scenario to the refactor path in-task.
-	localRep := make([]*SolveReport, K)
-	views := make([]*pencilFactor, K)
+	// their own slot: state build, and for the refactor path the ApplyDelta
+	// materialization + factorization into a task-local report merged
+	// sequentially below.
 	workers := r.solveWorkers()
-	for s := range scenarios {
-		localRep[s] = &SolveReport{}
-		if !refac[s] && len(pups[s]) > 0 {
-			views[s] = shared.instantiate(workers)
-		}
-	}
 	err := r.prepareScenarios(scenarios, func(s int, uc *mat.Dense) (*scenState, error) {
 		d := scenarios[s].Delta
 		psys := sys
 		var ups []RankOne
-		if d.Rank() > 0 {
-			ups = d.Updates
-		}
 		var pf *pencilFactor
-		var smw *smwFactor
-		refactor := func() (err error) {
+		switch {
+		case refac[s]:
+			var err error
 			if psys, err = ApplyDelta(sys, d); err != nil {
-				return err
+				return nil, err
 			}
 			msys, err := assembleLeading(psys, r.lead)
 			if err != nil {
-				return err
-			}
-			if pf, err = factorPencil(msys, -1, 0, &opt.Options, localRep[s]); err != nil {
-				return err
-			}
-			pf.setSolveWorkers(workers)
-			ups = nil
-			return nil
-		}
-		switch {
-		case refac[s]:
-			if err := refactor(); err != nil {
 				return nil, err
 			}
-		case len(pups[s]) > 0:
-			var err error
-			if smw, err = newSMWFactor(views[s], pups[s], n); err != nil {
-				// Capacitance singular: the perturbed pencil needs its own
-				// factorization (whose tier chain classifies it properly).
-				localRep[s].Warnings = append(localRep[s].Warnings, fmt.Sprintf("scenario %d: %v; refactored", s, err))
-				refac[s] = true
-				if err := refactor(); err != nil {
-					return nil, err
-				}
+			if pf, err = factorPencil(msys, -1, 0, &opt.Options, localRep[s]); err != nil {
+				return nil, err
 			}
+			pf.setSolveWorkers(workers)
+		case d.Rank() > 0:
+			// SMW path — or, for a delta touching only terms with a zero
+			// leading coefficient, an unchanged pencil whose rhs
+			// corrections still apply.
+			ups = d.Updates
 		}
-		// Otherwise a delta touching only terms with a zero leading
-		// coefficient leaves the pencil unchanged, but its rhs corrections
-		// still apply.
-		st, err := r.prepareScenario(psys, s, scenarios[s].X0, uc)
+		st, err := r.prepareScenario(psys, s, scenarios[s].X0, uc, panel[s])
 		if err != nil {
 			return nil, err
 		}
-		st.pf, st.smw, st.ups = pf, smw, ups
+		st.pf, st.smw, st.ups = pf, smws[s], ups
 		if pf == nil && scenarios[s].X0 != nil {
 			// SMW path with a nonzero initial state: order-0 updates enter
 			// the constant shift g = −Σ_{α=0} E_k·x₀ as −δ·(vᵀx₀)·u.
@@ -239,11 +252,8 @@ func (r *columnRun) solveParamBatch(scenarios []Scenario, shared *pencilFactor, 
 	}
 
 	// Scenario groups: the same contiguous (K, width) partition as the
-	// amplitude batch, all taking the member-wise step. Parameter-varying
-	// runs emit no checkpoint deltas.
-	for lo := 0; lo < K; lo += width {
-		r.steps = append(r.steps, newMemberStep(r.states[lo:min(lo+width, K)], shared, workers))
-	}
+	// amplitude batch. Parameter-varying runs emit no checkpoint deltas.
+	r.addGroupSteps(shared, width, panel)
 	po := *opt
 	po.OnCheckpoint = nil
 	r.opt = &po

@@ -337,3 +337,213 @@ func TestParamBatchValidatesDeltas(t *testing.T) {
 		t.Fatal("out-of-range term index should fail validation")
 	}
 }
+
+// intDeltaScenarios builds K scenarios on an integer-order system: the
+// nominal first, then deltas of rank 1..4 over random terms — order-0 terms
+// included — with x0 on every third scenario when withX0 is set.
+func intDeltaScenarios(sys *System, u []waveform.Signal, K int, seed int64, withX0 bool) []Scenario {
+	rng := rand.New(rand.NewSource(seed))
+	scs := make([]Scenario, K)
+	for s := range scs {
+		scs[s].U = u
+		if s > 0 {
+			scs[s].Delta = randomDelta(rng, sys, 1+s%4)
+		}
+		if withX0 && s%3 == 1 {
+			x0 := make([]float64, sys.N())
+			for i := range x0 {
+				x0[i] = rng.NormFloat64()
+			}
+			scs[s].X0 = x0
+		}
+	}
+	return scs
+}
+
+// intDAESystem is a first-order (orders 1 and 0) integer system: the shape
+// that admits a nonzero X0 on the panel-native route.
+func intDAESystem(n int, seed int64) *System {
+	rng := rand.New(rand.NewSource(seed))
+	e, a, b := sparse.NewCOO(n, n), sparse.NewCOO(n, n), sparse.NewCOO(n, 1)
+	for i := 0; i < n; i++ {
+		e.Add(i, i, 1+0.1*rng.Float64())
+		a.Add(i, i, -2-rng.Float64())
+		if j := rng.Intn(n); j != i {
+			a.Add(i, j, 0.1*rng.NormFloat64())
+		}
+		b.Add(i, 0, rng.NormFloat64())
+	}
+	sys, err := NewDAE(e.ToCSR(), a.ToCSR(), b.ToCSR())
+	if err != nil {
+		panic(err)
+	}
+	return sys
+}
+
+// Integer-order delta batches take the panel-native step in groups wider
+// than one scenario; width 1 takes the member-wise step. Every width and
+// worker count must give the same bits, so the panel route's rank-1 rhs
+// corrections and Woodbury corrections are pinned to the member-wise ones
+// — with X0 ≠ 0 and order-0 updates in the mix — and each scenario stays
+// within 1e-12 of solving its materialized system.
+func TestParamBatchPanelBitwiseAcrossWidthsAndWorkers(t *testing.T) {
+	second, u := intTestSystem(7, 3)
+	cases := []struct {
+		name   string
+		sys    *System
+		withX0 bool
+	}{
+		{"second-order", second, false},
+		{"dae+x0", intDAESystem(6, 8), true},
+	}
+	m, T := 48, 1.5
+	for _, tc := range cases {
+		scs := intDeltaScenarios(tc.sys, u, 11, 17, tc.withX0)
+		var ref []*Solution
+		for _, workers := range []int{1, 4} {
+			for _, width := range []int{1, 2, 7, 32} {
+				var rep SolveReport
+				sols, err := SolveBatch(tc.sys, scs, m, T, BatchOptions{
+					Options:         Options{Workers: workers, Report: &rep},
+					PanelWidth:      width,
+					UpdateRankLimit: 64,
+				})
+				if err != nil {
+					t.Fatalf("%s workers=%d width=%d: %v", tc.name, workers, width, err)
+				}
+				if rep.PencilUpdates != len(scs)-1 || rep.PencilRefactors != 0 {
+					t.Fatalf("%s: dispatch updates=%d refactors=%d, want %d/0", tc.name, rep.PencilUpdates, rep.PencilRefactors, len(scs)-1)
+				}
+				if ref == nil {
+					ref = sols
+				}
+				for s := range scs {
+					name := fmt.Sprintf("%s workers=%d width=%d scenario=%d", tc.name, workers, width, s)
+					sameDense(t, name, sols[s].Coefficients(), ref[s].Coefficients())
+				}
+				// The envelope shape: DiscardSolutions shrinks panel members'
+				// slabs to one column and member-wise ones to a lag ring;
+				// the streamed columns keep their bits.
+				if _, err := SolveBatch(tc.sys, scs, m, T, BatchOptions{
+					Options:         Options{Workers: workers},
+					PanelWidth:      width,
+					UpdateRankLimit: 64, DiscardSolutions: true,
+					OnColumn: func(j int, _ float64, cols [][]float64) {
+						for s, c := range cols {
+							for i, v := range c {
+								if want := ref[s].Coefficients().At(i, j); math.Float64bits(v) != math.Float64bits(want) {
+									t.Fatalf("%s workers=%d width=%d: streamed scenario %d column %d state %d = %.17g, want %.17g",
+										tc.name, workers, width, s, j, i, v, want)
+								}
+							}
+						}
+					},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for s, sc := range scs {
+			psys, err := ApplyDelta(tc.sys, sc.Delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Solve(psys, u, m, T, Options{X0: sc.X0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := maxRelErr(denseRows(ref[s]), denseRows(want)); got > 1e-12 {
+				t.Fatalf("%s scenario %d: SMW deviates from the materialized solve by %.3g (> 1e-12)", tc.name, s, got)
+			}
+		}
+	}
+}
+
+// A 32-wide integer-order group holding one refactored member (its rank
+// exceeds the pinned limit) serves that member bitwise-identically to
+// Solve(ApplyDelta(…)) and the SMW members within 1e-12 of it.
+func TestParamBatchPanelGroupWithRefactoredMember(t *testing.T) {
+	sys, u := intTestSystem(8, 29)
+	m, T := 40, 1.0
+	rng := rand.New(rand.NewSource(4))
+	scs := make([]Scenario, 32)
+	for s := range scs {
+		r := 1 + s%3
+		if s == 13 {
+			r = 6
+		}
+		scs[s] = Scenario{U: u, Delta: randomDelta(rng, sys, r)}
+	}
+	var rep SolveReport
+	sols, err := SolveBatch(sys, scs, m, T, BatchOptions{Options: Options{Report: &rep}, UpdateRankLimit: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PencilUpdates != 31 || rep.PencilRefactors != 1 {
+		t.Fatalf("dispatch updates=%d refactors=%d, want 31/1", rep.PencilUpdates, rep.PencilRefactors)
+	}
+	for s, sc := range scs {
+		psys, err := ApplyDelta(sys, sc.Delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Solve(psys, u, m, T, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s == 13 {
+			sameDense(t, "refactored member", sols[s].Coefficients(), want.Coefficients())
+		} else if got := maxRelErr(denseRows(sols[s]), denseRows(want)); got > 1e-12 {
+			t.Fatalf("scenario %d: SMW deviates from the materialized solve by %.3g (> 1e-12)", s, got)
+		}
+	}
+}
+
+// Deltas whose update vectors are all distinct share nothing: the basis
+// holds Σr columns, and only SMW scenarios contribute to it. Vectors are
+// told apart by their values as well as their indices, and a vector equal
+// bit for bit to one already registered (in another scenario, another
+// backing array) reuses its column.
+func TestParamBatchBasisColumnsDistinctDeltas(t *testing.T) {
+	sys, u := intTestSystem(40, 6)
+	m, T := 8, 1.0
+	rng := rand.New(rand.NewSource(12))
+	scs := []Scenario{{U: u}}
+	sum := 0
+	for r := 1; r <= 5; r++ {
+		scs = append(scs, Scenario{U: u, Delta: randomDelta(rng, sys, r)})
+		sum += r
+	}
+	scs = append(scs, Scenario{U: u, Delta: randomDelta(rng, sys, 9)}) // past the limit: refactored
+	pair := func(a, b float64) sparse.Vec { return sparse.Vec{Idx: []int{3, 5}, Val: []float64{a, b}} }
+	scs = append(scs,
+		Scenario{U: u, Delta: &PencilDelta{Updates: []RankOne{
+			{Term: 0, Scale: 0.03, U: pair(1, -1), V: pair(1, -1)},
+			{Term: 1, Scale: 0.02, U: pair(1, 1), V: pair(1, 1)},
+		}}},
+		Scenario{U: u, Delta: &PencilDelta{Updates: []RankOne{
+			{Term: 2, Scale: 0.04, U: pair(1, -1), V: pair(0.5, 2)},
+		}}})
+	sum += 2
+	var rep SolveReport
+	sols, err := SolveBatch(sys, scs, m, T, BatchOptions{Options: Options{Report: &rep}, UpdateRankLimit: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.UpdateBasisColumns != sum {
+		t.Fatalf("basis columns %d, want Σr = %d", rep.UpdateBasisColumns, sum)
+	}
+	for s := len(scs) - 2; s < len(scs); s++ {
+		psys, err := ApplyDelta(sys, scs[s].Delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Solve(psys, u, m, T, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := maxRelErr(denseRows(sols[s]), denseRows(want)); got > 1e-12 {
+			t.Fatalf("scenario %d: SMW deviates from the materialized solve by %.3g (> 1e-12)", s, got)
+		}
+	}
+}

@@ -384,6 +384,29 @@ func TestSolveAllocsIndependentOfColumns(t *testing.T) {
 	if large > small+32 {
 		t.Fatalf("allocations grew with columns: m=256 → %.0f, m=2048 → %.0f (want ≤ +32)", small, large)
 	}
+
+	// The parameter-varying batch on an integer-order system, streamed
+	// through OnColumn with DiscardSolutions: one panel group of nine
+	// scenarios (rank-1 rhs corrections and Woodbury corrections on the
+	// panel step), then one SMW scenario alone (the member-wise step).
+	isys, iu := intTestSystem(12, 9)
+	scs := intDeltaScenarios(isys, iu, 9, 23, false)
+	for _, k := range []int{9, 1} {
+		batchAllocsAt := func(m int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := SolveBatch(isys, scs[len(scs)-k:], m, 2, BatchOptions{
+					UpdateRankLimit: 64, DiscardSolutions: true,
+					OnColumn: func(int, float64, [][]float64) {},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := batchAllocsAt(256), batchAllocsAt(2048)
+		if large > small+32 {
+			t.Fatalf("%d-scenario param batch: allocations grew with columns: m=256 → %.0f, m=2048 → %.0f (want ≤ +32)", k, small, large)
+		}
+	}
 }
 
 func TestSolveCoefficients(t *testing.T) {

@@ -62,12 +62,14 @@ type MonteCarloResult struct {
 	// Scenarios actually solved (== cfg.N).
 	Scenarios int
 	// PencilUpdates / PencilRefactors / Columns / Factorizations summed over
-	// chunk reports; CrossoverRank is the last chunk's resolved limit.
+	// chunk reports; CrossoverRank is the last chunk's resolved limit and
+	// BasisColumns the largest shared Woodbury basis a chunk solved.
 	PencilUpdates   int
 	PencilRefactors int
 	Factorizations  int
 	Columns         int
 	CrossoverRank   int
+	BasisColumns    int
 }
 
 // MonteCarloSweep runs the sweep: scenario 0 is the nominal circuit, 1..N−1
@@ -151,6 +153,7 @@ func MonteCarloSweep(cfg MonteCarloConfig) (*MonteCarloResult, error) {
 		res.Factorizations += rep.Factorizations
 		res.Columns += rep.Columns
 		res.CrossoverRank = rep.UpdateCrossoverRank
+		res.BasisColumns = max(res.BasisColumns, rep.UpdateBasisColumns)
 	}
 	return res, nil
 }
@@ -169,63 +172,53 @@ type MonteCarloBenchConfig struct {
 	Grid      netgen.PowerGridConfig
 	GridElems int
 	// M and TolPct: BPF columns and tolerance band shared by both fixtures.
-	M   int
-	Tol float64
-	// MeasureCapSMW / MeasureCapRefactor cap the scenario count actually
-	// timed per leg; larger Ns are extrapolated linearly from the measured
-	// sample and flagged in the report. Refactorization is so much slower
-	// that its cap is the smaller of the two.
-	MeasureCapSMW      int
-	MeasureCapRefactor int
-	Seed               uint64
+	M    int
+	Tol  float64
+	Seed uint64
 }
 
-// DefaultMonteCarloBench covers the acceptance grid: N ∈ {1k, 10k, 100k} on
-// the RC-ladder (quickstart) and power-grid fixtures.
+// DefaultMonteCarloBench covers N ∈ {1k, 10k} on the RC-ladder
+// (quickstart) and power-grid fixtures.
 func DefaultMonteCarloBench() MonteCarloBenchConfig {
 	return MonteCarloBenchConfig{
-		Ns:                 []int{1000, 10000, 100000},
-		LadderSections:     100,
-		LadderElems:        8,
-		Grid:               netgen.DefaultPowerGrid(),
-		GridElems:          8,
-		M:                  64,
-		Tol:                0.1,
-		MeasureCapSMW:      10000,
-		MeasureCapRefactor: 2048,
-		Seed:               1,
+		Ns:             []int{1000, 10000},
+		LadderSections: 100,
+		LadderElems:    8,
+		Grid:           netgen.DefaultPowerGrid(),
+		GridElems:      8,
+		M:              64,
+		Tol:            0.1,
+		Seed:           1,
 	}
 }
 
-// MonteCarloRow is one (fixture, N) point.
+// MonteCarloRow is one (fixture, GOMAXPROCS, N) point.
 type MonteCarloRow struct {
-	Fixture string `json:"fixture"`
-	N       int    `json:"n"`
-	States  int    `json:"states"`
-	M       int    `json:"m"`
+	Fixture    string `json:"fixture"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	N          int    `json:"n"`
+	States     int    `json:"states"`
+	M          int    `json:"m"`
 	// Rank is the pencil-update rank of each perturbed scenario (the number
 	// of perturbed elements).
 	Rank int `json:"rank"`
-	// SMWNS and RefactorNS are the wall-clock times of the two legs,
-	// extrapolated linearly from SMWMeasuredN / RefactorMeasuredN scenarios
-	// when those are smaller than N (flagged by the *Extrapolated fields).
-	SMWNS                int64   `json:"smw_ns"`
-	SMWMeasuredN         int     `json:"smw_measured_n"`
-	SMWExtrapolated      bool    `json:"smw_extrapolated"`
-	RefactorNS           int64   `json:"refactor_ns"`
-	RefactorMeasuredN    int     `json:"refactor_measured_n"`
-	RefactorExtrapolated bool    `json:"refactor_extrapolated"`
-	Speedup              float64 `json:"speedup"` // refactor / smw
-	// Updates/Refactors dispatched in the SMW leg's measured sample (the
-	// refactor leg by construction refactors every delta scenario).
-	Updates   int `json:"updates"`
-	Refactors int `json:"refactors"`
+	// SMWNS and RefactorNS are the wall-clock times of the two legs, each
+	// measured over all N scenarios.
+	SMWNS      int64   `json:"smw_ns"`
+	RefactorNS int64   `json:"refactor_ns"`
+	Speedup    float64 `json:"speedup"` // refactor / smw
+	// Updates/Refactors dispatched in the SMW leg (the refactor leg by
+	// construction refactors every delta scenario), and the columns of the
+	// shared Woodbury basis it solved.
+	Updates      int `json:"updates"`
+	Refactors    int `json:"refactors"`
+	BasisColumns int `json:"basis_columns"`
 }
 
 // MonteCarloReport is the machine-readable result written to
 // BENCH_montecarlo.json by cmd/opm-bench.
 type MonteCarloReport struct {
-	GOMAXPROCS int `json:"gomaxprocs"`
+	Provenance Provenance `json:"provenance"`
 	// MaxRelErr is the worst relative envelope deviation (min/max/mean
 	// surfaces) between the SMW and refactorize legs, per fixture, measured
 	// at the smallest N.
@@ -306,10 +299,19 @@ func envelopeRelErr(a, b *waveform.Envelope) float64 {
 	return worst / (1 + scale)
 }
 
-// MonteCarloBench runs the ablation: for each fixture and N, the sweep
-// through the SMW update path (UpdateRankLimit pinned above the fixture
-// rank) versus refactorize-every-scenario (UpdateRankLimit −1), extrapolated
-// past the measurement caps.
+// monteCarloProcs are the GOMAXPROCS settings the ablation measures at:
+// every CPU, then one (just one on a single-CPU machine).
+func monteCarloProcs() []int {
+	if n := runtime.NumCPU(); n > 1 {
+		return []int{n, 1}
+	}
+	return []int{1}
+}
+
+// MonteCarloBench runs the ablation: at each monteCarloProcs setting, for
+// each fixture and N, the sweep through the SMW update path (UpdateRankLimit
+// pinned above the fixture rank) and refactorize-every-scenario
+// (UpdateRankLimit −1). It restores GOMAXPROCS before returning.
 func MonteCarloBench(cfg MonteCarloBenchConfig) (*Table, *MonteCarloReport, error) {
 	if len(cfg.Ns) == 0 {
 		return nil, nil, fmt.Errorf("experiments: montecarlo bench needs at least one N")
@@ -318,10 +320,10 @@ func MonteCarloBench(cfg MonteCarloBenchConfig) (*Table, *MonteCarloReport, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &MonteCarloReport{GOMAXPROCS: runtime.GOMAXPROCS(0), MaxRelErr: map[string]float64{}}
+	rep := &MonteCarloReport{Provenance: NewProvenance(), MaxRelErr: map[string]float64{}}
 	tbl := &Table{
 		Title:  "Monte-Carlo sweep: SMW factor updates vs refactorize-per-scenario",
-		Header: []string{"fixture", "N", "states", "rank", "SMW", "refactor", "speedup", "extrapolated"},
+		Header: []string{"fixture", "procs", "N", "states", "rank", "basis", "SMW", "refactor", "speedup"},
 	}
 	runLeg := func(fx mcFixture, scenarios, limit int) (time.Duration, *MonteCarloResult, error) {
 		start := time.Now()
@@ -333,69 +335,47 @@ func MonteCarloBench(cfg MonteCarloBenchConfig) (*Table, *MonteCarloReport, erro
 		})
 		return time.Since(start), res, err
 	}
-	for _, fx := range fixtures {
-		rank := len(fx.elements)
-		smwLimit := 4 * rank // safely on the SMW side of the crossover
-		// Envelope agreement at the smallest N.
-		relN := cfg.Ns[0]
-		if relN > 1000 {
-			relN = 1000
-		}
-		_, smwRes, err := runLeg(fx, relN, smwLimit)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: smw relerr leg: %w", fx.name, err)
-		}
-		_, refRes, err := runLeg(fx, relN, -1)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: refactor relerr leg: %w", fx.name, err)
-		}
-		rep.MaxRelErr[fx.name] = envelopeRelErr(smwRes.Envelope, refRes.Envelope)
-		for _, N := range cfg.Ns {
-			smwN, refN := N, N
-			if cfg.MeasureCapSMW > 0 && smwN > cfg.MeasureCapSMW {
-				smwN = cfg.MeasureCapSMW
-			}
-			if cfg.MeasureCapRefactor > 0 && refN > cfg.MeasureCapRefactor {
-				refN = cfg.MeasureCapRefactor
-			}
-			smwDur, smwRes, err := runLeg(fx, smwN, smwLimit)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s N=%d: smw leg: %w", fx.name, N, err)
-			}
-			refDur, _, err := runLeg(fx, refN, -1)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s N=%d: refactor leg: %w", fx.name, N, err)
-			}
-			smwNS := int64(float64(smwDur.Nanoseconds()) * float64(N) / float64(smwN))
-			refNS := int64(float64(refDur.Nanoseconds()) * float64(N) / float64(refN))
-			row := MonteCarloRow{
-				Fixture: fx.name, N: N, States: fx.model.Sys.N(), M: cfg.M, Rank: rank,
-				SMWNS: smwNS, SMWMeasuredN: smwN, SMWExtrapolated: smwN < N,
-				RefactorNS: refNS, RefactorMeasuredN: refN, RefactorExtrapolated: refN < N,
-				Speedup:   float64(refNS) / float64(smwNS),
-				Updates:   smwRes.PencilUpdates,
-				Refactors: smwRes.PencilRefactors,
-			}
-			rep.Rows = append(rep.Rows, row)
-			extr := "-"
-			if row.SMWExtrapolated || row.RefactorExtrapolated {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range monteCarloProcs() {
+		runtime.GOMAXPROCS(p)
+		for _, fx := range fixtures {
+			rank := len(fx.elements)
+			smwLimit := 4 * rank // safely on the SMW side of the crossover
+			for k, N := range cfg.Ns {
+				smwDur, smwRes, err := runLeg(fx, N, smwLimit)
+				if err != nil {
+					return nil, nil, fmt.Errorf("%s N=%d: smw leg: %w", fx.name, N, err)
+				}
+				refDur, refRes, err := runLeg(fx, N, -1)
+				if err != nil {
+					return nil, nil, fmt.Errorf("%s N=%d: refactor leg: %w", fx.name, N, err)
+				}
+				if k == 0 {
+					rep.MaxRelErr[fx.name] = envelopeRelErr(smwRes.Envelope, refRes.Envelope)
+				}
+				row := MonteCarloRow{
+					Fixture: fx.name, GOMAXPROCS: p, N: N, States: fx.model.Sys.N(), M: cfg.M, Rank: rank,
+					SMWNS: smwDur.Nanoseconds(), RefactorNS: refDur.Nanoseconds(),
+					Speedup: float64(refDur) / float64(smwDur),
+					Updates: smwRes.PencilUpdates, Refactors: smwRes.PencilRefactors, BasisColumns: smwRes.BasisColumns,
+				}
+				rep.Rows = append(rep.Rows, row)
 				//lint:ignore allocsite results-table rendering, one row per fixture×N sweep point, not a per-scenario path
-				extr = fmt.Sprintf("smw@%d refac@%d", smwN, refN)
+				tbl.AddRow(fx.name, fmt.Sprint(p), fmt.Sprint(N), fmt.Sprint(row.States), fmt.Sprint(rank),
+					fmt.Sprint(row.BasisColumns), fmtDur(smwDur), fmtDur(refDur), fmt.Sprintf("%.2fx", row.Speedup))
 			}
-			//lint:ignore allocsite results-table rendering, one row per fixture×N sweep point, not a per-scenario path
-			tbl.AddRow(fx.name, fmt.Sprint(N), fmt.Sprint(row.States), fmt.Sprint(rank),
-				fmtDur(time.Duration(smwNS)), fmtDur(time.Duration(refNS)),
-				fmt.Sprintf("%.2fx", row.Speedup), extr)
 		}
 	}
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("legs measured up to %d (SMW) / %d (refactor) scenarios and scaled linearly to N", cfg.MeasureCapSMW, cfg.MeasureCapRefactor),
+		"every leg measured over all N scenarios at the row's GOMAXPROCS; nothing is scaled",
 		"max_rel_err compares the min/max/mean envelope surfaces of the two legs at the smallest N")
 	tbl.Notes = append(tbl.Notes,
-		"speedup = refactorize-per-scenario time / SMW update-path time; extrapolated legs scaled linearly from the measured sample")
-	for name, v := range rep.MaxRelErr {
-		//lint:ignore allocsite footnote rendering over a handful of fixtures, not a per-scenario path
-		tbl.Notes = append(tbl.Notes, fmt.Sprintf("%s envelope deviation SMW vs refactor: %.2e", name, v))
+		"speedup = refactorize-per-scenario time / SMW update-path time; basis = columns of the shared Woodbury basis")
+	for _, name := range []string{"rc-ladder", "power-grid"} {
+		if v, ok := rep.MaxRelErr[name]; ok {
+			//lint:ignore allocsite footnote rendering over a handful of fixtures, not a per-scenario path
+			tbl.Notes = append(tbl.Notes, fmt.Sprintf("%s envelope deviation SMW vs refactor: %.2e", name, v))
+		}
 	}
 	return tbl, rep, nil
 }

@@ -118,21 +118,23 @@ func TestMonteCarloBenchSmoke(t *testing.T) {
 	cfg.LadderSections = 10
 	cfg.Grid.Layers, cfg.Grid.Rows, cfg.Grid.Cols = 1, 4, 4
 	cfg.M = 16
-	cfg.MeasureCapSMW = 32
-	cfg.MeasureCapRefactor = 32
 	tbl, rep, err := MonteCarloBench(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 (2 fixtures × 2 Ns)", len(rep.Rows))
+	want := 4 * len(monteCarloProcs())
+	if len(rep.Rows) != want {
+		t.Fatalf("rows = %d, want %d (GOMAXPROCS settings × 2 fixtures × 2 Ns)", len(rep.Rows), want)
+	}
+	if rep.Provenance.Go == "" {
+		t.Fatal("report carries no provenance")
 	}
 	for _, row := range rep.Rows {
-		if row.Speedup <= 0 {
-			t.Fatalf("row %+v: non-positive speedup", row)
+		if row.SMWNS <= 0 || row.RefactorNS <= 0 || row.Speedup <= 0 {
+			t.Fatalf("row %+v: want both legs measured", row)
 		}
-		if row.N == 64 && row.RefactorMeasuredN != 32 {
-			t.Fatalf("row %+v: refactor cap not applied", row)
+		if row.BasisColumns != row.Rank {
+			t.Fatalf("row %+v: want one basis column per perturbed element", row)
 		}
 	}
 	for name, v := range rep.MaxRelErr {
@@ -140,7 +142,7 @@ func TestMonteCarloBenchSmoke(t *testing.T) {
 			t.Fatalf("%s: envelope deviation %.3g between legs", name, v)
 		}
 	}
-	if len(tbl.Rows) != 4 {
+	if len(tbl.Rows) != want {
 		t.Fatalf("table rows = %d", len(tbl.Rows))
 	}
 }

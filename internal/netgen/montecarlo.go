@@ -53,18 +53,14 @@ func MonteCarloPerturb(n *circuit.Netlist, names []string, seed uint64, scenario
 	if scenario == 0 || !(tol > 0) || len(names) == 0 {
 		return nil, nil
 	}
-	nominal := map[string]float64{}
-	for _, e := range n.Elements() {
-		nominal[e.Name] = e.Value
-	}
 	perts := make([]circuit.Perturbation, 0, len(names))
 	for i, name := range names {
-		v, ok := nominal[name]
+		e, ok := n.Element(name)
 		if !ok {
 			return nil, fmt.Errorf("netgen: montecarlo element %q not in netlist", name)
 		}
 		u := mcUniform(seed, scenario, i)
-		perts = append(perts, circuit.Perturbation{Name: name, Value: v * (1 + tol*(2*u-1))})
+		perts = append(perts, circuit.Perturbation{Name: name, Value: e.Value * (1 + tol*(2*u-1))})
 	}
 	return perts, nil
 }
@@ -125,16 +121,12 @@ func CornerPerturb(n *circuit.Netlist, names []string, c int, tol float64) ([]ci
 	if c == 0 {
 		return nil, "nominal", nil
 	}
-	nominal := map[string]float64{}
-	for _, e := range n.Elements() {
-		nominal[e.Name] = e.Value
-	}
 	value := func(name string, sign float64) (circuit.Perturbation, error) {
-		v, ok := nominal[name]
+		e, ok := n.Element(name)
 		if !ok {
 			return circuit.Perturbation{}, fmt.Errorf("netgen: corner element %q not in netlist", name)
 		}
-		return circuit.Perturbation{Name: name, Value: v * (1 + sign*tol)}, nil
+		return circuit.Perturbation{Name: name, Value: e.Value * (1 + sign*tol)}, nil
 	}
 	if c <= 2*L {
 		elem, sign, tag := names[(c-1)/2], 1.0, "+"

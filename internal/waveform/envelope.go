@@ -21,7 +21,7 @@ import (
 // seeded determinism test pins down).
 type Envelope struct {
 	n, m       int
-	min, max   []float64 // n·m, state-major: index i·m+j
+	min, max   []float64 // n·m, column-major: index j·n+i
 	mean, m2   []float64 // Welford running mean and Σ(x−mean)² per cell
 	counts     []int64   // scenarios folded, per column
 	probeSlot  map[int]int
@@ -85,19 +85,21 @@ func (e *Envelope) ObserveColumn(j int, x []float64) error {
 	}
 	e.counts[j]++
 	cnt := float64(e.counts[j])
-	slot, probed := e.probeSlot[j]
+	lo, hi := j*e.n, (j+1)*e.n
+	mn, mx, mean, m2 := e.min[lo:hi], e.max[lo:hi], e.mean[lo:hi], e.m2[lo:hi]
 	for i, v := range x {
-		c := i*e.m + j
-		if v < e.min[c] {
-			e.min[c] = v
+		if v < mn[i] {
+			mn[i] = v
 		}
-		if v > e.max[c] {
-			e.max[c] = v
+		if v > mx[i] {
+			mx[i] = v
 		}
-		d := v - e.mean[c]
-		e.mean[c] += d / cnt
-		e.m2[c] += d * (v - e.mean[c])
-		if probed {
+		d := v - mean[i]
+		mean[i] += d / cnt
+		m2[i] += d * (v - mean[i])
+	}
+	if slot, probed := e.probeSlot[j]; probed {
+		for i, v := range x {
 			s := slot*e.n + i
 			e.samples[s] = append(e.samples[s], v)
 		}
@@ -127,11 +129,11 @@ func (e *Envelope) ProbeColumns() []int { return append([]int(nil), e.probeOrder
 
 // Min and Max return the envelope bounds at (state, column); ±Inf before any
 // scenario is observed.
-func (e *Envelope) Min(i, j int) float64 { return e.min[i*e.m+j] }
-func (e *Envelope) Max(i, j int) float64 { return e.max[i*e.m+j] }
+func (e *Envelope) Min(i, j int) float64 { return e.min[j*e.n+i] }
+func (e *Envelope) Max(i, j int) float64 { return e.max[j*e.n+i] }
 
 // Mean returns the running mean at (state, column).
-func (e *Envelope) Mean(i, j int) float64 { return e.mean[i*e.m+j] }
+func (e *Envelope) Mean(i, j int) float64 { return e.mean[j*e.n+i] }
 
 // Std returns the sample standard deviation at (state, column); 0 with fewer
 // than two scenarios observed at that column.
@@ -139,7 +141,7 @@ func (e *Envelope) Std(i, j int) float64 {
 	if e.counts[j] < 2 {
 		return 0
 	}
-	return math.Sqrt(e.m2[i*e.m+j] / float64(e.counts[j]-1))
+	return math.Sqrt(e.m2[j*e.n+i] / float64(e.counts[j]-1))
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1, linear interpolation between

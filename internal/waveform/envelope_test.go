@@ -2,6 +2,7 @@ package waveform
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -152,5 +153,111 @@ func TestEnvelopeValidation(t *testing.T) {
 	}
 	if err := env.ObserveColumn(0, make([]float64, 3)); err == nil {
 		t.Fatal("wrong state count should fail")
+	}
+}
+
+// stateMajorFold is the reference fold: the same per-cell recurrence over
+// state-major storage (cell i·m+j), the layout Envelope used before it went
+// column-major.
+type stateMajorFold struct {
+	n, m               int
+	min, max, mean, m2 []float64
+	counts             []int64
+	samples            map[[2]int][]float64 // (state, probe column) → values
+	probe              map[int]bool
+}
+
+func newStateMajorFold(n, m int, probes ...int) *stateMajorFold {
+	f := &stateMajorFold{n: n, m: m, min: make([]float64, n*m), max: make([]float64, n*m),
+		mean: make([]float64, n*m), m2: make([]float64, n*m), counts: make([]int64, m),
+		samples: map[[2]int][]float64{}, probe: map[int]bool{}}
+	for c := range f.min {
+		f.min[c], f.max[c] = math.Inf(1), math.Inf(-1)
+	}
+	for _, j := range probes {
+		f.probe[j] = true
+	}
+	return f
+}
+
+func (f *stateMajorFold) observe(j int, x []float64) {
+	f.counts[j]++
+	cnt := float64(f.counts[j])
+	for i, v := range x {
+		c := i*f.m + j
+		if v < f.min[c] {
+			f.min[c] = v
+		}
+		if v > f.max[c] {
+			f.max[c] = v
+		}
+		d := v - f.mean[c]
+		f.mean[c] += d / cnt
+		f.m2[c] += d * (v - f.mean[c])
+		if f.probe[j] {
+			f.samples[[2]int{i, j}] = append(f.samples[[2]int{i, j}], v)
+		}
+	}
+}
+
+// The column-major envelope folds a fixed scenario stream — chunked, so
+// columns interleave across scenarios — into statistics Float64bits-equal
+// to the state-major reference fold, quantiles included.
+func TestEnvelopeMatchesStateMajorFold(t *testing.T) {
+	const n, m, K, chunk = 5, 9, 37, 8
+	probes := []int{2, 8}
+	env, err := NewEnvelope(n, m, probes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newStateMajorFold(n, m, probes...)
+	x := 0.37
+	col := make([]float64, n)
+	for lo := 0; lo < K; lo += chunk {
+		for j := 0; j < m; j++ {
+			for s := lo; s < min(lo+chunk, K); s++ {
+				for i := range col {
+					x = math.Mod(x*913.7+float64(s+i)*0.013, 5.3) - 2.1
+					col[i] = x
+				}
+				if err := env.ObserveColumn(j, col); err != nil {
+					t.Fatal(err)
+				}
+				ref.observe(j, col)
+			}
+		}
+	}
+	same := func(name string, i, j int, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s(%d,%d) = %.17g, reference %.17g", name, i, j, got, want)
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < m; j++ {
+			c := i*m + j
+			same("min", i, j, env.Min(i, j), ref.min[c])
+			same("max", i, j, env.Max(i, j), ref.max[c])
+			same("mean", i, j, env.Mean(i, j), ref.mean[c])
+			same("std", i, j, env.Std(i, j), math.Sqrt(ref.m2[c]/float64(ref.counts[j]-1)))
+		}
+		for _, j := range probes {
+			sorted := append([]float64(nil), ref.samples[[2]int{i, j}]...)
+			sort.Float64s(sorted)
+			for _, q := range []float64{0, 0.1, 0.5, 0.9, 1} {
+				got, err := env.Quantile(i, j, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pos := q * float64(len(sorted)-1)
+				lo := int(pos)
+				want := sorted[len(sorted)-1]
+				if lo < len(sorted)-1 {
+					frac := pos - float64(lo)
+					want = sorted[lo]*(1-frac) + sorted[lo+1]*frac
+				}
+				same("quantile", i, j, got, want)
+			}
+		}
 	}
 }
