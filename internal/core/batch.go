@@ -158,8 +158,7 @@ type scenState struct {
 	shift []float64
 	hist  []*intHistory
 	eng   *historyEngine
-	cols  [][]float64 // committed columns; nil when xbuf is a ring
-	xbuf  []float64   // column slab: column j at slot j (mod ring)
+	xbuf  []float64 // column slab: column j at slot j (mod ring)
 	ring  int
 	b     []float64 // right-hand side scratch
 	ucol  []float64
@@ -190,7 +189,7 @@ func (st *scenState) rhs(j int, tj float64) ([]float64, error) {
 			w = st.hist[k].current()
 		default:
 			var err error
-			if w, err = st.eng.history(k, j, st.cols); err != nil {
+			if w, err = st.eng.history(k, j, st.xbuf); err != nil {
 				d := diag(engineErrKind(err), j, tj)
 				d.Order = t.Order
 				d.Cause = fmt.Errorf("scenario %d: %w", st.s, err)
@@ -210,9 +209,6 @@ func (st *scenState) rhs(j int, tj float64) ([]float64, error) {
 // commit records x — the slab column st.x(j) — as column j and advances the
 // integer-order recurrences past it; rhs(j) computed their s_j.
 func (st *scenState) commit(j int, x []float64) {
-	if st.cols != nil {
-		st.cols[j] = x
-	}
 	for _, ih := range st.hist {
 		if ih != nil {
 			ih.advance(x)
@@ -344,9 +340,6 @@ func (r *columnRun) prepareScenario(sys *System, s int, x0 []float64, uc *mat.De
 	}
 	if !panel {
 		st.b, st.ucol = make([]float64, n), make([]float64, uc.Rows())
-	}
-	if ring == 0 {
-		st.cols = make([][]float64, r.m)
 	}
 	if st.eng, err = newHistoryEngine(n, r.m, &r.opt.Options); err != nil {
 		return nil, err
@@ -577,6 +570,12 @@ func (r *columnRun) run() ([]*Solution, error) {
 		if opt.CheckpointEvery > 0 && (j+1)%opt.CheckpointEvery == 0 && j+1 < r.m {
 			emitDelta(j + 1)
 		}
+	}
+	// The history engines (an n×m FFT accumulator per fractional term) are
+	// dead once the last column is committed: release them before the
+	// solutions are allocated, so a solve never holds both at once.
+	for _, st := range r.states {
+		st.eng = nil
 	}
 	if opt.DiscardSolutions {
 		return nil, nil

@@ -228,9 +228,6 @@ func (r *columnRun) resume(cp *Checkpoint) error {
 	j0, n := cp.Columns, r.n
 	for s, st := range r.states {
 		copy(st.xbuf[:j0*n], cp.Slabs[s])
-		for j := 0; j < j0; j++ {
-			st.cols[j] = st.x(j)
-		}
 	}
 	if j0 == 0 {
 		return nil
@@ -263,9 +260,9 @@ func replayScenario(st *scenState, j0 int) error {
 				ih.current()
 			}
 		}
-		st.commit(j, st.cols[j])
+		st.commit(j, st.x(j))
 	}
-	return st.eng.resumeAt(j0, st.cols)
+	return st.eng.resumeAt(j0, st.xbuf)
 }
 
 // resumeAt replays the engine-internal history state a run committed through
@@ -275,7 +272,7 @@ func replayScenario(st *scenState, j0 int) error {
 // the spectra accumulators bit for bit. A firing due at j0 itself happens
 // live when the loop solves column j0. The exact tier's chunk heads rebuild
 // lazily (see replayScenario); the naive tier holds no state.
-func (e *historyEngine) resumeAt(j0 int, cols [][]float64) error {
+func (e *historyEngine) resumeAt(j0 int, xs []float64) error {
 	if j0 == 0 || e.naive {
 		return nil
 	}
@@ -285,7 +282,7 @@ func (e *historyEngine) resumeAt(j0 int, cols [][]float64) error {
 		}
 		for c := e.fftBase; c < j0; c += e.fftBase {
 			t.fft.fired = c
-			if err := e.fireSegment(t, c, cols); err != nil {
+			if err := e.fireSegment(t, c, xs); err != nil {
 				return err
 			}
 		}

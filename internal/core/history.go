@@ -172,7 +172,8 @@ func (c *kernelCache) put(term, L int, spec []complex128) {
 
 // historyEngine evaluates general (non-recurrence) history sums for a
 // column-by-column solve. Columns must be consumed in order j = 0..m−1, and
-// cols[0..j−1] must be solved before history(·, j, cols) is called.
+// columns 0..j−1 of the slab xs — column i at xs[i·n : (i+1)·n] — must be
+// solved before history(·, j, xs) is called.
 type historyEngine struct {
 	n, m    int
 	workers int
@@ -310,26 +311,26 @@ func (e *historyEngine) modeName() string {
 // is owned by the engine and valid until the next history call for k. An
 // error means the engine's context expired at a chunk boundary or a worker
 // task panicked (see engineErrKind).
-func (e *historyEngine) history(k, j int, cols [][]float64) ([]float64, error) {
+func (e *historyEngine) history(k, j int, xs []float64) ([]float64, error) {
 	t := e.terms[k]
 	w := t.w
 	if e.naive {
 		for i := range w {
 			w[i] = 0
 		}
-		t.fold(j, 0, j, cols, w)
+		t.fold(j, 0, j, xs, w)
 		return w, nil
 	}
 	if t.fft != nil {
-		return e.historyFFT(t, j, cols)
+		return e.historyFFT(t, j, xs)
 	}
 	if j >= e.chunkLo+historyChunk {
-		if err := e.advanceChunk(j, cols); err != nil {
+		if err := e.advanceChunk(j, xs); err != nil {
 			return nil, err
 		}
 	}
 	copy(w, t.head[j-e.chunkLo])
-	t.fold(j, e.chunkLo, j, cols, w)
+	t.fold(j, e.chunkLo, j, xs, w)
 	return w, nil
 }
 
@@ -337,7 +338,7 @@ func (e *historyEngine) history(k, j int, cols [][]float64) ([]float64, error) {
 // already-solved column i < j0 into the head sums of each chunk column. The
 // context is checked once per chunk — immediately before the head burst, the
 // single largest indivisible unit of work in the engine.
-func (e *historyEngine) advanceChunk(j0 int, cols [][]float64) error {
+func (e *historyEngine) advanceChunk(j0 int, xs []float64) error {
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {
 			return err
@@ -383,7 +384,7 @@ func (e *historyEngine) advanceChunk(j0 int, cols [][]float64) error {
 				if e.fault != nil && e.fault.WorkerFault != nil {
 					e.fault.WorkerFault()
 				}
-				e.headRange(t, j0, lo, rhi, cols)
+				e.headRange(t, j0, lo, rhi, xs)
 			})
 		}
 	}
@@ -404,24 +405,26 @@ func (e *historyEngine) advanceChunk(j0 int, cols [][]float64) error {
 // outermost so a tile of X is reused across every column of the range;
 // within each destination column past columns still arrive in ascending
 // order, keeping the result independent of block size and worker count.
-func (e *historyEngine) headRange(t *historyTerm, j0, lo, hi int, cols [][]float64) {
+func (e *historyEngine) headRange(t *historyTerm, j0, lo, hi int, xs []float64) {
 	for b := 0; b < j0; b += e.block {
 		bhi := b + e.block
 		if bhi > j0 {
 			bhi = j0
 		}
 		for j := lo; j < hi; j++ {
-			t.fold(j, b, bhi, cols, t.head[j-j0])
+			t.fold(j, b, bhi, xs, t.head[j-j0])
 		}
 	}
 }
 
-// fold accumulates dst += Σ_{i∈[lo,hi)} c(i,j)·x_i in ascending i order.
-func (t *historyTerm) fold(j, lo, hi int, cols [][]float64, dst []float64) {
+// fold accumulates dst += Σ_{i∈[lo,hi)} c(i,j)·x_i in ascending i order,
+// x_i the slab column xs[i·n : (i+1)·n] with n = len(dst).
+func (t *historyTerm) fold(j, lo, hi int, xs, dst []float64) {
+	n := len(dst)
 	if t.toe != nil {
 		c := t.toe
 		for i := lo; i < hi; i++ {
-			vecops.AddMul(dst, cols[i], c[j-i])
+			vecops.AddMul(dst, xs[i*n:i*n+n], c[j-i])
 		}
 		return
 	}
@@ -430,7 +433,7 @@ func (t *historyTerm) fold(j, lo, hi int, cols [][]float64, dst []float64) {
 	col := t.genCols.Row(j)
 	for i := lo; i < hi; i++ {
 		if v := col[i]; !isExactZero(v) {
-			vecops.AddMul(dst, cols[i], v)
+			vecops.AddMul(dst, xs[i*n:i*n+n], v)
 		}
 	}
 }

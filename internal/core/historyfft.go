@@ -126,11 +126,11 @@ type fftHist struct {
 // historyFFT evaluates w_j for a Toeplitz term through the FFT tier: fire
 // the segment due at this column (if any), then read the accumulated
 // long-range part and fold the in-segment remainder serially.
-func (e *historyEngine) historyFFT(t *historyTerm, j int, cols [][]float64) ([]float64, error) {
+func (e *historyEngine) historyFFT(t *historyTerm, j int, xs []float64) ([]float64, error) {
 	base := e.fftBase
 	if j > 0 && j%base == 0 && t.fft.fired != j {
 		t.fft.fired = j
-		if err := e.fireSegment(t, j, cols); err != nil {
+		if err := e.fireSegment(t, j, xs); err != nil {
 			return nil, err
 		}
 	}
@@ -139,7 +139,7 @@ func (e *historyEngine) historyFFT(t *historyTerm, j int, cols [][]float64) ([]f
 	for i := 0; i < e.n; i++ {
 		w[i] = acc.Row(i)[j]
 	}
-	t.fold(j, j-j%base, j, cols, w)
+	t.fold(j, j-j%base, j, xs, w)
 	return w, nil
 }
 
@@ -153,7 +153,7 @@ func (e *historyEngine) historyFFT(t *historyTerm, j int, cols [][]float64) ([]f
 // here — a firing is the largest indivisible unit of work in the tier — and
 // worker panics are recovered into the returned error exactly like the
 // exact engine's bursts.
-func (e *historyEngine) fireSegment(t *historyTerm, j int, cols [][]float64) error {
+func (e *historyEngine) fireSegment(t *historyTerm, j int, xs []float64) error {
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {
 			return err
@@ -185,7 +185,7 @@ func (e *historyEngine) fireSegment(t *historyTerm, j int, cols [][]float64) err
 			if e.fault != nil && e.fault.WorkerFault != nil {
 				e.fault.WorkerFault()
 			}
-			e.convPairs(t, ker, a, L, j, outLen, lo, hi, cols)
+			e.convPairs(t, ker, a, L, j, outLen, lo, hi, xs)
 		})
 	}
 	if len(tasks) <= 1 || e.workers == 1 {
@@ -214,21 +214,23 @@ func (e *historyEngine) fireSegment(t *historyTerm, j int, cols [][]float64) err
 // rounding noise. An all-zero row is not accumulated, so it stays exactly
 // zero rather than picking up its mate's noise. Each row's accumulator slice
 // is touched by exactly one task, making the fan-out race-free and the
-// results independent of the worker count.
-func (e *historyEngine) convPairs(t *historyTerm, ker []complex128, a, L, j, outLen, lo, hi int, cols [][]float64) {
-	n2 := 2 * L
+// results independent of the worker count. The gather walks the segment's
+// slab block at stride n; the scaling, the transform and the accumulation
+// run on internal/fft's kernels.
+func (e *historyEngine) convPairs(t *historyTerm, ker []complex128, a, L, j, outLen, lo, hi int, xs []float64) {
+	n, n2 := e.n, 2*L
 	plan := fft.PlanFor(n2)
 	z := fft.GetComplex(n2)
 	seg := z[:L]
+	blk := xs[a*n : (a+L)*n]
 	for q := lo; q < hi; q++ {
 		i0, i1 := 2*q, 2*q+1
-		paired := i1 < e.n
+		paired := i1 < n
 		mx0, mx1 := 0.0, 0.0
-		for p := range seg {
-			c := cols[a+p]
-			v0, v1 := c[i0], 0.0
+		for p, off := 0, i0; p < len(seg); p, off = p+1, off+n {
+			v0, v1 := blk[off], 0.0
 			if paired {
-				v1 = c[i1]
+				v1 = blk[off+1]
 			}
 			seg[p] = complex(v0, v1)
 			if v := math.Abs(v0); v > mx0 {
@@ -243,22 +245,14 @@ func (e *historyEngine) convPairs(t *historyTerm, ker []complex128, a, L, j, out
 		}
 		s0, u0 := pow2Scale(mx0)
 		s1, u1 := pow2Scale(mx1)
-		for p, v := range seg {
-			seg[p] = complex(real(v)*s0, imag(v)*s1)
-		}
+		fft.ScaleParts(seg, s0, s1)
 		plan.Convolve(z, ker)
 		out := z[L : L+outLen]
 		if !isExactZero(mx0) {
-			row := t.fft.acc.Row(i0)[j : j+outLen]
-			for r, v := range out {
-				row[r] += real(v) * u0
-			}
+			fft.AddReal(t.fft.acc.Row(i0)[j:j+outLen], out, u0)
 		}
 		if !isExactZero(mx1) {
-			row := t.fft.acc.Row(i1)[j : j+outLen]
-			for r, v := range out {
-				row[r] += imag(v) * u1
-			}
+			fft.AddImag(t.fft.acc.Row(i1)[j:j+outLen], out, u1)
 		}
 	}
 	fft.PutComplex(z)

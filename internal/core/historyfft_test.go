@@ -48,12 +48,9 @@ func TestHistoryFFTEngineMatchesNaive(t *testing.T) {
 				}
 			}
 			for _, m := range []int{1, 2, 5, 8, 9, 16, 31, 32, 33, 63, 64, 65, 100, 127, 130} {
-				cols := make([][]float64, m)
-				for j := range cols {
-					cols[j] = make([]float64, n)
-					for i := range cols[j] {
-						cols[j][i] = rng.NormFloat64() * scale[i]
-					}
+				xs := make([]float64, m*n)
+				for k := range xs {
+					xs[k] = rng.NormFloat64() * scale[k%n]
 				}
 				// Decaying Toeplitz coefficients, like the fractional ρ_α tails.
 				c := make([]float64, m)
@@ -71,9 +68,9 @@ func TestHistoryFFTEngineMatchesNaive(t *testing.T) {
 					// Naive reference for column j.
 					want := make([]float64, n)
 					for i := 0; i < j; i++ {
-						mat.Axpy(c[j-i], cols[i], want)
+						mat.Axpy(c[j-i], xs[i*n:(i+1)*n], want)
 					}
-					got, err := eng.history(0, j, cols)
+					got, err := eng.history(0, j, xs)
 					if err != nil {
 						t.Fatalf("n=%d m=%d j=%d: %v", n, m, j, err)
 					}

@@ -127,9 +127,6 @@ func (g *panelStep) column(j int, tj float64, tiers *[numTiers]int) (int, error)
 				xd[i*w+t] = v
 			}
 		}
-		if st.cols != nil {
-			st.cols[j] = x
-		}
 	}
 	g.advance(xcur)
 	return 0, nil
@@ -180,7 +177,7 @@ func (g *panelStep) replay(j0 int) error {
 		xcur := g.takePanel()
 		xd := xcur.Data()
 		for t, st := range g.members {
-			for i, v := range st.cols[j] {
+			for i, v := range st.x(j) {
 				xd[i*w+t] = v
 			}
 		}

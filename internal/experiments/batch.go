@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"opmsim/internal/core"
@@ -60,8 +59,8 @@ type BatchRow struct {
 // BatchReport is the machine-readable result written to BENCH_batch.json by
 // cmd/opm-bench.
 type BatchReport struct {
+	Provenance Provenance `json:"provenance"`
 	Fixture    string     `json:"fixture"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
 	PanelWidth int        `json:"panel_width"`
 	Rows       []BatchRow `json:"rows"`
 }
@@ -130,13 +129,13 @@ func Batch(cfg BatchConfig) (*Table, *BatchReport, error) {
 		return nil, nil, fmt.Errorf("experiments: T/H = %d steps is too few", m)
 	}
 	rep := &BatchReport{
+		Provenance: NewProvenance(),
 		Fixture:    fmt.Sprintf("power grid NA n=%d", na.Sys.N()),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		PanelWidth: 32,
 	}
 	tbl := &Table{
 		Title: fmt.Sprintf("Batched multi-scenario solve — power grid (n=%d, m=%d, GOMAXPROCS=%d)",
-			na.Sys.N(), m, rep.GOMAXPROCS),
+			na.Sys.N(), m, rep.Provenance.GOMAXPROCS),
 		Header: []string{"K", "sequential", "batch", "speedup", "cache h/m", "bitwise"},
 	}
 	for _, k := range cfg.Ks {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 
+	"opmsim/internal/circuit"
 	"opmsim/internal/core"
 	"opmsim/internal/netgen"
 	"opmsim/internal/waveform"
@@ -22,16 +23,17 @@ type HistoryFFTConfig struct {
 	Ms []int
 	// Repeat re-runs each solve and keeps the minimum time.
 	Repeat int
-	// Workers for all variants; 0 means runtime.GOMAXPROCS.
+	// Workers for all variants; 0 means the GOMAXPROCS setting of the row.
 	Workers int
 }
 
-// DefaultHistoryFFT sweeps the paper's fractional line across the crossover.
+// DefaultHistoryFFT sweeps the paper's fractional line across the crossover
+// up to m = 8192, the grid of the benchmark's frac-line workload.
 func DefaultHistoryFFT() HistoryFFTConfig {
 	return HistoryFFTConfig{
 		Line:   netgen.DefaultFractionalLine(),
 		T:      2.7e-9,
-		Ms:     []int{256, 1024, 4096},
+		Ms:     []int{256, 1024, 4096, 8192},
 		Repeat: 3,
 	}
 }
@@ -41,6 +43,8 @@ func DefaultHistoryFFT() HistoryFFTConfig {
 // floating-point sums, so the difference is roundoff-sized rather than zero,
 // and the acceptance bound is 1e-10.
 type HistoryFFTRow struct {
+	GOMAXPROCS    int     `json:"gomaxprocs"`
+	Workers       int     `json:"workers"`
 	M             int     `json:"m"`
 	N             int     `json:"n"`
 	NaiveNS       int64   `json:"naive_ns"`
@@ -59,7 +63,6 @@ type HistoryFFTReport struct {
 	Provenance Provenance      `json:"provenance"`
 	Fixture    string          `json:"fixture"`
 	Alpha      float64         `json:"alpha"`
-	Workers    int             `json:"workers"`
 	Rows       []HistoryFFTRow `json:"rows"`
 }
 
@@ -72,17 +75,14 @@ func (r *HistoryFFTReport) WriteJSON(path string) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// HistoryFFT runs the fast-convolution ablation on the fractional line: for
-// each m it times Solve with the naive reference, the exact blocked engine,
-// and the FFT tier (all on the same worker budget), and cross-checks the FFT
-// coefficients against the naive reference.
+// HistoryFFT runs the fast-convolution ablation on the fractional line: at
+// each benchProcs setting and for each m it times Solve with the naive
+// reference, the exact blocked engine, and the FFT tier (all on the same
+// worker budget), and cross-checks the FFT coefficients against the naive
+// reference. It restores GOMAXPROCS before returning.
 func HistoryFFT(cfg HistoryFFTConfig) (*Table, *HistoryFFTReport, error) {
 	if cfg.Repeat < 1 {
 		cfg.Repeat = 1
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	drive := waveform.Pulse(0, 1e-3, 0.1e-9, 0.1e-9, 0.1e-9, 0.8e-9, 0)
 	mna, err := netgen.FractionalLine(cfg.Line, drive, waveform.Zero())
@@ -93,13 +93,31 @@ func HistoryFFT(cfg HistoryFFTConfig) (*Table, *HistoryFFTReport, error) {
 		Provenance: NewProvenance(),
 		Fixture:    fmt.Sprintf("fractional line n=%d", mna.Sys.N()),
 		Alpha:      cfg.Line.Order,
-		Workers:    workers,
 	}
 	tbl := &Table{
-		Title: fmt.Sprintf("History engine FFT tier — fractional line (n=%d, α=%g, GOMAXPROCS=%d)",
-			mna.Sys.N(), cfg.Line.Order, rep.Provenance.GOMAXPROCS),
-		Header: []string{"m", "naive", "exact", "fft", "fft/exact", "max rel Δ"},
+		Title: fmt.Sprintf("History engine FFT tier — fractional line (n=%d, α=%g)",
+			mna.Sys.N(), cfg.Line.Order),
+		Header: []string{"procs", "m", "naive", "exact", "fft", "fft/exact", "max rel Δ"},
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range benchProcs() {
+		runtime.GOMAXPROCS(p)
+		workers := cfg.Workers
+		if workers <= 0 {
+			workers = p
+		}
+		if err := historyFFTRows(cfg, mna, p, workers, rep, tbl); err != nil {
+			return nil, nil, err
+		}
+	}
+	tbl.Notes = append(tbl.Notes,
+		"naive = O(n·m²) reference; exact = blocked engine; fft = segmented fast convolution, O(n·m log² m)",
+		"fft/exact > 1 means the FFT tier wins; max rel Δ is fft vs naive and must stay ≤ 1e-10")
+	return tbl, rep, nil
+}
+
+// historyFFTRows measures every m of the sweep at GOMAXPROCS procs.
+func historyFFTRows(cfg HistoryFFTConfig, mna *circuit.MNA, procs, workers int, rep *HistoryFFTReport, tbl *Table) error {
 	for _, m := range cfg.Ms {
 		var naiveSol, fftSol *core.Solution
 		naive, err := minTime(cfg.Repeat, func() error {
@@ -108,7 +126,7 @@ func HistoryFFT(cfg HistoryFFTConfig) (*Table, *HistoryFFTReport, error) {
 			return err
 		})
 		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: naive history m=%d: %w", m, err)
+			return fmt.Errorf("experiments: naive history m=%d: %w", m, err)
 		}
 		exact, err := minTime(cfg.Repeat, func() error {
 			_, err := core.Solve(mna.Sys, mna.Inputs, m, cfg.T,
@@ -116,7 +134,7 @@ func HistoryFFT(cfg HistoryFFTConfig) (*Table, *HistoryFFTReport, error) {
 			return err
 		})
 		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: exact history m=%d: %w", m, err)
+			return fmt.Errorf("experiments: exact history m=%d: %w", m, err)
 		}
 		solveRep := &core.SolveReport{}
 		fftT, err := minTime(cfg.Repeat, func() error {
@@ -126,13 +144,14 @@ func HistoryFFT(cfg HistoryFFTConfig) (*Table, *HistoryFFTReport, error) {
 			return err
 		})
 		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: fft history m=%d: %w", m, err)
+			return fmt.Errorf("experiments: fft history m=%d: %w", m, err)
 		}
 		diff := maxAbsDiff(naiveSol.Coefficients(), fftSol.Coefficients())
 		if scale := naiveSol.Coefficients().MaxAbs(); scale > 1 {
 			diff /= scale
 		}
 		row := HistoryFFTRow{
+			GOMAXPROCS: procs, Workers: workers,
 			M: m, N: mna.Sys.N(),
 			NaiveNS: naive.Nanoseconds(), ExactNS: exact.Nanoseconds(), FFTNS: fftT.Nanoseconds(),
 			SpeedupExact:  float64(naive) / float64(exact),
@@ -142,11 +161,8 @@ func HistoryFFT(cfg HistoryFFTConfig) (*Table, *HistoryFFTReport, error) {
 			HistoryEngine: solveRep.HistoryEngine,
 		}
 		rep.Rows = append(rep.Rows, row)
-		tbl.AddRow(fmt.Sprintf("%d", m), fmtDur(naive), fmtDur(exact), fmtDur(fftT),
+		tbl.AddRow(fmt.Sprintf("%d", procs), fmt.Sprintf("%d", m), fmtDur(naive), fmtDur(exact), fmtDur(fftT),
 			fmt.Sprintf("%.2fx", row.FFTOverExact), fmt.Sprintf("%.2g", diff))
 	}
-	tbl.Notes = append(tbl.Notes,
-		"naive = O(n·m²) reference; exact = blocked engine; fft = segmented fast convolution, O(n·m log² m)",
-		"fft/exact > 1 means the FFT tier wins; max rel Δ is fft vs naive and must stay ≤ 1e-10")
-	return tbl, rep, nil
+	return nil
 }

@@ -299,16 +299,7 @@ func envelopeRelErr(a, b *waveform.Envelope) float64 {
 	return worst / (1 + scale)
 }
 
-// monteCarloProcs are the GOMAXPROCS settings the ablation measures at:
-// every CPU, then one (just one on a single-CPU machine).
-func monteCarloProcs() []int {
-	if n := runtime.NumCPU(); n > 1 {
-		return []int{n, 1}
-	}
-	return []int{1}
-}
-
-// MonteCarloBench runs the ablation: at each monteCarloProcs setting, for
+// MonteCarloBench runs the ablation: at each benchProcs setting, for
 // each fixture and N, the sweep through the SMW update path (UpdateRankLimit
 // pinned above the fixture rank) and refactorize-every-scenario
 // (UpdateRankLimit −1). It restores GOMAXPROCS before returning.
@@ -336,7 +327,7 @@ func MonteCarloBench(cfg MonteCarloBenchConfig) (*Table, *MonteCarloReport, erro
 		return time.Since(start), res, err
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, p := range monteCarloProcs() {
+	for _, p := range benchProcs() {
 		runtime.GOMAXPROCS(p)
 		for _, fx := range fixtures {
 			rank := len(fx.elements)

@@ -122,7 +122,7 @@ func TestMonteCarloBenchSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 4 * len(monteCarloProcs())
+	want := 4 * len(benchProcs())
 	if len(rep.Rows) != want {
 		t.Fatalf("rows = %d, want %d (GOMAXPROCS settings × 2 fixtures × 2 Ns)", len(rep.Rows), want)
 	}

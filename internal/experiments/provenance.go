@@ -21,6 +21,15 @@ type Provenance struct {
 	Date       string `json:"date"`
 }
 
+// benchProcs are the GOMAXPROCS settings the timed ablations measure at:
+// every CPU, then one (just one on a single-CPU machine).
+func benchProcs() []int {
+	if n := runtime.NumCPU(); n > 1 {
+		return []int{n, 1}
+	}
+	return []int{1}
+}
+
 // NewProvenance describes the running process and the checkout it runs in.
 func NewProvenance() Provenance {
 	return Provenance{

@@ -314,7 +314,8 @@ func TestConvEdgeLengths(t *testing.T) {
 }
 
 // FuzzConv cross-checks the fast convolution against the direct sum at
-// random power-of-two lengths, operand lengths and magnitudes.
+// random power-of-two lengths, operand lengths and magnitudes, and requires
+// the AVX kernels and the Go loops to give it the same bits.
 func FuzzConv(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint16(5), true)
 	f.Add(int64(2), uint8(0), uint16(0), false)
@@ -341,6 +342,15 @@ func FuzzConv(f *testing.F) {
 		a := gen(la)
 		b := gen(n - la + 1)
 		checkConv(t, n, a, b, prune)
+		got := fastConv(n, a, b, prune)
+		restore := SetSIMD(false)
+		want := fastConv(n, a, b, prune)
+		restore()
+		for i := range want {
+			if !sameComplexBits(got[i], want[i], false) {
+				t.Fatalf("n=%d prune=%v out %d: AVX kernels %v, Go loops %v", n, prune, i, got[i], want[i])
+			}
+		}
 	})
 }
 

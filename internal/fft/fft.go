@@ -10,6 +10,19 @@
 // Plan API (PlanFor, Plan.Forward, Plan.RealForward, …), which precomputes
 // the twiddle/bit-reversal/chirp tables once per size and reuses pooled
 // scratch.
+//
+// Kernels: the radix-2 butterflies run one whole stage per call — a DIT or
+// DIF stage loops over all its blocks, so the short-span stages pay no
+// per-block call — plus Convolve's pruned first stage (hi[k] = lo[k]·w[k])
+// and its fused middle block of four. On amd64 CPUs with AVX (the single
+// gate is vecops.HasAVX) they run as packed kernels, two complex128 values
+// per YMM register; everywhere else, and under the purego build tag, as the
+// Go loops in plan.go. The AVX kernels perform exactly the IEEE operations
+// of the Go loops, lane by lane and without fused multiply-adds (a complex
+// product is VMULPD×2 + VADDSUBPD, equal to Go's bit for bit because IEEE
+// addition commutes), so every transform has the same Float64bits on both
+// paths; the Go loops are the fallback and the reference the tests hold the
+// kernels to (kernels.go).
 package fft
 
 import (

@@ -181,21 +181,8 @@ func (p *Plan) radix2(x []complex128, inverse bool) {
 // its transform in natural order. tws is a stage-contiguous twiddle table
 // (Plan.fwd or Plan.inv).
 func ditStages(x, tws []complex128, h0 int) {
-	n := len(x)
-	for h := h0; h < n; h <<= 1 {
-		w := tws[h-1 : 2*h-1]
-		for s := 0; s < n; s += 2 * h {
-			lo := x[s : s+h]
-			hi := x[s+h : s+2*h]
-			hi = hi[:len(lo)]
-			w = w[:len(lo)]
-			for k := range lo {
-				a := lo[k]
-				b := hi[k] * w[k]
-				lo[k] = a + b
-				hi[k] = a - b
-			}
-		}
+	for h := h0; h < len(x); h <<= 1 {
+		ditStage(x, tws[h-1:2*h-1], h)
 	}
 }
 
@@ -203,29 +190,63 @@ func ditStages(x, tws []complex128, h0 int) {
 // half-span h0, h0/2, …, h1 over x; from h0 = n/2 down to h1 = 1 that takes
 // a natural-order input to its transform in bit-reversed order.
 func difStages(x, tws []complex128, h0, h1 int) {
-	n := len(x)
 	for h := h0; h >= h1; h >>= 1 {
-		w := tws[h-1 : 2*h-1]
-		for s := 0; s < n; s += 2 * h {
-			lo := x[s : s+h]
-			hi := x[s+h : s+2*h]
-			hi = hi[:len(lo)]
-			w = w[:len(lo)]
-			for k := range lo {
-				a, b := lo[k], hi[k]
-				lo[k] = a + b
-				hi[k] = (a - b) * w[k]
-			}
+		difStage(x, tws[h-1:2*h-1], h)
+	}
+}
+
+// The loops below are the reference kernels: the portable build runs them,
+// and the amd64 AVX kernels (kernels_amd64.s) perform exactly their IEEE
+// operations, lane by lane, so both give the same bits (see kernels.go).
+
+// ditStageGo runs one decimation-in-time stage of half-span h over x, with
+// w the stage's h twiddles.
+func ditStageGo(x, w []complex128, h int) {
+	for s := 0; s < len(x); s += 2 * h {
+		lo := x[s : s+h]
+		hi := x[s+h : s+2*h]
+		hi = hi[:len(lo)]
+		w := w[:len(lo)]
+		for k := range lo {
+			a := lo[k]
+			b := hi[k] * w[k]
+			lo[k] = a + b
+			hi[k] = a - b
 		}
 	}
 }
 
-// convMiddle does, one aligned block of four samples at a time, the two
+// difStageGo runs one decimation-in-frequency stage of half-span h over x,
+// with w the stage's h twiddles.
+func difStageGo(x, w []complex128, h int) {
+	for s := 0; s < len(x); s += 2 * h {
+		lo := x[s : s+h]
+		hi := x[s+h : s+2*h]
+		hi = hi[:len(lo)]
+		w := w[:len(lo)]
+		for k := range lo {
+			a, b := lo[k], hi[k]
+			lo[k] = a + b
+			hi[k] = (a - b) * w[k]
+		}
+	}
+}
+
+// mulGo sets dst[k] = a[k]·w[k] for k < len(dst).
+func mulGo(dst, a, w []complex128) {
+	a = a[:len(dst)]
+	w = w[:len(dst)]
+	for k := range dst {
+		dst[k] = a[k] * w[k]
+	}
+}
+
+// convMiddleGo does, one aligned block of four samples at a time, the two
 // last DIF stages (half-span 2, then 1), the product with spec, and the two
 // first inverse DIT stages (half-span 1, then 2). None of them reaches
 // outside the block, so one pass over x replaces five. The span-4 twiddles
 // are exactly −i forward and +i inverse, applied as swaps.
-func convMiddle(x, spec []complex128) {
+func convMiddleGo(x, spec []complex128) {
 	spec = spec[:len(x)]
 	for s := 0; s+3 < len(x); s += 4 {
 		b := x[s : s+4 : s+4]
@@ -242,6 +263,30 @@ func convMiddle(x, spec []complex128) {
 		v := complex(-imag(e), real(e)) // e·i
 		b[0], b[2] = u0+u2, u0-u2
 		b[1], b[3] = u1+v, u1-v
+	}
+}
+
+// scalePartsGo multiplies the real parts of z by sr and the imaginary parts
+// by si.
+func scalePartsGo(z []complex128, sr, si float64) {
+	for p, v := range z {
+		z[p] = complex(real(v)*sr, imag(v)*si)
+	}
+}
+
+// addRealGo adds real(z[r])·u into dst[r] for r < len(dst).
+func addRealGo(dst []float64, z []complex128, u float64) {
+	z = z[:len(dst)]
+	for r, v := range z {
+		dst[r] += real(v) * u
+	}
+}
+
+// addImagGo adds imag(z[r])·u into dst[r] for r < len(dst).
+func addImagGo(dst []float64, z []complex128, u float64) {
+	z = z[:len(dst)]
+	for r, v := range z {
+		dst[r] += imag(v) * u
 	}
 }
 
@@ -269,12 +314,7 @@ func (p *Plan) Convolve(x, spec []complex128) {
 	}
 	x, spec = x[:n], spec[:n]
 	h := n / 2
-	lo, hi, w := x[:h], x[h:], p.fwd[h-1:2*h-1]
-	hi = hi[:len(lo)]
-	w = w[:len(lo)]
-	for k := range lo {
-		hi[k] = lo[k] * w[k]
-	}
+	mul(x[h:], x[:h], p.fwd[h-1:2*h-1])
 	difStages(x, p.fwd, h/2, 4)
 	convMiddle(x, spec)
 	ditStages(x, p.inv, 4)

@@ -206,3 +206,109 @@ func TestChaosKillRestartSoak(t *testing.T) {
 		t.Fatalf("goroutine leak: %d now vs %d at start\n%s", g, baseGoroutines, buf[:runtime.Stack(buf, true)])
 	}
 }
+
+// journals lists the journal files in dir.
+func journals(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*"+journalExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// serveDirect runs one request through srv's handler on the calling
+// goroutine and returns the recorded response: no connection, so the
+// "client" reads nothing until the handler has returned.
+func serveDirect(srv *Server, path, body string) *http.Response {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return rec.Result()
+}
+
+// TestChaosDrainBeforeHeaderRead pins the soak's orphaned-journal sequence
+// deterministically: a drain lands after the queue has admitted a job and
+// before its client has read the stream header.
+//
+//   - Drained before the job starts: Drain has already seen no job running
+//     and returned, so the job must not start at all. It is refused with 503
+//     and leaves no journal; before the fix it journaled a job whose client,
+//     its connection torn down, never learned the id, and every restart
+//     re-adopted it as suspended with nobody to resume it.
+//   - Drained after the job is registered: Drain waits for it, the stream
+//     still carries the job id, and a server restarted over the journal
+//     directory resumes it to the offline bits and retires the journal.
+func TestChaosDrainBeforeHeaderRead(t *testing.T) {
+	body := resumeBody(supercapDeck, 48, "fft")
+	drain := func(t *testing.T, srv *Server) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Drain(ctx); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	}
+
+	t.Run("before start", func(t *testing.T) {
+		dir := t.TempDir()
+		srv := New(Config{Workers: 2, CheckpointEvery: 4, JournalDir: dir})
+		srv.admitHook = func() { drain(t, srv) }
+		resp := serveDirect(srv, "/v1/solve", body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("job admitted across a drain answered %d, want 503", resp.StatusCode)
+		}
+		if left := journals(t, dir); len(left) != 0 {
+			t.Fatalf("refused job left journals %v", left)
+		}
+		if n := len(New(Config{JournalDir: dir}).reg.summaries()); n != 0 {
+			t.Fatalf("restart recovered %d jobs, want none", n)
+		}
+	})
+
+	t.Run("after registration", func(t *testing.T) {
+		dir := t.TempDir()
+		job, sols := offlineColumns(t, body)
+		srvA := New(Config{Workers: 2, CheckpointEvery: 4, JournalDir: dir})
+		drained := make(chan error, 1)
+		var once sync.Once
+		srvA.columnHook = func(_ string, col int) {
+			once.Do(func() {
+				go func() {
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					defer cancel()
+					drained <- srvA.Drain(ctx)
+				}()
+				<-srvA.drainCtx.Done()
+			})
+		}
+		hdr, cols, errRec, done := readStream(t, serveDirect(srvA, "/v1/solve", body), nil, 0)
+		if err := <-drained; err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		if done {
+			t.Fatal("the drained solve reported done")
+		}
+		id := ""
+		if hdr != nil {
+			id = hdr.Job
+		}
+		if errRec == nil || !errRec.Resumable || errRec.Job != id || id == "" {
+			t.Fatalf("drained stream: header %+v, trailer %+v; want the job id in both", hdr, errRec)
+		}
+		if len(journals(t, dir)) != 1 {
+			t.Fatalf("drained job left journals %v, want one", journals(t, dir))
+		}
+
+		srvB := New(Config{Workers: 2, CheckpointEvery: 4, JournalDir: dir})
+		rb := fmt.Sprintf(`{"job": %q, "from": %d}`, id, len(cols))
+		_, rest, errRec, done := readStream(t, serveDirect(srvB, "/v1/resume", rb), nil, 0)
+		if errRec != nil || !done {
+			t.Fatalf("resume ended with %+v, done=%v", errRec, done)
+		}
+		checkCombined(t, job, sols, append(cols, rest...), 48)
+		if left := journals(t, dir); len(left) != 0 {
+			t.Fatalf("completed job left journals %v", left)
+		}
+	})
+}

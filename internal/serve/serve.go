@@ -216,6 +216,9 @@ type Server struct {
 	// streamed, identified by the deck title; the soak/cancel tests use it to
 	// pace or block a solve mid-stream. Set before serving traffic.
 	columnHook func(title string, col int)
+	// admitHook is a test seam invoked after the queue admits a job and
+	// before the job starts; the drain-race tests drain the server there.
+	admitHook func()
 }
 
 // New builds a Server from cfg (zero fields take defaults; see Config). With
@@ -278,8 +281,21 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // jobStarted and jobEnded bracket a job's hold on a worker slot; the
-// jobEnded that leaves no job running wakes a waiting Drain.
-func (s *Server) jobStarted() { s.jobsMu.Lock(); s.jobs++; s.jobsMu.Unlock() }
+// jobEnded that leaves no job running wakes a waiting Drain. jobStarted
+// refuses, returning false, once a drain has begun: Drain sets draining
+// before it reads the count under jobsMu, so a job either is counted before
+// Drain looks or sees the drain and never starts. Without that, a job the
+// queue admitted just as a drain began could start after Drain returned and
+// journal a job that no client ever learns the id of.
+func (s *Server) jobStarted() bool {
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.jobs++
+	return true
+}
 
 func (s *Server) jobEnded() {
 	s.jobsMu.Lock()
@@ -476,10 +492,20 @@ func (s *Server) executeJob(w http.ResponseWriter, r *http.Request, job *job, bo
 		return
 	}
 	defer s.q.release()
+	if s.admitHook != nil {
+		s.admitHook()
+	}
+	if !s.jobStarted() {
+		if entry != nil {
+			s.reg.detach(entry)
+		}
+		s.met.incRejected()
+		writeJSONError(w, http.StatusServiceUnavailable, "server is draining; retry against a healthy instance")
+		return
+	}
 	s.bo.admitted()
 	s.met.startJob()
 	defer s.met.endJob()
-	s.jobStarted()
 	defer s.jobEnded()
 
 	if entry == nil {

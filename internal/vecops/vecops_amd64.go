@@ -8,6 +8,11 @@ package vecops
 // YMM state saving (OSXSAVE + XGETBV), which cpuHasAVX checks too.
 var hasAVX = cpuHasAVX()
 
+// HasAVX reports whether the packed AVX kernels run on this CPU. It is the
+// module's single CPU gate: other packages with AVX kernels (internal/fft)
+// dispatch on it rather than probing the CPU themselves.
+func HasAVX() bool { return hasAVX }
+
 func cpuHasAVX() bool
 
 func subMulAVX(dst, src *float64, n int, c float64)
