@@ -94,7 +94,7 @@ func solveCoeffRows(t *testing.T, fx goldenFixture, opt core.Options) [][]float6
 
 // TestGoldenWaveforms pins today's Solve outputs: the serial reference, the
 // blocked single-worker engine, and the parallel engine must all match the
-// committed snapshots to 1e-12. Regenerate with
+// committed snapshots bit for bit (math.Float64bits). Regenerate with
 //
 //	go test ./internal/core -run TestGolden -update
 func TestGoldenWaveforms(t *testing.T) {
@@ -146,9 +146,9 @@ func TestGoldenWaveforms(t *testing.T) {
 				for i := range rows {
 					for j := range rows[i] {
 						got, ref := rows[i][j], want.X[i][j]
-						if math.Abs(got-ref) > 1e-12*(1+math.Abs(ref)) {
-							t.Fatalf("%s: X[%d][%d] = %.17g, golden %.17g (|Δ|=%g)",
-								variant.name, i, j, got, ref, math.Abs(got-ref))
+						if math.Float64bits(got) != math.Float64bits(ref) {
+							t.Fatalf("%s: X[%d][%d] = %.17g, golden %.17g (bits differ)",
+								variant.name, i, j, got, ref)
 						}
 					}
 				}
