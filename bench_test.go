@@ -173,7 +173,7 @@ func BenchmarkAdaptive_Auto(b *testing.B) {
 	}
 }
 
-// --- History engine: serial vs blocked vs blocked+parallel (§IV cost split) -
+// --- History engine: exact fold vs FFT tier (§IV cost split) ---------------
 
 // benchHistory times a full fractional solve, which the O(nm²) history sum
 // dominates for m ≥ 512; opt selects the history implementation.
@@ -194,46 +194,28 @@ func benchHistory(b *testing.B, m int, sections int, opt core.Options) {
 	}
 }
 
-func benchHistoryFamily(b *testing.B, opt core.Options) {
+func BenchmarkHistory_Exact(b *testing.B) {
+	// HistoryExact pinned: with HistoryAuto the large-m runs would silently
+	// measure the FFT tier instead of the exact fold.
+	opt := core.Options{HistoryMode: core.HistoryExact}
 	for _, m := range []int{512, 2048, 4096} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) { benchHistory(b, m, 7, opt) })
 	}
 	// A wider line (more states per column) shifts work from loop overhead
-	// to the axpy kernels, the regime where blocking pays most.
+	// to the axpy kernels.
 	b.Run("n=64/m=1024", func(b *testing.B) { benchHistory(b, 1024, 64, opt) })
 }
 
-func BenchmarkHistory_Serial(b *testing.B) {
-	benchHistoryFamily(b, core.Options{HistoryNaive: true})
-}
-
-func BenchmarkHistory_Blocked(b *testing.B) {
-	// HistoryExact pinned: with HistoryAuto the large-m runs would silently
-	// measure the FFT tier instead of the blocked engine.
-	benchHistoryFamily(b, core.Options{Workers: 1, HistoryMode: core.HistoryExact})
-}
-
-func BenchmarkHistory_BlockedParallel(b *testing.B) {
-	// Workers: 0 → auto (GOMAXPROCS)
-	benchHistoryFamily(b, core.Options{HistoryMode: core.HistoryExact})
-}
-
-// --- History engine: FFT fast-convolution tier vs naive and blocked ----------
-
-// The HistoryFFT sweep shares one m axis across the three engines so the
-// crossover is read directly off the ns/op columns; cmd/opm-bench's
-// historyfft experiment emits the same sweep as BENCH_history_fft.json.
+// The HistoryFFT sweep shares one m axis across both tiers so the crossover
+// is read directly off the ns/op columns; cmd/opm-bench's historyfft
+// experiment emits the same sweep as BENCH_history_fft.json.
 func benchHistoryFFTFamily(b *testing.B, opt core.Options) {
 	for _, m := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) { benchHistory(b, m, 7, opt) })
 	}
 }
 
-func BenchmarkHistoryFFT_Naive(b *testing.B) {
-	benchHistoryFFTFamily(b, core.Options{HistoryNaive: true})
-}
-
-func BenchmarkHistoryFFT_Blocked(b *testing.B) {
+func BenchmarkHistoryFFT_Exact(b *testing.B) {
 	benchHistoryFFTFamily(b, core.Options{HistoryMode: core.HistoryExact})
 }
 

@@ -4,17 +4,13 @@
 //
 // Usage:
 //
-//	opm-bench -experiment table1|table2|waveforms|adaptive|opmatrix|bases|scaling|history|historyfft|batch|all [flags]
+//	opm-bench -experiment table1|table2|waveforms|adaptive|opmatrix|bases|scaling|historyfft|batch|all [flags]
 //
 // The paper-scale Table II instance (NA ≈ 75 K states) is gated behind
-// -full; the default grid is laptop-scale. -experiment history sweeps the
-// parallel history engine (serial vs blocked vs blocked+parallel) and
-// writes a machine-readable BENCH_history.json (see -histout, -workers);
-// -experiment historyfft sweeps the FFT fast-convolution tier against the
-// naive and exact engines across the auto crossover and writes
-// BENCH_history_fft.json (see -histfftout). -history overrides the engine
-// mode (auto, exact, fft) used by the history ablation's blocked and
-// parallel variants. -experiment batch compares K sequential solves of the
+// -full; the default grid is laptop-scale. -experiment historyfft sweeps the
+// FFT fast-convolution history tier against the exact tier across the auto
+// crossover and writes BENCH_history_fft.json (see -histfftout, -workers).
+// -experiment batch compares K sequential solves of the
 // Table II grid (sharing a factorization cache) against one batched
 // SolveBatch call and writes BENCH_batch.json (see -batchout).
 // -experiment montecarlo ablates Sherman–Morrison–Woodbury factor updates
@@ -32,35 +28,32 @@ import (
 	"strconv"
 	"strings"
 
-	"opmsim/internal/core"
 	"opmsim/internal/experiments"
 )
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run: table1, table2, waveforms, adaptive, opmatrix, bases, scaling, mor, fracfit, walshtrend, history, historyfft, batch, montecarlo, all (montecarlo is not part of all)")
+		experiment = flag.String("experiment", "all", "which experiment to run: table1, table2, waveforms, adaptive, opmatrix, bases, scaling, mor, fracfit, walshtrend, historyfft, batch, montecarlo, all (montecarlo is not part of all)")
 		full       = flag.Bool("full", false, "run Table II at paper scale (~75K NA states; needs several GB and minutes)")
 		repeat     = flag.Int("repeat", 10, "timing repetitions for Table I")
 		gridRows   = flag.Int("grid", 0, "override Table II grid rows/cols (0 = default 16)")
-		workers    = flag.Int("workers", 0, "history-engine worker goroutines (0 = GOMAXPROCS)")
-		histOut    = flag.String("histout", "BENCH_history.json", "machine-readable output path for -experiment history")
+		workers    = flag.Int("workers", 0, "worker goroutines for the historyfft and scale experiments (0 = GOMAXPROCS)")
 		histFFTOut = flag.String("histfftout", "BENCH_history_fft.json", "machine-readable output path for -experiment historyfft")
 		batchOut   = flag.String("batchout", "BENCH_batch.json", "machine-readable output path for -experiment batch")
 		mcOut      = flag.String("mcout", "BENCH_montecarlo.json", "machine-readable output path for -experiment montecarlo")
 		scaleOut   = flag.String("scaleout", "BENCH_scale.json", "machine-readable output path for -experiment scale")
 		scaleSizes = flag.String("scalesizes", "", "comma-separated grid node counts for -experiment scale (default 1000,10000,100000; \"smoke\" = the CI-sized instance)")
 		scaleBase  = flag.String("scalebaseline", "", "baseline BENCH_scale.json to guard against: fail when the factorization or solve speedup regresses >25% at any shared size")
-		history    = flag.String("history", "", "history engine mode for the history ablation: auto, exact, or fft (default: exact)")
 		seed       = flag.Int64("seed", 1, "seed for generated benchmark networks (Table II grid loads, MOR, scaling); same seed, same netlist")
 	)
 	flag.Parse()
-	if err := run(*experiment, *full, *repeat, *gridRows, *workers, *histOut, *histFFTOut, *batchOut, *mcOut, *scaleOut, *scaleSizes, *scaleBase, *history, *seed); err != nil {
+	if err := run(*experiment, *full, *repeat, *gridRows, *workers, *histFFTOut, *batchOut, *mcOut, *scaleOut, *scaleSizes, *scaleBase, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "opm-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment string, full bool, repeat, gridRows, workers int, histOut, histFFTOut, batchOut, mcOut, scaleOut, scaleSizes, scaleBase, history string, seed int64) error {
+func run(experiment string, full bool, repeat, gridRows, workers int, histFFTOut, batchOut, mcOut, scaleOut, scaleSizes, scaleBase string, seed int64) error {
 	runOne := func(name string) error {
 		switch name {
 		case "table1":
@@ -134,30 +127,6 @@ func run(experiment string, full bool, repeat, gridRows, workers int, histOut, h
 				return err
 			}
 			tbl.Fprint(os.Stdout)
-		case "history":
-			cfg := experiments.DefaultHistory()
-			cfg.Workers = workers
-			if repeat > 0 {
-				cfg.Repeat = repeat
-			}
-			if history != "" {
-				mode, err := core.ParseHistoryMode(history)
-				if err != nil {
-					return err
-				}
-				cfg.Mode = mode
-			}
-			tbl, rep, err := experiments.History(cfg)
-			if err != nil {
-				return err
-			}
-			tbl.Fprint(os.Stdout)
-			if histOut != "" {
-				if err := rep.WriteJSON(histOut); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", histOut)
-			}
 		case "historyfft":
 			cfg := experiments.DefaultHistoryFFT()
 			cfg.Workers = workers
@@ -261,7 +230,7 @@ func run(experiment string, full bool, repeat, gridRows, workers int, histOut, h
 		return nil
 	}
 	if experiment == "all" {
-		for _, name := range []string{"table1", "table2", "waveforms", "adaptive", "opmatrix", "bases", "scaling", "mor", "fracfit", "walshtrend", "history", "historyfft", "batch"} {
+		for _, name := range []string{"table1", "table2", "waveforms", "adaptive", "opmatrix", "bases", "scaling", "mor", "fracfit", "walshtrend", "historyfft", "batch"} {
 			if err := runOne(name); err != nil {
 				return err
 			}

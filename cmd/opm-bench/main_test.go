@@ -9,40 +9,21 @@ import (
 
 func TestRunFastExperiments(t *testing.T) {
 	for _, name := range []string{"opmatrix", "bases", "adaptive"} {
-		if err := run(name, false, 1, 0, 0, "", "", "", "", "", "", "", "", 1); err != nil {
+		if err := run(name, false, 1, 0, 0, "", "", "", "", "", "", 1); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
 
 func TestRunTableIQuick(t *testing.T) {
-	if err := run("table1", false, 1, 0, 0, "", "", "", "", "", "", "", "", 1); err != nil {
+	if err := run("table1", false, 1, 0, 0, "", "", "", "", "", "", 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunTableIISmallGrid(t *testing.T) {
-	if err := run("table2", false, 1, 6, 0, "", "", "", "", "", "", "", "", 1); err != nil {
+	if err := run("table2", false, 1, 6, 0, "", "", "", "", "", "", 1); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunHistoryWritesJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("history sweep solves up to m=4096; skipped in -short mode")
-	}
-	out := filepath.Join(t.TempDir(), "BENCH_history.json")
-	if err := run("history", false, 1, 0, 2, out, "", "", "", "", "", "", "", 1); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("history report not written: %v", err)
-	}
-	for _, key := range []string{"\"gomaxprocs\"", "\"speedup_parallel\"", "\"max_abs_diff\""} {
-		if !strings.Contains(string(buf), key) {
-			t.Fatalf("report missing %s:\n%s", key, buf)
-		}
 	}
 }
 
@@ -51,7 +32,7 @@ func TestRunHistoryFFTWritesJSON(t *testing.T) {
 		t.Skip("historyfft sweep solves up to m=4096; skipped in -short mode")
 	}
 	out := filepath.Join(t.TempDir(), "BENCH_history_fft.json")
-	if err := run("historyfft", false, 1, 0, 2, "", out, "", "", "", "", "", "", 1); err != nil {
+	if err := run("historyfft", false, 1, 0, 2, out, "", "", "", "", "", 1); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := os.ReadFile(out)
@@ -67,7 +48,7 @@ func TestRunHistoryFFTWritesJSON(t *testing.T) {
 
 func TestRunBatchWritesJSON(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_batch.json")
-	if err := run("batch", false, 1, 6, 0, "", "", out, "", "", "", "", "", 1); err != nil {
+	if err := run("batch", false, 1, 6, 0, "", out, "", "", "", "", 1); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := os.ReadFile(out)
@@ -83,7 +64,7 @@ func TestRunBatchWritesJSON(t *testing.T) {
 
 func TestRunScaleWritesJSONAndGuards(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	if err := run("scale", false, 1, 0, 0, "", "", "", "", out, "2000", "", "", 1); err != nil {
+	if err := run("scale", false, 1, 0, 0, "", "", "", out, "2000", "", 1); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := os.ReadFile(out)
@@ -96,19 +77,13 @@ func TestRunScaleWritesJSONAndGuards(t *testing.T) {
 		}
 	}
 	// A missing baseline is a hard error, not a silent pass.
-	if err := run("scale", false, 1, 0, 0, "", "", "", "", filepath.Join(t.TempDir(), "again.json"), "2000", filepath.Join(t.TempDir(), "missing.json"), "", 1); err == nil {
+	if err := run("scale", false, 1, 0, 0, "", "", "", filepath.Join(t.TempDir(), "again.json"), "2000", filepath.Join(t.TempDir(), "missing.json"), 1); err == nil {
 		t.Fatal("guard accepted a missing baseline")
 	}
 }
 
-func TestRunHistoryRejectsBadMode(t *testing.T) {
-	if err := run("history", false, 1, 0, 2, "", "", "", "", "", "", "", "fast", 1); err == nil {
-		t.Fatal("accepted unknown -history mode")
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nope", false, 1, 0, 0, "", "", "", "", "", "", "", "", 1); err == nil {
+	if err := run("nope", false, 1, 0, 0, "", "", "", "", "", "", 1); err == nil {
 		t.Fatal("accepted unknown experiment")
 	}
 }

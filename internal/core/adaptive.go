@@ -49,7 +49,7 @@ func SolveAdaptiveCtx(ctx context.Context, sys *System, u []waveform.Signal, ste
 	// Materialize D̃ᵅᵏ for each term (dense m×m; the adaptive path is meant
 	// for modest m, where step placement replaces step count). The
 	// adaptive-grid D̃ᵅ has no Toeplitz structure, so every nonzero-order term
-	// runs through the general (blocked, parallel) history engine — the FFT
+	// runs through the exact history tier's ascending fold — the FFT
 	// fast-convolution tier never applies here, whatever Options.HistoryMode
 	// says (the mode is still validated).
 	for k, t := range sys.Terms {

@@ -623,7 +623,7 @@ func SolveBatch(sys *System, scenarios []Scenario, m int, T float64, opt BatchOp
 }
 
 // SolveBatchCtx is SolveBatch with cancellation, checked once per column (and
-// at the chunk/segment boundaries of the scenario history engines).
+// at the FFT segment firings of the scenario history engines).
 func SolveBatchCtx(ctx context.Context, sys *System, scenarios []Scenario, m int, T float64, opt BatchOptions) (_ []*Solution, err error) {
 	rep := opt.report()
 	defer func() { rep.Err = err }()

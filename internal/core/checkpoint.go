@@ -11,10 +11,9 @@ import (
 // Checkpointable solves.
 //
 // Every piece of solver state that outlives a column — the integer-order
-// recurrence lags, the exact tier's chunk-head accumulators, the FFT tier's
-// fired segment spectra — is a deterministic, worker-invariant function of
-// the committed solution columns. A checkpoint therefore stores only the raw
-// committed column slabs (the shifted variable z = x − x0 exactly as the
+// recurrence lags and the FFT tier's fired segment spectra — is a
+// deterministic, worker-invariant function of the committed solution columns.
+// A checkpoint therefore stores only the raw committed column slabs (the shifted variable z = x − x0 exactly as the
 // solver keeps it in its xbuf), and resuming replays the cheap state
 // reconstruction in the same floating-point operation order the original run
 // used. The replayed run then continues with bit-for-bit the operands an
@@ -23,13 +22,10 @@ import (
 //
 // Two structural facts make the replay exact rather than merely close:
 //
-//   - The exact history tier's chunk heads fold committed columns in
-//     ascending column order into a single accumulator, and the tail fold
-//     continues that same ascending order — so the head/tail split position
-//     never changes the addition sequence. A fresh engine resuming at any
-//     column j0 lazily rebuilds a head for chunk [j0, j0+chunk) whose block
-//     boundaries differ from the original run's, yet every column's history
-//     sum is the identical ascending fold. No head replay is needed at all.
+//   - The exact history tier keeps no state between columns: each history
+//     sum is one ascending fold over the committed slab, so a fresh engine
+//     resuming at any column j0 computes the identical sum with nothing to
+//     replay.
 //   - The FFT tier's segment firings are pure functions of (fire column,
 //     committed columns): each firing accumulates into disjoint spectra rows
 //     in ascending fire-column order. Replaying the firings below j0 in that
@@ -61,7 +57,7 @@ type Checkpoint struct {
 	// same m but different span yields different coefficients.
 	T float64
 	// Engine is the resolved history-engine name of the originating solve:
-	// "" (no fractional terms), "exact", "fft", or "naive". Resuming under a
+	// "" (no fractional terms), "exact", or "fft". Resuming under a
 	// different engine would change summation order, so it must match.
 	Engine string
 	// Columns is the number of committed columns: Slabs covers [0, Columns).
@@ -251,8 +247,8 @@ func (r *columnRun) resume(cp *Checkpoint) error {
 // replayScenario rebuilds one scenario's member-wise history state through
 // column j0: the integer-order recurrences step column by column exactly as
 // rhs and commit do, and the history engine refires its FFT segments. The
-// exact tier needs no replay — its chunk heads are split-position-invariant
-// ascending folds that the engine rebuilds lazily on the first history call.
+// exact tier needs no replay: it keeps no state between columns, and each
+// history call folds the committed slab from column 0.
 func replayScenario(st *scenState, j0 int) error {
 	for j := 0; j < j0; j++ {
 		for _, ih := range st.hist {
@@ -270,10 +266,9 @@ func replayScenario(st *scenState, j0 int) error {
 // eagerly: every segment firing strictly below j0 is refired in ascending
 // fire-column order (the chronological order of the original run), restoring
 // the spectra accumulators bit for bit. A firing due at j0 itself happens
-// live when the loop solves column j0. The exact tier's chunk heads rebuild
-// lazily (see replayScenario); the naive tier holds no state.
+// live when the loop solves column j0. The exact tier holds no state.
 func (e *historyEngine) resumeAt(j0 int, xs []float64) error {
-	if j0 == 0 || e.naive {
+	if j0 == 0 {
 		return nil
 	}
 	for _, t := range e.orderedTerms() {

@@ -108,8 +108,8 @@ func checkpointThrough(t *testing.T, tc cpTestCase, sys *System, scs []Scenario,
 }
 
 // TestCheckpointResumeBitwise is the core conformance matrix: for every
-// engine path and a set of resume points (mid-chunk, at chunk and FFT
-// segment boundaries, first and last column), a solve interrupted at a
+// engine path and a set of resume points (mid-segment, at FFT segment
+// boundaries, first and last column), a solve interrupted at a
 // column boundary and resumed from its checkpoint must reproduce the
 // uninterrupted solution bit for bit — including under different Workers and
 // PanelWidth than the original run.

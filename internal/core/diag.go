@@ -212,7 +212,7 @@ type SolveReport struct {
 	// runs always reflects the most recent one.
 	Err error
 	// HistoryEngine names the engine that served the run's
-	// fractional/high-order history sums: "exact", "fft", or "naive"; empty
+	// fractional/high-order history sums: "exact" or "fft"; empty
 	// when every term used an O(1) recurrence (the orders-{0,1} fast path)
 	// and no general history engine ran. It records what HistoryAuto
 	// resolved to, and that adaptive grids stayed on the exact engine.

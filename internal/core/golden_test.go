@@ -92,9 +92,9 @@ func solveCoeffRows(t *testing.T, fx goldenFixture, opt core.Options) [][]float6
 	return rows
 }
 
-// TestGoldenWaveforms pins today's Solve outputs: the serial reference, the
-// blocked single-worker engine, and the parallel engine must all match the
-// committed snapshots bit for bit (math.Float64bits). Regenerate with
+// TestGoldenWaveforms pins today's Solve outputs: one worker, the default
+// worker count and eight workers must all match the committed snapshots bit
+// for bit (math.Float64bits). Regenerate with
 //
 //	go test ./internal/core -run TestGolden -update
 func TestGoldenWaveforms(t *testing.T) {
@@ -134,10 +134,9 @@ func TestGoldenWaveforms(t *testing.T) {
 				name string
 				opt  core.Options
 			}{
-				{"serial-naive", core.Options{HistoryNaive: true}},
-				{"blocked-1worker", core.Options{Workers: 1}},
-				{"blocked-parallel", core.Options{}},
-				{"blocked-8workers", core.Options{Workers: 8}},
+				{"1worker", core.Options{Workers: 1}},
+				{"default", core.Options{}},
+				{"8workers", core.Options{Workers: 8}},
 			} {
 				rows := solveCoeffRows(t, fx, variant.opt)
 				if len(rows) != want.N {

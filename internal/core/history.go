@@ -18,40 +18,19 @@ import (
 //
 // for the fractional/high-order terms whose Toeplitz (or adaptive-grid)
 // coefficients admit no short recurrence — the O(nᵝm + nm²) part of the
-// paper's §IV cost split. It restructures the computation without changing
-// a single floating-point rounding:
+// paper's §IV cost split. It has two tiers:
 //
-//   - columns are processed in chunks of historyChunk; when a chunk begins,
-//     the contribution of every already-solved column ("head") to each
-//     column of the chunk is precomputed in one burst, tiled into
-//     fixed-size blocks of past columns so a block of X stays cache-hot
-//     while it is folded into all chunk columns;
-//   - the head burst is fanned out over a process-wide worker pool, one
-//     contiguous range of chunk columns per task, so two workers never
-//     share an accumulator;
-//   - inside the chunk, each column adds the remaining triangle ("tail")
-//     serially, exactly as the reference loop would.
+//   - the exact tier folds the past columns into w_j one by one, in
+//     ascending i, on the solving goroutine: the reference summation,
+//     O(n·j) per column;
+//   - the FFT tier (historyfft.go) serves Toeplitz terms by segmented fast
+//     convolution, O(n·m log² m) in total.
 //
-// Determinism: every accumulator is owned by exactly one task, and past
-// columns are always folded in ascending index order — first the head
-// (blocks visited in ascending order, ascending i within a block), then the
-// tail. The floating-point additions therefore happen in the reference
-// serial order regardless of block size, chunk size, or worker count: the
-// engine is bitwise-identical to the naive column-by-column summation and
-// to itself under any Options.Workers setting.
-const (
-	// historyChunk is the number of columns per head burst. Larger chunks
-	// amortize pool synchronization but grow the serial tail; the tail is
-	// an O(m·chunk/2) share of the O(m²/2) total, i.e. chunk/m of the work.
-	historyChunk = 64
-	// historyBlockTargetBytes sizes the past-column tile so a block of X
-	// (block·n floats) stays within L1/L2 while it is reused across the
-	// chunk columns of a task.
-	historyBlockTargetBytes = 32 << 10
-)
-
-// historyPool is the process-wide worker pool shared by all history engines
-// across Solve, SolveAdaptive, and SolveNonlinear calls. Goroutines are
+// Determinism: the exact tier has one accumulation order, so its results
+// depend on nothing but the inputs; the FFT tier's firings are
+// bitwise-identical under any Options.Workers setting (see historyfft.go).
+// historyPool is the process-wide worker pool shared by the FFT tier's
+// firings, batch preparation and the driver's group tasks across all solves. Goroutines are
 // started once, sized to GOMAXPROCS, and parked on a channel between bursts.
 var historyPool struct {
 	once sync.Once
@@ -127,16 +106,15 @@ func engineErrKind(err error) error {
 // Exactly one of toe/genCols is set: toe holds the uniform-grid Toeplitz
 // coefficients (c(i,j) = toe[j−i]), genCols the transposed adaptive-grid
 // operational matrix (c(i,j) = genCols.At(j,i) — stored column-major so the
-// fold over past i indexes one contiguous slice, skipping exact zeros like
-// the reference loop does). Toeplitz terms of an FFT-mode engine carry the
-// fast-convolution state in fft instead of chunked head accumulators.
+// fold over past i indexes one contiguous slice, skipping exact zeros).
+// Toeplitz terms of an FFT-mode engine carry the fast-convolution state in
+// fft.
 type historyTerm struct {
 	key     int // registration key (System term index); names the term in shared caches
 	toe     []float64
 	genCols *mat.Dense
-	head    [][]float64 // head sums for the current chunk, one n-vector per column
-	fft     *fftHist    // segmented fast-convolution state (FFT tier only)
-	w       []float64   // scratch returned by history()
+	fft     *fftHist  // segmented fast-convolution state (FFT tier only)
+	w       []float64 // scratch returned by history()
 }
 
 // kernelCache shares FFT lag-kernel spectra across the per-scenario history
@@ -176,46 +154,34 @@ func (c *kernelCache) put(term, L int, spec []complex128) {
 // solved before history(·, j, xs) is called.
 type historyEngine struct {
 	n, m    int
-	workers int
-	block   int
-	naive   bool
+	workers int  // FFT-tier pair fan-out
 	useFFT  bool // route new Toeplitz terms to the fast-convolution tier
 	fftBase int  // FFT-tier base segment length (historyFFTBase; tests shrink it)
-	chunkLo int  // first column of the current chunk
 	terms   map[int]*historyTerm
 	// order lists term keys in registration order. All term iteration goes
-	// through it — never through the map — so task construction and head
-	// zeroing are independent of map iteration order (maporder lint rule).
+	// through it — never through the map — so checkpoint replay is
+	// independent of map iteration order (maporder lint rule).
 	order   []int
 	kernels *kernelCache       // shared FFT kernel spectra (batch runs); may be nil
-	ctx     context.Context    // checked at chunk/segment boundaries; may be nil
+	ctx     context.Context    // checked at FFT segment firings; may be nil
 	fault   *faultinject.Hooks // optional injection hooks; may be nil
 }
 
 // setGuards attaches the cancellation context and fault-injection hooks the
-// engine consults at chunk boundaries and inside worker tasks.
+// engine consults at FFT segment firings and inside their worker tasks.
 func (e *historyEngine) setGuards(ctx context.Context, opt *Options) {
 	e.ctx = ctx
 	e.fault = opt.Fault
 }
 
 // newHistoryEngine creates an engine for an n-state, m-column solve,
-// resolving Options.Workers (≤ 0 means runtime.GOMAXPROCS(0)),
-// Options.HistoryNaive (the reference column-by-column summation, used by
-// benchmarks and cross-checks) and Options.HistoryMode (which routes
-// Toeplitz terms to the FFT fast-convolution tier). The only error is an
-// unrecognized HistoryMode.
+// resolving Options.Workers (≤ 0 means runtime.GOMAXPROCS(0)) and
+// Options.HistoryMode (which routes Toeplitz terms to the FFT
+// fast-convolution tier). The only error is an unrecognized HistoryMode.
 func newHistoryEngine(n, m int, opt *Options) (*historyEngine, error) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	block := historyBlockTargetBytes / (8 * n)
-	if block < 32 {
-		block = 32
-	}
-	if block > 1024 {
-		block = 1024
 	}
 	useFFT, err := opt.historyFFTEnabled(m)
 	if err != nil {
@@ -224,16 +190,14 @@ func newHistoryEngine(n, m int, opt *Options) (*historyEngine, error) {
 	return &historyEngine{
 		n: n, m: m,
 		workers: workers,
-		block:   block,
-		naive:   opt.HistoryNaive,
 		useFFT:  useFFT,
 		fftBase: historyFFTBase,
 		terms:   map[int]*historyTerm{},
 	}, nil
 }
 
-// newTerm allocates a term's scratch: fast-convolution state when the term
-// runs on the FFT tier, chunked head accumulators otherwise.
+// newTerm allocates a term's scratch, plus the fast-convolution state when
+// the term runs on the FFT tier.
 func (e *historyEngine) newTerm(useFFT bool) *historyTerm {
 	t := &historyTerm{w: make([]float64, e.n)}
 	if useFFT {
@@ -242,22 +206,13 @@ func (e *historyEngine) newTerm(useFFT bool) *historyTerm {
 			ker:   map[int][]complex128{},
 			fired: -1,
 		}
-		return t
-	}
-	cc := historyChunk
-	if cc > e.m {
-		cc = e.m
-	}
-	t.head = make([][]float64, cc)
-	for i := range t.head {
-		t.head[i] = make([]float64, e.n)
 	}
 	return t
 }
 
 // addToeplitz registers term k with uniform-grid Toeplitz coefficients.
 func (e *historyEngine) addToeplitz(k int, c []float64) {
-	t := e.newTerm(e.useFFT && !e.naive)
+	t := e.newTerm(e.useFFT)
 	t.toe = c
 	e.setTerm(k, t)
 }
@@ -293,12 +248,9 @@ func (e *historyEngine) orderedTerms() []*historyTerm {
 func (e *historyEngine) active(k int) bool { return e.terms[k] != nil }
 
 // modeName reports which evaluation strategy the engine's registered terms
-// use, for SolveReport.HistoryEngine: "naive", "fft" when any term runs on
-// the fast-convolution tier, else "exact".
+// use, for SolveReport.HistoryEngine: "fft" when any term runs on the
+// fast-convolution tier, else "exact".
 func (e *historyEngine) modeName() string {
-	if e.naive {
-		return "naive"
-	}
 	for _, t := range e.orderedTerms() {
 		if t.fft != nil {
 			return "fft"
@@ -309,112 +261,20 @@ func (e *historyEngine) modeName() string {
 
 // history returns w_j = Σ_{i<j} c(i,j)·x_i for term k. The returned slice
 // is owned by the engine and valid until the next history call for k. An
-// error means the engine's context expired at a chunk boundary or a worker
-// task panicked (see engineErrKind).
+// error means the engine's context expired at an FFT segment firing or a
+// firing's worker task panicked (see engineErrKind); the exact tier cannot
+// fail.
 func (e *historyEngine) history(k, j int, xs []float64) ([]float64, error) {
 	t := e.terms[k]
-	w := t.w
-	if e.naive {
-		for i := range w {
-			w[i] = 0
-		}
-		t.fold(j, 0, j, xs, w)
-		return w, nil
-	}
 	if t.fft != nil {
 		return e.historyFFT(t, j, xs)
 	}
-	if j >= e.chunkLo+historyChunk {
-		if err := e.advanceChunk(j, xs); err != nil {
-			return nil, err
-		}
+	w := t.w
+	for i := range w {
+		w[i] = 0
 	}
-	copy(w, t.head[j-e.chunkLo])
-	t.fold(j, e.chunkLo, j, xs, w)
+	t.fold(j, 0, j, xs, w)
 	return w, nil
-}
-
-// advanceChunk starts the chunk [j0, j0+historyChunk) by folding every
-// already-solved column i < j0 into the head sums of each chunk column. The
-// context is checked once per chunk — immediately before the head burst, the
-// single largest indivisible unit of work in the engine.
-func (e *historyEngine) advanceChunk(j0 int, xs []float64) error {
-	if e.ctx != nil {
-		if err := e.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	e.chunkLo = j0
-	hi := j0 + historyChunk
-	if hi > e.m {
-		hi = e.m
-	}
-	cc := hi - j0
-	for _, t := range e.orderedTerms() {
-		if t.fft != nil {
-			continue
-		}
-		for jj := 0; jj < cc; jj++ {
-			h := t.head[jj]
-			for i := range h {
-				h[i] = 0
-			}
-		}
-	}
-	if j0 == 0 {
-		return nil
-	}
-	nt := e.workers
-	if nt > cc {
-		nt = cc
-	}
-	var tasks []func()
-	for _, t := range e.orderedTerms() {
-		if t.fft != nil {
-			continue
-		}
-		t := t
-		for r := 0; r < nt; r++ {
-			lo := j0 + r*cc/nt
-			rhi := j0 + (r+1)*cc/nt
-			if lo >= rhi {
-				continue
-			}
-			tasks = append(tasks, func() {
-				if e.fault != nil && e.fault.WorkerFault != nil {
-					e.fault.WorkerFault()
-				}
-				e.headRange(t, j0, lo, rhi, xs)
-			})
-		}
-	}
-	if len(tasks) <= 1 || e.workers == 1 {
-		var firstErr error
-		for _, f := range tasks {
-			if err := runRecovered(f); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	return historyPoolDo(tasks)
-}
-
-// headRange folds all past columns i < j0, visited in fixed-size blocks,
-// into the head accumulators of chunk columns [lo, hi). The block loop is
-// outermost so a tile of X is reused across every column of the range;
-// within each destination column past columns still arrive in ascending
-// order, keeping the result independent of block size and worker count.
-func (e *historyEngine) headRange(t *historyTerm, j0, lo, hi int, xs []float64) {
-	for b := 0; b < j0; b += e.block {
-		bhi := b + e.block
-		if bhi > j0 {
-			bhi = j0
-		}
-		for j := lo; j < hi; j++ {
-			t.fold(j, b, bhi, xs, t.head[j-j0])
-		}
-	}
 }
 
 // fold accumulates dst += Σ_{i∈[lo,hi)} c(i,j)·x_i in ascending i order,

@@ -54,22 +54,22 @@ func sameDense(t *testing.T, name string, a, b *mat.Dense) {
 	}
 }
 
-// The blocked parallel engine must reproduce the reference column-by-column
-// summation bit for bit, for every worker count and for m values on both
-// sides of the chunk boundary.
+// Default-mode solves below the FFT crossover must reproduce the reference
+// ascending fold (HistoryExact) bit for bit, for every worker count and for
+// m values on both sides of the FFT tier's base segment length.
 func TestHistoryEngineMatchesNaiveBitwise(t *testing.T) {
 	sys, u := fracTestSystem(5, 11)
 	for _, m := range []int{1, 63, 64, 65, 200, 257} {
-		ref, err := Solve(sys, u, m, 2, Options{HistoryNaive: true})
+		ref, err := Solve(sys, u, m, 2, Options{HistoryMode: HistoryExact})
 		if err != nil {
-			t.Fatalf("m=%d naive: %v", m, err)
+			t.Fatalf("m=%d exact: %v", m, err)
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
 			got, err := Solve(sys, u, m, 2, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("m=%d workers=%d: %v", m, workers, err)
 			}
-			sameDense(t, "engine vs naive", got.Coefficients(), ref.Coefficients())
+			sameDense(t, "default vs exact", got.Coefficients(), ref.Coefficients())
 		}
 	}
 }
@@ -85,7 +85,7 @@ func TestSolveAdaptiveParallelDeterministic(t *testing.T) {
 		steps[i] = h
 		h *= 1.015
 	}
-	ref, err := SolveAdaptive(sys, u, steps, Options{HistoryNaive: true})
+	ref, err := SolveAdaptive(sys, u, steps, Options{HistoryMode: HistoryExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,16 +94,17 @@ func TestSolveAdaptiveParallelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		sameDense(t, "adaptive engine vs naive", got.Coefficients(), ref.Coefficients())
+		sameDense(t, "adaptive workers vs exact", got.Coefficients(), ref.Coefficients())
 	}
 }
 
 // A zero Options{} must behave exactly as the seed solver did: the engine
-// defaults (Workers auto, blocked summation) reproduce the reference
-// history loop bit for bit, and the integer-order fast path is untouched.
+// defaults (Workers auto, HistoryAuto below the crossover) reproduce the
+// reference history loop bit for bit, and the integer-order fast path is
+// untouched.
 func TestZeroOptionsUnchangedFromSeed(t *testing.T) {
 	sys, u := fracTestSystem(5, 3)
-	seed, err := Solve(sys, u, 150, 2, Options{HistoryNaive: true})
+	seed, err := Solve(sys, u, 150, 2, Options{HistoryMode: HistoryExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestSolveNonlinearParallelDeterministic(t *testing.T) {
 	n := 3
 	sys, u := fracTestSystem(n, 19)
 	g := &vecCubicNL{c: 0.2}
-	ref, err := SolveNonlinear(sys, g, u, 130, 2, NonlinearOptions{Options: Options{HistoryNaive: true}})
+	ref, err := SolveNonlinear(sys, g, u, 130, 2, NonlinearOptions{Options: Options{HistoryMode: HistoryExact}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestSolveNonlinearParallelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		sameDense(t, "nonlinear engine vs naive", got.Coefficients(), ref.Coefficients())
+		sameDense(t, "nonlinear workers vs exact", got.Coefficients(), ref.Coefficients())
 	}
 }
 

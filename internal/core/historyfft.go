@@ -9,7 +9,7 @@ import (
 	"opmsim/internal/mat"
 )
 
-// The FFT tier of the history engine replaces the blocked O(n·m²) evaluation
+// The FFT tier of the history engine replaces the exact O(n·m²) evaluation
 // of the Toeplitz history sums w_j = Σ_{i<j} c_{j−i}·x_i with Lubich-style
 // segmented fast convolution, O(n·m log² m) total:
 //
@@ -26,7 +26,7 @@ import (
 //     segment, which is the classical zero-delay partition of the triangle
 //     {i < j} into squares;
 //   - the per-column remainder — past columns inside the current base
-//     segment — is folded directly, exactly like the exact engine's tail;
+//     segment — is folded directly by the exact tier's ascending fold;
 //   - a firing convolves the state rows in pairs: rows 2q and 2q+1 share one
 //     complex 2L-point transform, z = s₀·row(2q) + i·s₁·row(2q+1). The lag
 //     kernel is real, so the real and imaginary parts of the product are
@@ -60,13 +60,11 @@ const (
 	// exercise many segment levels on small grids.
 	historyFFTBase = 64
 	// historyFFTCrossover is the grid size at which HistoryAuto switches
-	// from the exact blocked engine to the FFT tier. Measured with the
-	// historyfft ablation (BENCH_history_fft.json, see EXPERIMENTS.md) the
-	// single-threaded FFT tier is already ahead at m = 256 (1.6×) and wins
-	// 14.8× at m = 4096; auto stays on the bitwise-exact engine up to 511
-	// columns anyway, both as margin for machines where the parallel
-	// blocked engine closes the small-m gap and so that small default-mode
-	// runs (the m = 256 golden grids) keep their historical bit patterns.
+	// from the exact tier to the FFT tier. Measured with the historyfft
+	// ablation (BENCH_history_fft.json, see EXPERIMENTS.md) the FFT tier is
+	// already ahead at m = 256 and wins more than 10× at m = 4096; auto
+	// stays on the exact tier up to 511 columns only so that small
+	// default-mode runs (the m = 256 golden grids) keep their bit patterns.
 	historyFFTCrossover = 512
 )
 
@@ -78,9 +76,8 @@ const (
 	// HistoryAuto (equivalently the zero value "") selects HistoryFFT for
 	// grids with at least historyFFTCrossover columns, HistoryExact below.
 	HistoryAuto HistoryMode = "auto"
-	// HistoryExact is the blocked, parallel engine of PR 1:
-	// bitwise-identical to the naive reference summation for every Workers
-	// setting.
+	// HistoryExact is the reference summation: each column folds every
+	// past column in ascending order, on the solving goroutine.
 	HistoryExact HistoryMode = "exact"
 	// HistoryFFT is the segmented fast-convolution engine: O(n·m log² m)
 	// instead of O(n·m²), matching the exact engine to roundoff (~1e-12
@@ -101,16 +98,14 @@ func ParseHistoryMode(s string) (HistoryMode, error) {
 }
 
 // historyFFTEnabled resolves HistoryMode against the grid size.
-// HistoryNaive takes precedence over any mode: the reference summation is
-// the baseline everything else is validated against.
 func (o *Options) historyFFTEnabled(m int) (bool, error) {
 	switch o.HistoryMode {
 	case "", HistoryAuto:
-		return !o.HistoryNaive && m >= historyFFTCrossover, nil
+		return m >= historyFFTCrossover, nil
 	case HistoryExact:
 		return false, nil
 	case HistoryFFT:
-		return !o.HistoryNaive, nil
+		return true, nil
 	}
 	return false, fmt.Errorf("core: unknown HistoryMode %q (want %q, %q, or %q)",
 		o.HistoryMode, HistoryAuto, HistoryExact, HistoryFFT)
@@ -151,8 +146,7 @@ func (e *historyEngine) historyFFT(t *historyTerm, j int, xs []float64) ([]float
 // boundaries; pairs are fixed by row index, so the partition changes which
 // goroutine runs a pair, never what it computes. The context is checked
 // here — a firing is the largest indivisible unit of work in the tier — and
-// worker panics are recovered into the returned error exactly like the
-// exact engine's bursts.
+// worker panics are recovered into the returned error.
 func (e *historyEngine) fireSegment(t *historyTerm, j int, xs []float64) error {
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {

@@ -86,16 +86,16 @@ func TestHistoryFFTEngineMatchesNaive(t *testing.T) {
 	}
 }
 
-// Full solves through the FFT tier must agree with the naive reference to
+// Full solves through the FFT tier must agree with the exact tier to
 // well under the 1e-10 acceptance bound, for grid sizes straddling segment
 // boundaries, and must be bitwise-identical across worker counts (each
 // accumulator row is computed by exactly one task in a fixed order).
 func TestSolveHistoryFFTMatchesExact(t *testing.T) {
 	sys, u := fracTestSystem(5, 11)
 	for _, m := range []int{63, 64, 65, 128, 200, 257, 520} {
-		ref, err := Solve(sys, u, m, 2, Options{HistoryNaive: true})
+		ref, err := Solve(sys, u, m, 2, Options{HistoryMode: HistoryExact})
 		if err != nil {
-			t.Fatalf("m=%d naive: %v", m, err)
+			t.Fatalf("m=%d exact: %v", m, err)
 		}
 		var first *Solution
 		for _, workers := range []int{1, 2, 8} {
@@ -104,7 +104,7 @@ func TestSolveHistoryFFTMatchesExact(t *testing.T) {
 				t.Fatalf("m=%d workers=%d: %v", m, workers, err)
 			}
 			if d := maxRelDiff(got.Coefficients(), ref.Coefficients()); d > 1e-10 {
-				t.Fatalf("m=%d workers=%d: fft vs naive rel diff %g > 1e-10", m, workers, d)
+				t.Fatalf("m=%d workers=%d: fft vs exact rel diff %g > 1e-10", m, workers, d)
 			}
 			if first == nil {
 				first = got
@@ -120,7 +120,7 @@ func TestSolveHistoryFFTMatchesExact(t *testing.T) {
 func TestSolveNonlinearHistoryFFTMatchesExact(t *testing.T) {
 	sys, u := fracTestSystem(3, 19)
 	g := &vecCubicNL{c: 0.2}
-	ref, err := SolveNonlinear(sys, g, u, 130, 2, NonlinearOptions{Options: Options{HistoryNaive: true}})
+	ref, err := SolveNonlinear(sys, g, u, 130, 2, NonlinearOptions{Options: Options{HistoryMode: HistoryExact}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +129,13 @@ func TestSolveNonlinearHistoryFFTMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := maxRelDiff(got.Coefficients(), ref.Coefficients()); d > 1e-10 {
-		t.Fatalf("nonlinear fft vs naive rel diff %g > 1e-10", d)
+		t.Fatalf("nonlinear fft vs exact rel diff %g > 1e-10", d)
 	}
 }
 
 // Adaptive grids have no Toeplitz structure: HistoryFFT must be accepted but
-// resolve to the exact engine, keeping the result bitwise-identical to the
-// naive reference and reporting "exact".
+// resolve to the exact tier, keeping the result bitwise-identical to an
+// explicit HistoryExact run and reporting "exact".
 func TestSolveAdaptiveHistoryFFTFallsBackToExact(t *testing.T) {
 	sys, u := fracTestSystem(4, 7)
 	steps := make([]float64, 40)
@@ -144,7 +144,7 @@ func TestSolveAdaptiveHistoryFFTFallsBackToExact(t *testing.T) {
 		steps[i] = h
 		h *= 1.015
 	}
-	ref, err := SolveAdaptive(sys, u, steps, Options{HistoryNaive: true})
+	ref, err := SolveAdaptive(sys, u, steps, Options{HistoryMode: HistoryExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +153,14 @@ func TestSolveAdaptiveHistoryFFTFallsBackToExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDense(t, "adaptive fft-mode vs naive", got.Coefficients(), ref.Coefficients())
+	sameDense(t, "adaptive fft-mode vs exact", got.Coefficients(), ref.Coefficients())
 	if rep.HistoryEngine != "exact" {
 		t.Fatalf("adaptive HistoryEngine = %q, want \"exact\"", rep.HistoryEngine)
 	}
 }
 
-// HistoryAuto must resolve by grid size, HistoryNaive must win over any
-// mode, and the resolution must be observable in the report.
+// HistoryAuto must resolve by grid size, and the resolution must be
+// observable in the report.
 func TestHistoryAutoCrossover(t *testing.T) {
 	sys, u := fracTestSystem(3, 5)
 	cases := []struct {
@@ -173,7 +173,6 @@ func TestHistoryAutoCrossover(t *testing.T) {
 		{"auto large", historyFFTCrossover, Options{}, "fft"},
 		{"exact large", historyFFTCrossover, Options{HistoryMode: HistoryExact}, "exact"},
 		{"fft small", 96, Options{HistoryMode: HistoryFFT}, "fft"},
-		{"naive wins", historyFFTCrossover, Options{HistoryNaive: true, HistoryMode: HistoryFFT}, "naive"},
 	}
 	for _, tc := range cases {
 		rep := &SolveReport{}

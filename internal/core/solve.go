@@ -24,23 +24,18 @@ type Options struct {
 	// to the zero-IC case, but for fractional orders the Caputo-with-zero-IC
 	// semantics would change).
 	X0 []float64
-	// Workers sets the goroutine count of the parallel history engine used
-	// for fractional/high-order terms (the O(nm²) part of the paper's §IV
-	// cost split). The zero value means "auto" (runtime.GOMAXPROCS); 1 runs
-	// the blocked engine on the calling goroutine. Results are
-	// bitwise-identical for every Workers value: the engine always folds
-	// past columns in ascending order into accumulators owned by a single
-	// goroutine.
+	// Workers sets the goroutine count of the parallel phases: the FFT
+	// history tier's row-pair fan-out, the BBD tier's domain phases, and the
+	// scenario groups of a batch. The zero value means "auto"
+	// (runtime.GOMAXPROCS); 1 runs them all on the calling goroutine.
+	// Results are bitwise-identical for every Workers value: each
+	// accumulator is owned by a single goroutine and summed in a fixed
+	// order.
 	Workers int
-	// HistoryNaive forces the reference O(j)-per-column history summation
-	// instead of the blocked parallel engine. Benchmarks and regression
-	// tests use it as the baseline; the engine reproduces it bit for bit.
-	// It takes precedence over HistoryMode.
-	HistoryNaive bool
 	// HistoryMode selects the engine serving fractional/high-order history
-	// sums: HistoryExact is the blocked parallel engine, bitwise-identical
-	// to the naive reference; HistoryFFT the segmented fast-convolution
-	// tier, O(n·m log² m) instead of O(n·m²), agreeing with exact to
+	// sums: HistoryExact is the reference summation, one ascending fold of
+	// the past columns per column on the solving goroutine; HistoryFFT the
+	// segmented fast-convolution tier, O(n·m log² m) instead of O(n·m²), agreeing with exact to
 	// roundoff (≤1e-10 relative on the golden waveforms) but not bit for
 	// bit; HistoryAuto — the zero value — picks FFT at and above a measured
 	// crossover grid size and exact below it. Adaptive-grid (general) terms
@@ -125,7 +120,7 @@ func Solve(sys *System, u []waveform.Signal, m int, T float64, opt Options) (*So
 }
 
 // SolveCtx is Solve with cancellation: ctx is checked at every column of the
-// solve loop (and at the chunk boundaries of the parallel history engine),
+// solve loop (and at the segment firings of the FFT history tier),
 // and an expired or cancelled context terminates the run with a *Diagnostic
 // wrapping ErrCancelled that records the column and time reached.
 func SolveCtx(ctx context.Context, sys *System, u []waveform.Signal, m int, T float64, opt Options) (_ *Solution, err error) {

@@ -3,18 +3,20 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 
 	"opmsim/internal/circuit"
 	"opmsim/internal/core"
+	"opmsim/internal/mat"
 	"opmsim/internal/netgen"
 	"opmsim/internal/waveform"
 )
 
 // HistoryFFTConfig parameterizes the FFT fast-convolution ablation: the §V-A
-// fractional line solved at increasing m with the naive reference history,
-// the exact blocked engine, and the segmented fast-convolution tier.
+// fractional line solved at increasing m with the exact history tier (the
+// reference ascending fold) and the segmented fast-convolution tier.
 type HistoryFFTConfig struct {
 	Line netgen.FractionalLineConfig
 	T    float64
@@ -39,7 +41,7 @@ func DefaultHistoryFFT() HistoryFFTConfig {
 }
 
 // HistoryFFTRow is one m-point of the sweep. MaxRelDiff is
-// max|X_fft − X_naive| / max(1, max|X_naive|): the FFT tier reorders the
+// max|X_fft − X_exact| / max(1, max|X_exact|): the FFT tier reorders the
 // floating-point sums, so the difference is roundoff-sized rather than zero,
 // and the acceptance bound is 1e-10.
 type HistoryFFTRow struct {
@@ -47,13 +49,10 @@ type HistoryFFTRow struct {
 	Workers       int     `json:"workers"`
 	M             int     `json:"m"`
 	N             int     `json:"n"`
-	NaiveNS       int64   `json:"naive_ns"`
 	ExactNS       int64   `json:"exact_ns"`
 	FFTNS         int64   `json:"fft_ns"`
-	SpeedupExact  float64 `json:"speedup_exact"`  // naive / exact
-	SpeedupFFT    float64 `json:"speedup_fft"`    // naive / fft
 	FFTOverExact  float64 `json:"fft_over_exact"` // exact / fft
-	MaxRelDiff    float64 `json:"max_rel_diff"`   // fft vs naive
+	MaxRelDiff    float64 `json:"max_rel_diff"`   // fft vs exact
 	HistoryEngine string  `json:"history_engine"` // what the fft run reported
 }
 
@@ -76,10 +75,10 @@ func (r *HistoryFFTReport) WriteJSON(path string) error {
 }
 
 // HistoryFFT runs the fast-convolution ablation on the fractional line: at
-// each benchProcs setting and for each m it times Solve with the naive
-// reference, the exact blocked engine, and the FFT tier (all on the same
-// worker budget), and cross-checks the FFT coefficients against the naive
-// reference. It restores GOMAXPROCS before returning.
+// each benchProcs setting and for each m it times Solve with the exact tier
+// and the FFT tier (the latter on the row's worker budget), and cross-checks
+// the FFT coefficients against the exact ones. It restores GOMAXPROCS before
+// returning.
 func HistoryFFT(cfg HistoryFFTConfig) (*Table, *HistoryFFTReport, error) {
 	if cfg.Repeat < 1 {
 		cfg.Repeat = 1
@@ -97,7 +96,7 @@ func HistoryFFT(cfg HistoryFFTConfig) (*Table, *HistoryFFTReport, error) {
 	tbl := &Table{
 		Title: fmt.Sprintf("History engine FFT tier — fractional line (n=%d, α=%g)",
 			mna.Sys.N(), cfg.Line.Order),
-		Header: []string{"procs", "m", "naive", "exact", "fft", "fft/exact", "max rel Δ"},
+		Header: []string{"procs", "m", "exact", "fft", "fft/exact", "max rel Δ"},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, p := range benchProcs() {
@@ -111,26 +110,18 @@ func HistoryFFT(cfg HistoryFFTConfig) (*Table, *HistoryFFTReport, error) {
 		}
 	}
 	tbl.Notes = append(tbl.Notes,
-		"naive = O(n·m²) reference; exact = blocked engine; fft = segmented fast convolution, O(n·m log² m)",
-		"fft/exact > 1 means the FFT tier wins; max rel Δ is fft vs naive and must stay ≤ 1e-10")
+		"exact = O(n·m²) reference fold; fft = segmented fast convolution, O(n·m log² m)",
+		"fft/exact > 1 means the FFT tier wins; max rel Δ is fft vs exact and must stay ≤ 1e-10")
 	return tbl, rep, nil
 }
 
 // historyFFTRows measures every m of the sweep at GOMAXPROCS procs.
 func historyFFTRows(cfg HistoryFFTConfig, mna *circuit.MNA, procs, workers int, rep *HistoryFFTReport, tbl *Table) error {
 	for _, m := range cfg.Ms {
-		var naiveSol, fftSol *core.Solution
-		naive, err := minTime(cfg.Repeat, func() error {
-			s, err := core.Solve(mna.Sys, mna.Inputs, m, cfg.T, core.Options{HistoryNaive: true})
-			naiveSol = s
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("experiments: naive history m=%d: %w", m, err)
-		}
+		var exactSol, fftSol *core.Solution
 		exact, err := minTime(cfg.Repeat, func() error {
-			_, err := core.Solve(mna.Sys, mna.Inputs, m, cfg.T,
-				core.Options{Workers: workers, HistoryMode: core.HistoryExact})
+			s, err := core.Solve(mna.Sys, mna.Inputs, m, cfg.T, core.Options{HistoryMode: core.HistoryExact})
+			exactSol = s
 			return err
 		})
 		if err != nil {
@@ -146,23 +137,34 @@ func historyFFTRows(cfg HistoryFFTConfig, mna *circuit.MNA, procs, workers int, 
 		if err != nil {
 			return fmt.Errorf("experiments: fft history m=%d: %w", m, err)
 		}
-		diff := maxAbsDiff(naiveSol.Coefficients(), fftSol.Coefficients())
-		if scale := naiveSol.Coefficients().MaxAbs(); scale > 1 {
+		diff := maxAbsDiff(exactSol.Coefficients(), fftSol.Coefficients())
+		if scale := exactSol.Coefficients().MaxAbs(); scale > 1 {
 			diff /= scale
 		}
 		row := HistoryFFTRow{
 			GOMAXPROCS: procs, Workers: workers,
 			M: m, N: mna.Sys.N(),
-			NaiveNS: naive.Nanoseconds(), ExactNS: exact.Nanoseconds(), FFTNS: fftT.Nanoseconds(),
-			SpeedupExact:  float64(naive) / float64(exact),
-			SpeedupFFT:    float64(naive) / float64(fftT),
+			ExactNS: exact.Nanoseconds(), FFTNS: fftT.Nanoseconds(),
 			FFTOverExact:  float64(exact) / float64(fftT),
 			MaxRelDiff:    diff,
 			HistoryEngine: solveRep.HistoryEngine,
 		}
 		rep.Rows = append(rep.Rows, row)
-		tbl.AddRow(fmt.Sprintf("%d", procs), fmt.Sprintf("%d", m), fmtDur(naive), fmtDur(exact), fmtDur(fftT),
+		tbl.AddRow(fmt.Sprintf("%d", procs), fmt.Sprintf("%d", m), fmtDur(exact), fmtDur(fftT),
 			fmt.Sprintf("%.2fx", row.FFTOverExact), fmt.Sprintf("%.2g", diff))
 	}
 	return nil
+}
+
+// maxAbsDiff returns max_ij |a_ij − b_ij|.
+func maxAbsDiff(a, b *mat.Dense) float64 {
+	worst := 0.0
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < a.Cols(); j++ {
+			if d := math.Abs(a.At(i, j) - b.At(i, j)); d > worst {
+				worst = d
+			}
+		}
+	}
+	return worst
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"opmsim/internal/core"
@@ -173,6 +174,22 @@ func timeIt(repeat int, f func() error) (time.Duration, error) {
 		}
 	}
 	return clock().Sub(start) / time.Duration(repeat), nil
+}
+
+// minTime runs f repeat times and returns the fastest run (less noisy than
+// the mean for ablation ratios).
+func minTime(repeat int, f func() error) (time.Duration, error) {
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < repeat; i++ {
+		one, err := timeIt(1, f)
+		if err != nil {
+			return 0, err
+		}
+		if one < best {
+			best = one
+		}
+	}
+	return best, nil
 }
 
 // fmtDur renders a duration compactly.

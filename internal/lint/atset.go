@@ -69,8 +69,7 @@ var atsetHotFiles = map[string]bool{
 // file set. The PR 9 extension targets the envelope extractor and the
 // Monte-Carlo sweep driver without dragging in sibling driver files
 // (figures.go, table.go) whose loops format output tables, not samples —
-// some of which share basenames (history.go, batch.go) with the core
-// watchlist.
+// some of which share basenames (batch.go) with the core watchlist.
 var atsetHotOnly = map[string]map[string]bool{
 	"internal/waveform": {"envelope.go": true},
 	// PR 10 adds the scale sweep (per-size factor/solve timing loops) and the

@@ -283,58 +283,6 @@ func TestLUSolvePreservesRHS(t *testing.T) {
 	}
 }
 
-func TestCGOnLaplacian(t *testing.T) {
-	// 1-D Laplacian with Dirichlet boundaries: SPD.
-	n := 64
-	coo := NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, 2)
-		if i+1 < n {
-			coo.Add(i, i+1, -1)
-			coo.Add(i+1, i, -1)
-		}
-	}
-	a := coo.ToCSR()
-	rng := rand.New(rand.NewSource(9))
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = rng.NormFloat64()
-	}
-	b := a.MulVec(want, nil)
-	res, err := CG(a, b, 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("CG did not converge: residual %g after %d iters", res.Residual, res.Iterations)
-	}
-	for i := range want {
-		if math.Abs(res.X[i]-want[i]) > 1e-7*(1+math.Abs(want[i])) {
-			t.Fatalf("x[%d] = %g, want %g", i, res.X[i], want[i])
-		}
-	}
-}
-
-func TestCGZeroRHS(t *testing.T) {
-	a := Identity(3)
-	res, err := CG(a, []float64{0, 0, 0}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || norm2(res.X) != 0 {
-		t.Fatal("CG on zero rhs should converge to zero instantly")
-	}
-}
-
-func TestCGRejectsNonPositiveDiagonal(t *testing.T) {
-	coo := NewCOO(2, 2)
-	coo.Add(0, 0, -1)
-	coo.Add(1, 1, 1)
-	if _, err := CG(coo.ToCSR(), []float64{1, 1}, 0, 0); err == nil {
-		t.Fatal("CG accepted non-positive diagonal")
-	}
-}
-
 func TestFromDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := randomSparseSquare(rng, 8, 0.3)
