@@ -78,7 +78,7 @@ func main() {
 		points      = flag.Int("points", 50, "number of output sample points")
 		ac          = flag.String("ac", "", "AC sweep instead of transient: \"wstart,wstop,points\" (rad/s, SPICE units ok)")
 		op          = flag.Bool("op", false, "print the DC operating point instead of a transient")
-		workers     = flag.Int("workers", 0, "goroutines for the OPM solver's parallel phases: FFT history fan-out, BBD domains, batch groups (0 = GOMAXPROCS; results are identical for any value)")
+		workers     = flag.Int("workers", 0, "goroutines for the OPM solver's parallel phases: FFT history fan-out and BBD domains (0 = GOMAXPROCS; results are identical for any value)")
 		history     = flag.String("history", "", "OPM fractional-history engine: auto (default; FFT on large grids), exact, or fft")
 		timeout     = flag.Duration("timeout", 0, "abort the solve after this wall-clock duration (0 = no limit; OPM method only)")
 		verbose     = flag.Bool("verbose", false, "print the solver report (factorization tiers, fallbacks, retries) to stderr")

@@ -55,8 +55,7 @@ func sameDense(t *testing.T, name string, a, b *mat.Dense) {
 }
 
 // Default-mode solves below the FFT crossover must reproduce the reference
-// ascending fold (HistoryExact) bit for bit, for every worker count and for
-// m values on both sides of the FFT tier's base segment length.
+// ascending fold (HistoryExact) bit for bit, for every worker count.
 func TestHistoryEngineMatchesNaiveBitwise(t *testing.T) {
 	sys, u := fracTestSystem(5, 11)
 	for _, m := range []int{1, 63, 64, 65, 200, 257} {

@@ -25,22 +25,24 @@ type Options struct {
 	// semantics would change).
 	X0 []float64
 	// Workers sets the goroutine count of the parallel phases: the FFT
-	// history tier's row-pair fan-out, the BBD tier's domain phases, and the
-	// scenario groups of a batch. The zero value means "auto"
-	// (runtime.GOMAXPROCS); 1 runs them all on the calling goroutine.
-	// Results are bitwise-identical for every Workers value: each
-	// accumulator is owned by a single goroutine and summed in a fixed
+	// history tier's row-pair fan-out and the BBD tier's domain
+	// factorization and solve phases. A batch whose scenario groups run
+	// concurrently runs those phases on one goroutine per group. The zero
+	// value means "auto" (runtime.GOMAXPROCS); 1 runs them on the calling
+	// goroutine. Results are bitwise-identical for every Workers value:
+	// each accumulator is owned by a single goroutine and summed in a fixed
 	// order.
 	Workers int
 	// HistoryMode selects the engine serving fractional/high-order history
 	// sums: HistoryExact is the reference summation, one ascending fold of
 	// the past columns per column on the solving goroutine; HistoryFFT the
-	// segmented fast-convolution tier, O(n·m log² m) instead of O(n·m²), agreeing with exact to
-	// roundoff (≤1e-10 relative on the golden waveforms) but not bit for
-	// bit; HistoryAuto — the zero value — picks FFT at and above a measured
-	// crossover grid size and exact below it. Adaptive-grid (general) terms
-	// always use the exact engine regardless of mode, because the
-	// non-uniform operational matrix has no Toeplitz structure to convolve.
+	// segmented fast-convolution tier, O(n·m log² m) instead of O(n·m²),
+	// agreeing with exact to roundoff (≤1e-10 relative on the golden
+	// waveforms) but not bit for bit; HistoryAuto — the zero value — picks
+	// FFT at and above a measured crossover grid size and exact below it.
+	// Adaptive-grid (general) terms always use the exact tier regardless of
+	// mode, because the non-uniform operational matrix has no Toeplitz
+	// structure to convolve.
 	HistoryMode HistoryMode
 	// FactorCache, when non-nil, caches leading-pencil factorizations across
 	// runs, keyed by the assembled pencil's contents plus (h, α) and the

@@ -25,7 +25,8 @@ type HistoryFFTConfig struct {
 	Ms []int
 	// Repeat re-runs each solve and keeps the minimum time.
 	Repeat int
-	// Workers for all variants; 0 means the GOMAXPROCS setting of the row.
+	// Workers for the FFT tier's pair fan-out; 0 means the GOMAXPROCS
+	// setting of the row. The exact tier runs on the solving goroutine.
 	Workers int
 }
 
