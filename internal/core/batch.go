@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"opmsim/internal/basis"
 	"opmsim/internal/fft"
@@ -42,7 +43,8 @@ import (
 // factor's irregular index streams over K contiguous updates. Scenarios are
 // partitioned into contiguous groups of PanelWidth, a pure function of K and
 // PanelWidth; groups own disjoint state and fan out over the shared worker
-// pool, so results never depend on Options.Workers or scheduling. A group of
+// pool (in order on the calling goroutine under Options.Workers 1), so
+// results never depend on Options.Workers or scheduling. A group of
 // width 1 takes the member-wise step, whose one-column panel solve runs the
 // tier's scalar kernel; so does a group holding a refactored member, and
 // every group of a system with fractional terms.
@@ -402,7 +404,7 @@ func (r *columnRun) prepareScenarios(scenarios []Scenario, prep func(s int, uc *
 	r.states = make([]*scenState, K)
 	errs := make([]error, K)
 	run := func(tasks []func()) error {
-		if err := historyPoolDo(tasks); err != nil {
+		if err := r.runTasks(tasks); err != nil {
 			return &Diagnostic{Kind: ErrInternal, Column: -1, Time: 0, Cause: err}
 		}
 		return nil
@@ -432,11 +434,18 @@ func (r *columnRun) prepareScenarios(scenarios []Scenario, prep func(s int, uc *
 	return nil
 }
 
-// runTasks runs one task on the calling goroutine (so a single group's
-// history engine may itself use the pool) and several over the pool.
-func runTasks(tasks []func()) error {
-	if len(tasks) == 1 {
-		return runRecovered(tasks[0])
+// runTasks runs the tasks of one batch phase — scenario preparation, the
+// group steps of a column, replay, solution assembly. One task, or any
+// number under a resolved Options.Workers of 1, runs in order on the calling
+// goroutine (so a single group's history engine may itself use the pool);
+// several tasks otherwise fan out over the pool.
+func (r *columnRun) runTasks(tasks []func()) error {
+	w := r.opt.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if len(tasks) == 1 || w == 1 {
+		return runInOrder(tasks)
 	}
 	return historyPoolDo(tasks)
 }
@@ -518,7 +527,7 @@ func (r *columnRun) run() ([]*Solution, error) {
 		if opt.Fault != nil && opt.Fault.ColumnDelay != nil {
 			opt.Fault.ColumnDelay(j)
 		}
-		if err := runTasks(tasks); err != nil {
+		if err := r.runTasks(tasks); err != nil {
 			d := diag(ErrInternal, j, tj)
 			d.Cause = err
 			return d
@@ -606,7 +615,7 @@ func (r *columnRun) run() ([]*Solution, error) {
 			sols[s] = &Solution{sys: r.sys, bas: r.bas, x: x}
 		}
 	}
-	if err := runTasks(fin); err != nil {
+	if err := r.runTasks(fin); err != nil {
 		return nil, &Diagnostic{Kind: ErrInternal, Column: r.m - 1, Time: r.T, Cause: err}
 	}
 	return sols, nil

@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"opmsim/internal/faultinject"
 	"opmsim/internal/sparse"
 	"opmsim/internal/waveform"
 )
@@ -48,6 +51,48 @@ func TestSolveBatchBitwiseMatchesSequential(t *testing.T) {
 				sameDense(t, name, sols[s].Coefficients(), want.Coefficients())
 			}
 		}
+	}
+}
+
+// Workers 1 bounds a batch's group fan-out too: with more scenarios than
+// PanelWidth the groups run in order on the calling goroutine, so a hook
+// inside the group tasks (the FFT firings' WorkerFault) never sees a second
+// group in flight. The results are the concurrent run's bits.
+func TestSolveBatchWorkersOneRunsGroupsInOrder(t *testing.T) {
+	sys, _ := fracTestSystem(4, 5)
+	m, T := 160, 2.0
+	scs := batchScenarios(5)
+	var inFlight, peak, calls atomic.Int32
+	hooks := &faultinject.Hooks{WorkerFault: func() {
+		cur := inFlight.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		calls.Add(1)
+		time.Sleep(50 * time.Microsecond) // widen the window a second group would need
+		inFlight.Add(-1)
+	}}
+	bopt := BatchOptions{Options: Options{Workers: 1, HistoryMode: HistoryFFT, Fault: hooks}, PanelWidth: 1}
+	got, err := SolveBatch(sys, scs, m, T, bopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() == 0 {
+		t.Fatal("WorkerFault never ran: no FFT segment fired inside the group tasks")
+	}
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("Workers=1 batch ran %d group tasks at once, want 1", p)
+	}
+	bopt.Workers, bopt.Fault = 4, nil
+	want, err := SolveBatch(sys, scs, m, T, bopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range scs {
+		sameDense(t, fmt.Sprintf("scenario %d", s), got[s].Coefficients(), want[s].Coefficients())
 	}
 }
 

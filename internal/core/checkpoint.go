@@ -233,7 +233,7 @@ func (r *columnRun) resume(cp *Checkpoint) error {
 	for g, step := range r.steps {
 		tasks[g] = func() { errs[g] = step.(interface{ replay(int) error }).replay(j0) }
 	}
-	if err := runTasks(tasks); err != nil {
+	if err := r.runTasks(tasks); err != nil {
 		return err
 	}
 	for _, err := range errs {

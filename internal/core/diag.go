@@ -17,7 +17,7 @@ var (
 	// rank-revealing QR backstop.
 	ErrSingularPencil = errors.New("singular pencil")
 	// ErrIllConditioned: a factorization succeeded but its 1-norm condition
-	// estimate exceeds Options.CondLimit and no healthier tier is available.
+	// estimate exceeds the limit 1e14 and no healthier tier is available.
 	ErrIllConditioned = errors.New("pencil is ill-conditioned")
 	// ErrNonFinite: a solved column contains NaN or ±Inf — typically a
 	// poisoned input sample or an overflowing nonlinearity; the solve aborts
@@ -102,7 +102,7 @@ type Tier int
 
 const (
 	// TierSupernodal is the large-grid fast path tried first when engaged
-	// (Options.Supernodal / SupernodalMinN): nested-dissection domain
+	// (Options.Supernodal / DefaultSupernodalMinN): nested-dissection domain
 	// decomposition with supernodal blocked domain factors and a dense
 	// interface Schur complement. A failed or ill-conditioned supernodal
 	// factorization falls through to TierSparseLU, so it never counts as

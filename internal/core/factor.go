@@ -9,11 +9,11 @@ import (
 	"opmsim/internal/sparse"
 )
 
-// defaultCondLimit is the 1-norm condition estimate above which a successful
+// condLimit is the 1-norm condition estimate above which a successful
 // sparse factorization is still routed to the dense-LU-with-refinement tier:
 // at κ₁ ≈ 1e14 a single LU solve can lose all but ~2 significant digits, while
 // refinement against the exact sparse matrix recovers most of them.
-const defaultCondLimit = 1e14
+const condLimit = 1e14
 
 // DefaultSupernodalMinN is the pencil dimension at which Options.Supernodal
 // mode 0 (auto) engages the supernodal/BBD tier. Below it the scalar sparse
@@ -24,17 +24,10 @@ const DefaultSupernodalMinN = 4096
 // supernodalEngaged resolves the Options.Supernodal mode against the pencil
 // dimension.
 func supernodalEngaged(n int, opt *Options) bool {
-	if opt.Supernodal > 0 {
-		return true
+	if opt.Supernodal != 0 {
+		return opt.Supernodal > 0
 	}
-	if opt.Supernodal < 0 {
-		return false
-	}
-	minN := opt.SupernodalMinN
-	if minN <= 0 {
-		minN = DefaultSupernodalMinN
-	}
-	return n >= minN
+	return n >= DefaultSupernodalMinN
 }
 
 // pencilFactor is one leading-pencil factorization behind the tiered
@@ -45,7 +38,7 @@ func supernodalEngaged(n int, opt *Options) bool {
 //	    → Householder QR least-squares.
 //
 // The sparse tier is abandoned when factorization fails or when its 1-norm
-// condition estimate exceeds Options.CondLimit; the dense tier when dense LU
+// condition estimate exceeds condLimit; the dense tier when dense LU
 // finds an exactly-zero pivot; QR is the backstop for numerically
 // rank-deficient pencils, and its rank check is the final arbiter of
 // ErrSingularPencil. Every tier decision is recorded in the SolveReport.
@@ -81,10 +74,6 @@ func factorPencil(a *sparse.CSR, col int, t float64, opt *Options, rep *SolveRep
 
 // factorPencilChain runs the tier chain itself.
 func factorPencilChain(a *sparse.CSR, col int, t float64, opt *Options, rep *SolveReport) (*pencilFactor, error) {
-	limit := opt.CondLimit
-	if isExactZero(limit) {
-		limit = defaultCondLimit
-	}
 	injected := func(tier Tier) bool {
 		return opt.Fault != nil && opt.Fault.FactorFail != nil && opt.Fault.FactorFail(col, int(tier))
 	}
@@ -97,16 +86,10 @@ func factorPencilChain(a *sparse.CSR, col int, t float64, opt *Options, rep *Sol
 	// block is singular under block-confined pivoting, or the condition
 	// estimate trips the limit.
 	if supernodalEngaged(a.R, opt) && !injected(TierSupernodal) {
-		if f, err := sparse.FactorBBD(a, sparse.BBDOptions{
-			PivotTol: opt.PivotTol, Workers: opt.Workers, Refine: opt.Refine,
-		}); err == nil {
-			if limit < 0 {
-				pf.tier, pf.bbd = TierSupernodal, f
-				return pf, nil
-			}
+		if f, err := sparse.FactorBBD(a, sparse.BBDOptions{Workers: opt.Workers}); err == nil {
 			cond := f.Cond1Est()
 			rep.observeCond(cond)
-			if cond <= limit && !math.IsNaN(cond) {
+			if cond <= condLimit && !math.IsNaN(cond) {
 				pf.tier, pf.bbd, pf.cond = TierSupernodal, f, cond
 				return pf, nil
 			}
@@ -119,28 +102,23 @@ func factorPencilChain(a *sparse.CSR, col int, t float64, opt *Options, rep *Sol
 	if injected(TierSparseLU) {
 		sparseErr = fmt.Errorf("injected sparse factorization failure")
 		reason = sparseErr.Error()
-	} else if f, err := sparse.Factor(a, sparse.Options{PivotTol: opt.PivotTol, Refine: opt.Refine}); err != nil {
+	} else if f, err := sparse.Factor(a, sparse.Options{}); err != nil {
 		sparseErr = err
 		reason = err.Error()
 	} else {
-		if limit < 0 {
-			// Condition estimation disabled: sparse LU serves unless it fails.
-			pf.tier, pf.sp = TierSparseLU, f
-			return pf, nil
-		}
 		cond := f.Cond1Est()
 		rep.observeCond(cond)
-		if cond <= limit && !math.IsNaN(cond) {
+		if cond <= condLimit && !math.IsNaN(cond) {
 			pf.tier, pf.sp, pf.cond = TierSparseLU, f, cond
 			return pf, nil
 		}
 		sparseCond = cond
-		reason = fmt.Sprintf("cond₁≈%.3g exceeds limit %.3g", cond, limit)
+		reason = fmt.Sprintf("cond₁≈%.3g exceeds limit %.3g", cond, condLimit)
 		rep.Warnings = append(rep.Warnings, fmt.Sprintf("pencil for column %d: %s", col, reason))
 	}
 
 	if !injected(TierDenseLU) {
-		if d, err := mat.LUFactor(a.ToDense()); err == nil {
+		if d, err := mat.LUFactorInPlace(a.ToDense()); err == nil {
 			pf.tier, pf.dense, pf.cond = TierDenseLU, d, sparseCond
 			rep.Fallbacks = append(rep.Fallbacks, Fallback{Column: col, Tier: TierDenseLU, Cond: sparseCond, Reason: reason})
 			return pf, nil

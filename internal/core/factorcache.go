@@ -17,13 +17,13 @@ const DefaultFactorCacheCap = 16
 // FactorCache is a process-shareable LRU cache of leading-pencil
 // factorizations, keyed by the *contents* of the assembled pencil (an FNV-1a
 // fingerprint over the CSR structure and Float64bits of the values) together
-// with the step size h, the dominant fractional order α, and every Options
-// field that steers the factorization tier chain (pivot tolerance, condition
-// limit, refinement). Keying by contents rather than identity means mutating
-// a matrix in place and re-solving can never return the stale factorization —
-// the fingerprint changes with the values — while re-assembling an identical
-// pencil (a repeated sweep point, an adaptive halved-h retry revisiting a
-// step size, the K scenarios of a batch) hits.
+// with the step size h, the dominant fractional order α, and whether the
+// supernodal tier is engaged — the one Options decision that steers the
+// factorization tier chain. Keying by contents rather than identity means
+// mutating a matrix in place and re-solving can never return the stale
+// factorization — the fingerprint changes with the values — while
+// re-assembling an identical pencil (a repeated sweep point, an adaptive
+// halved-h retry revisiting a step size, the K scenarios of a batch) hits.
 //
 // Cached entries are templates: every request is served through a fresh
 // per-run view (sparse.Factorization.Share) whose solve scratch is private,
@@ -50,13 +50,10 @@ type factorKey struct {
 	n, nnz    int
 	hBits     uint64 // step size h
 	alphaBits uint64 // dominant fractional order α
-	pivotTol  uint64
-	condLimit uint64
-	refine    bool
-	// Supernodal-tier steering: engagement changes which tier factors, so two
-	// configurations differing here must not share an entry.
-	supernodal int
-	snMinN     int
+	// Supernodal-tier engagement changes which tier factors, so two
+	// configurations differing here must not share an entry; two that
+	// resolve alike build the same factorization and do share one.
+	supernodal bool
 }
 
 // factorEntry couples the cached view with the fallback record to replay
@@ -171,11 +168,7 @@ func cacheKey(a *sparse.CSR, h, alpha float64, opt *Options) factorKey {
 		nnz:        a.NNZ(),
 		hBits:      math.Float64bits(h),
 		alphaBits:  math.Float64bits(alpha),
-		pivotTol:   math.Float64bits(opt.PivotTol),
-		condLimit:  math.Float64bits(opt.CondLimit),
-		refine:     opt.Refine,
-		supernodal: opt.Supernodal,
-		snMinN:     opt.SupernodalMinN,
+		supernodal: supernodalEngaged(a.R, opt),
 	}
 }
 

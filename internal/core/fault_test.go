@@ -98,6 +98,57 @@ func TestFaultDenseFallbackMatchesGolden(t *testing.T) {
 	}
 }
 
+// An ill-conditioned pencil takes the κ₁ fallback without any injection:
+// x₁' = −x₁ + u beside the algebraic row 1e-16·x₂ = 1e-16·u gives the
+// leading pencil diag(2/h + 1, 1e-16), κ₁ ≈ 1e19 above the 1e14 limit. The
+// sparse tier is abandoned with the cond₁ reason, dense LU serves every
+// column, and the waveform is still the analytic x₁ = 1 − e^{−t}, x₂ = 1.
+func TestCondLimitFallsBackToDenseLU(t *testing.T) {
+	diag := func(d0, d1 float64) *sparse.CSR {
+		c := sparse.NewCOO(2, 2)
+		c.Add(0, 0, d0)
+		c.Add(1, 1, d1)
+		return c.ToCSR()
+	}
+	b := sparse.NewCOO(2, 1)
+	b.Add(0, 0, 1)
+	b.Add(1, 0, 1e-16)
+	sys, err := core.NewDAE(diag(1, 0), diag(-1, -1e-16), b.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, T := 256, 2.0
+	rep := &core.SolveReport{}
+	sol, err := core.Solve(sys, []waveform.Signal{waveform.Step(1, 0)}, m, T, core.Options{Report: rep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Fallbacks) != 1 || rep.Fallbacks[0].Tier != core.TierDenseLU {
+		t.Fatalf("fallbacks %+v, want one record for the dense-LU tier", rep.Fallbacks)
+	}
+	if fb := rep.Fallbacks[0]; !strings.HasPrefix(fb.Reason, "cond₁≈") || !strings.Contains(fb.Reason, "exceeds limit") || fb.Cond <= 1e14 {
+		t.Fatalf("fallback reason %q (cond %g), want the cond₁ limit", fb.Reason, fb.Cond)
+	}
+	if got := rep.TierSolves[core.TierDenseLU]; got != m {
+		t.Fatalf("dense tier served %d solves, want all %d: %+v", got, m, rep.TierSolves)
+	}
+	if rep.TierSolves[core.TierSparseLU] != 0 || rep.TierSolves[core.TierQR] != 0 {
+		t.Fatalf("other tiers served solves: %+v", rep.TierSolves)
+	}
+	// BPF coefficients are interval averages: compare at grid midpoints,
+	// where the readout is O(h²) accurate.
+	h := T / float64(m)
+	for j := 3; j < m; j += 17 {
+		tt := (float64(j) + 0.5) * h
+		if got, want := sol.StateAt(0, tt), 1-math.Exp(-tt); math.Abs(got-want) > 1e-4 {
+			t.Fatalf("x₁(%g) = %g, want %g", tt, got, want)
+		}
+		if got := sol.StateAt(1, tt); math.Abs(got-1) > 1e-12 {
+			t.Fatalf("x₂(%g) = %g, want 1", tt, got)
+		}
+	}
+}
+
 // With sparse and dense both failed, the QR least-squares backstop serves the
 // run; for the well-conditioned quickstart pencil it stays within 1e-9 of the
 // golden waveform.

@@ -49,6 +49,19 @@ func runRecovered(f func()) (err error) {
 	return nil
 }
 
+// runInOrder runs the tasks one after another on the calling goroutine,
+// with historyPoolDo's error rule: a panic becomes an error, the first one
+// wins, and the remaining tasks still run.
+func runInOrder(tasks []func()) error {
+	var firstErr error
+	for _, t := range tasks {
+		if err := runRecovered(t); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
 // historyPoolDo runs the tasks to completion, preferring pool goroutines and
 // falling back to the calling goroutine when the pool is saturated. A panic
 // inside any task is recovered and reported as the returned error (first one

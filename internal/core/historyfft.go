@@ -183,13 +183,7 @@ func (e *historyEngine) fireSegment(t *historyTerm, j int, xs []float64) error {
 		})
 	}
 	if len(tasks) <= 1 || e.workers == 1 {
-		var firstErr error
-		for _, f := range tasks {
-			if err := runRecovered(f); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
+		return runInOrder(tasks)
 	}
 	return historyPoolDo(tasks)
 }

@@ -150,7 +150,7 @@ func newSMWFactor(b *smwBasis, ups []pencilUpdate, rows []int) (*smwFactor, erro
 		}
 		ci[i]++
 	}
-	capf, err := mat.LUFactor(cm)
+	capf, err := mat.LUFactorInPlace(cm)
 	if err != nil {
 		return nil, fmt.Errorf("core: smw capacitance matrix singular at rank %d: %w", r, err)
 	}

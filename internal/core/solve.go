@@ -14,10 +14,6 @@ import (
 
 // Options configures the OPM solvers.
 type Options struct {
-	// PivotTol is the sparse-LU threshold-pivoting tolerance (0 → default).
-	PivotTol float64
-	// Refine enables one step of iterative refinement per column solve.
-	Refine bool
 	// X0 is an optional initial state. It is only supported for systems
 	// whose orders are all 0 or 1 (the paper assumes zero initial
 	// conditions; for DAEs the substitution z = x − x₀ reduces nonzero IC
@@ -28,9 +24,10 @@ type Options struct {
 	// history tier's row-pair fan-out and the BBD tier's domain
 	// factorization and solve phases. A batch whose scenario groups run
 	// concurrently runs those phases on one goroutine per group. The zero
-	// value means "auto" (runtime.GOMAXPROCS); 1 runs them on the calling
-	// goroutine. Results are bitwise-identical for every Workers value:
-	// each accumulator is owned by a single goroutine and summed in a fixed
+	// value means "auto" (runtime.GOMAXPROCS); 1 runs everything on the
+	// calling goroutine, a batch's scenario groups included, in group
+	// order. Results are bitwise-identical for every Workers value: each
+	// accumulator is owned by a single goroutine and summed in a fixed
 	// order.
 	Workers int
 	// HistoryMode selects the engine serving fractional/high-order history
@@ -70,23 +67,12 @@ type Options struct {
 	// Supernodal steers the supernodal/domain-decomposed factorization tier
 	// (nested-dissection BBD with blocked supernodal domain factors): 0 —
 	// the default — engages it automatically for pencils of dimension at
-	// least SupernodalMinN, 1 forces it regardless of size, −1 disables it.
-	// When engaged it is tried before the scalar sparse LU and falls through
-	// to it on any failure, so enabling it never loses robustness; solutions
-	// are bitwise-identical across Workers values either way.
+	// least DefaultSupernodalMinN, 1 forces it regardless of size, −1
+	// disables it. When engaged it is tried before the scalar sparse LU and
+	// falls through to it on any failure, so enabling it never loses
+	// robustness; solutions are bitwise-identical across Workers values
+	// either way.
 	Supernodal int
-	// SupernodalMinN overrides the automatic engagement threshold of the
-	// supernodal tier (0 → DefaultSupernodalMinN). Below the threshold the
-	// scalar sparse LU is cheaper: the dissection, Schur assembly, and dense
-	// interface factor only amortize once the pencil is large enough that
-	// fill dominates the scalar factorization.
-	SupernodalMinN int
-	// CondLimit bounds the acceptable 1-norm condition estimate of the
-	// sparse leading-pencil factorization before the solver falls back to
-	// dense LU with iterative refinement. 0 selects the default 1e14; a
-	// negative value disables condition estimation entirely (sparse LU is
-	// then only abandoned when factorization fails).
-	CondLimit float64
 	// Report, when non-nil, is filled in place with what the hardened solver
 	// core did: per-tier solve counts, fallback records, condition warnings,
 	// and retry counters. It is also populated on failure, so post-mortems

@@ -212,4 +212,28 @@ func TestSupernodalFactorCacheKeying(t *testing.T) {
 	if hits, _, _ := cache.Stats(); hits == 0 {
 		t.Fatal("second supernodal run did not hit the factor cache")
 	}
+	// The key holds the resolved engagement, not the mode: below the auto
+	// threshold mode 0 builds the disabled run's factorization and shares
+	// its entry.
+	expectHit := func(name string, sys *core.System, u []waveform.Signal, m int, opt core.Options) {
+		t.Helper()
+		hits, _, misses := cache.Stats()
+		opt.FactorCache = cache
+		if _, err := core.Solve(sys, u, m, 10e-9, opt); err != nil {
+			t.Fatal(err)
+		}
+		if h, _, mi := cache.Stats(); h != hits+1 || mi != misses {
+			t.Fatalf("%s: hits %d -> %d, misses %d -> %d; want one hit", name, hits, h, misses, mi)
+		}
+	}
+	expectHit("auto below the threshold after disabled", sys, u, m, core.Options{})
+	// At n ≥ 4096 mode 0 engages the tier and shares the forced run's entry.
+	big, ubig := gridSystem(t, 4200)
+	if big.N() < 4096 {
+		t.Fatalf("grid has %d states, want at least 4096", big.N())
+	}
+	if _, err := core.Solve(big, ubig, 2, 10e-9, core.Options{Supernodal: 1, FactorCache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	expectHit("auto above the threshold after forced", big, ubig, 2, core.Options{})
 }

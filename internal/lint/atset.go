@@ -56,12 +56,11 @@ var atsetHotFiles = map[string]bool{
 	"parambatch.go": true,
 	"delta.go":      true,
 	"vec.go":        true,
-	// PR 10 supernodal/BBD surface: the dense Schur interface factor
-	// (denselu.go) and the domain-decomposed solve with its Schur patch
-	// assembly (bbd.go) run per column per solve on n=10⁵ grids; the domain
-	// factors' row substitution plan lives in lu.go, listed above.
-	"denselu.go": true,
-	"bbd.go":     true,
+	// Supernodal/BBD surface: the domain-decomposed solve with its
+	// Schur patch assembly (bbd.go) runs per column per solve on n=10⁵
+	// grids; the domain factors' row substitution plan and the dense Schur
+	// interface factor (internal/mat) both live in lu.go, listed above.
+	"bbd.go": true,
 }
 
 // atsetHotOnly narrows the watchlist within specific packages: for these

@@ -1,7 +1,7 @@
 // fixturepath: fixture/internal/sparse
 //
 // Variant fixture for the PR 10 watchlist extension: the allocsite rule is
-// active for internal/sparse bbd.go/denselu.go/lu.go — the BBD solve path
+// active for internal/sparse bbd.go/lu.go — the BBD solve path
 // scatters and folds per column per domain. The sibling rcm.go in this
 // package proves the file gate.
 package sparse

@@ -1,10 +1,9 @@
 // fixturepath: fixture/internal/mat
 //
-// Variant fixture for the PR 10 watchlist extension: bbd.go and denselu.go
-// joined the atset hot-file list (the supernodal/BBD solve surface runs per
-// column on n=10⁵ grids), so element-wise At/Set in nested loops fires in
-// them exactly as in dense.go; the sibling nd.go in this package proves the
-// file gate.
+// Variant fixture for the supernodal watchlist extension: bbd.go joined the
+// atset hot-file list (the supernodal/BBD solve surface runs per column on
+// n=10⁵ grids), so element-wise At/Set in nested loops fires in it exactly
+// as in dense.go; the sibling nd.go in this package proves the file gate.
 package mat
 
 type Dense struct {

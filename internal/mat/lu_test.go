@@ -32,11 +32,46 @@ func TestLUSingular(t *testing.T) {
 	if _, err := LUFactor(a); !errors.Is(err, ErrSingular) {
 		t.Fatalf("LUFactor singular err = %v, want ErrSingular", err)
 	}
+	// Two identical rows in a larger matrix: rank deficient, must not
+	// silently produce factors.
+	a = NewDenseFrom(4, 4, []float64{
+		1, 2, 3, 4,
+		1, 2, 3, 4,
+		0, 1, 0, 0,
+		0, 0, 0, 1,
+	})
+	if _, err := LUFactorInPlace(a); !errors.Is(err, ErrSingular) {
+		t.Fatalf("LUFactorInPlace duplicate rows err = %v, want ErrSingular", err)
+	}
 }
 
 func TestLUNonSquare(t *testing.T) {
 	if _, err := LUFactor(NewDense(2, 3)); err == nil {
 		t.Fatal("LUFactor accepted non-square matrix")
+	}
+	if _, err := LUFactorInPlace(NewDense(3, 2)); err == nil {
+		t.Fatal("LUFactorInPlace accepted non-square matrix")
+	}
+}
+
+// A matrix whose natural leading pivot is zero: only row exchanges make it
+// factorable, so this pins the pivoting path of Solve and SolveTranspose.
+func TestLUPivotsRowPermutation(t *testing.T) {
+	f, err := LUFactor(NewDenseFrom(2, 2, []float64{0, 1, 1, 0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A swaps coordinates, so x = (7, 3) in both orientations.
+	for name, x := range map[string][]float64{
+		"Solve":          f.Solve([]float64{3, 7}),
+		"SolveTranspose": f.SolveTranspose([]float64{3, 7}),
+	} {
+		if math.Abs(x[0]-7) > 1e-14 || math.Abs(x[1]-3) > 1e-14 {
+			t.Fatalf("%s: x = %v, want (7, 3)", name, x)
+		}
+	}
+	if d := f.Det(); d != -1 {
+		t.Fatalf("Det = %g, want -1", d)
 	}
 }
 

@@ -25,9 +25,9 @@ import (
 // ordering and a row substitution plan — rowPlan in lu.go), its Schur
 // contribution Gᵢ·Dᵢ⁻¹·Fᵢ is
 // assembled through 32-wide panel solves (the SubMulRows kernels of
-// panel.go), and the dense interface Schur complement S is factored by the
-// blocked dense LU of denselu.go. Solves run block forward elimination and
-// back substitution:
+// panel.go), and the dense interface Schur complement S is factored in place
+// by the blocked dense LU of internal/mat. Solves run block forward
+// elimination and back substitution:
 //
 //	yᵢ = Dᵢ⁻¹·bᵢ,   z = S⁻¹·(b_S − Σᵢ Gᵢ·yᵢ),   xᵢ = Dᵢ⁻¹·(bᵢ − Fᵢ·z),  x_S = z
 //
@@ -48,9 +48,6 @@ import (
 
 // BBDOptions configures FactorBBD.
 type BBDOptions struct {
-	// PivotTol is the threshold-pivoting tolerance for the domain
-	// factorizations in (0, 1]; 0 selects the default 0.1.
-	PivotTol float64
 	// Workers bounds the goroutines factoring domains and running the
 	// per-domain solve phases concurrently; 0 means GOMAXPROCS. Results are
 	// bitwise-identical for every value.
@@ -58,9 +55,6 @@ type BBDOptions struct {
 	// Parts is the target domain count (rounded down to a power of two);
 	// 0 picks a size-based default.
 	Parts int
-	// Refine enables one step of iterative refinement against the original
-	// matrix per solve.
-	Refine bool
 }
 
 // bbdParts picks the default domain count: enough parts that domain
@@ -96,22 +90,20 @@ type bbdDomain struct {
 
 // BBD is a ready-to-solve bordered-block-diagonal factorization.
 type BBD struct {
-	n      int
-	a      *CSR
-	refine bool
-	doms   []*bbdDomain
-	iface  []int // original indices, ascending
-	ni     int
-	schur  *schurLU
-	nloc   int // Σ len(doms[i].nodes)
+	n     int
+	a     *CSR
+	doms  []*bbdDomain
+	iface []int // original indices, ascending
+	ni    int
+	schur *mat.LU
+	nloc  int // Σ len(doms[i].nodes)
 	// workers bounds the goroutines of the per-domain solve phases (≤ 0:
 	// GOMAXPROCS); per view.
 	workers int
 
 	// Solve scratch, lazily sized, per view (Share detaches it).
 	lb, ly, lt []float64 // domain-local slabs, indexed by dom.off
-	ir, iz     []float64 // interface rhs / solution
-	rw, dw     []float64 // refinement residual / correction
+	iz         []float64 // interface rhs, solved in place into the interface solution
 	derr       []error   // per-domain errors of the vector solve phases
 	jx, jb     []float64 // the current vector solve's x and b (the view is its domain job)
 }
@@ -134,7 +126,7 @@ func FactorBBD(a *CSR, opt BBDOptions) (*BBD, error) {
 		return nil, fmt.Errorf("sparse: dissection of n=%d produced no usable split", n)
 	}
 
-	b := &BBD{n: n, a: a, refine: opt.Refine, iface: dis.Iface, ni: len(dis.Iface), workers: opt.Workers}
+	b := &BBD{n: n, a: a, iface: dis.Iface, ni: len(dis.Iface), workers: opt.Workers}
 
 	// Global placement maps: where[v] = domain id (or −1 for interface),
 	// slot[v] = local index within its block.
@@ -167,7 +159,8 @@ func FactorBBD(a *CSR, opt BBDOptions) (*BBD, error) {
 		fcoo[d] = NewCOO(nd, ni)
 		gcoo[d] = NewCOO(ni, nd)
 	}
-	schurDense := make([]float64, ni*ni)
+	schur := mat.NewDense(ni, ni)
+	schurDense := schur.Data()
 	for i := 0; i < n; i++ {
 		di := where[i]
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
@@ -198,11 +191,7 @@ func FactorBBD(a *CSR, opt BBDOptions) (*BBD, error) {
 
 	// Factor the domains and assemble their Schur patches in parallel; every
 	// domain is independent, so scheduling cannot affect any bit.
-	tol := opt.PivotTol
-	if isExactZero(tol) {
-		tol = 0.1
-	}
-	if err := b.eachDomain(&bbdBuild{b: b, dcoo: dcoo, tol: tol}, 0, make([]error, len(b.doms))); err != nil {
+	if err := b.eachDomain(&bbdBuild{b: b, dcoo: dcoo}, 0, make([]error, len(b.doms))); err != nil {
 		return nil, err
 	}
 
@@ -219,11 +208,11 @@ func FactorBBD(a *CSR, opt BBDOptions) (*BBD, error) {
 		}
 		dom.patch = nil
 	}
-	schur, err := factorSchur(schurDense, ni)
+	f, err := mat.LUFactorInPlace(schur)
 	if err != nil {
 		return nil, fmt.Errorf("sparse: interface Schur complement: %w", err)
 	}
-	b.schur = schur
+	b.schur = f
 	return b, nil
 }
 
@@ -232,11 +221,10 @@ func FactorBBD(a *CSR, opt BBDOptions) (*BBD, error) {
 type bbdBuild struct {
 	b    *BBD
 	dcoo []*COO
-	tol  float64
 }
 
 func (j *bbdBuild) domain(_, d int) error {
-	f, err := Factor(j.dcoo[d].ToCSR(), Options{PivotTol: j.tol, Supernodal: true})
+	f, err := Factor(j.dcoo[d].ToCSR(), Options{Supernodal: true})
 	if err != nil {
 		return fmt.Errorf("sparse: domain %d: %w", d, err)
 	}
@@ -328,7 +316,7 @@ func (b *BBD) NNZFactors() int {
 // scratch, mirroring Factorization.Share: views on different goroutines can
 // solve concurrently, bitwise-identically.
 func (b *BBD) Share() *BBD {
-	c := &BBD{n: b.n, a: b.a, refine: b.refine, iface: b.iface, ni: b.ni, schur: b.schur, nloc: b.nloc, workers: b.workers}
+	c := &BBD{n: b.n, a: b.a, iface: b.iface, ni: b.ni, schur: b.schur, nloc: b.nloc, workers: b.workers}
 	for _, dom := range b.doms {
 		c.doms = append(c.doms, &bbdDomain{
 			nodes: dom.nodes, f: dom.f.Share(), fi: dom.fi, gi: dom.gi, fiT: dom.fiT,
@@ -348,7 +336,6 @@ func (b *BBD) ensureScratch() {
 		b.lb = make([]float64, b.nloc)
 		b.ly = make([]float64, b.nloc)
 		b.lt = make([]float64, b.nloc)
-		b.ir = make([]float64, b.ni)
 		b.iz = make([]float64, b.ni)
 		b.derr = make([]error, len(b.doms))
 		nr := 0
@@ -427,7 +414,7 @@ func runDomain(job domainJob, p, d int) (err error) {
 	return job.domain(p, d)
 }
 
-// domain is the domain job of solveOnceInto, on b.jx and b.jb.
+// domain is the domain job of SolveInto, on b.jx and b.jb.
 func (b *BBD) domain(p, d int) error {
 	dom := b.doms[d]
 	lo, hi := dom.off, dom.off+len(dom.nodes)
@@ -464,12 +451,17 @@ func (b *BBD) domain(p, d int) error {
 	return nil
 }
 
-// solveOnceInto runs one unrefined block solve of A·x = b into x.
-func (b *BBD) solveOnceInto(x, bv []float64) error {
+// SolveInto solves A·x = b into x (len N() each; x must not alias b),
+// reusing scratch kept on the view. Results are bitwise-identical across
+// views, worker counts, and repeated calls.
+func (b *BBD) SolveInto(x, bv []float64) error {
+	if len(x) != b.n || len(bv) != b.n {
+		return fmt.Errorf("sparse: BBD SolveInto lengths %d,%d != %d", len(x), len(bv), b.n)
+	}
 	b.ensureScratch()
 	b.jx, b.jb = x, bv
 	for t, v := range b.iface {
-		b.ir[t] = bv[v]
+		b.iz[t] = bv[v]
 	}
 	// yᵢ = Dᵢ⁻¹·bᵢ per domain; then the interface rhs r = b_S − Σᵢ Gᵢ·yᵢ,
 	// folded in ascending domain order. r − acc is r + (−1)·acc exactly,
@@ -479,46 +471,17 @@ func (b *BBD) solveOnceInto(x, bv []float64) error {
 	}
 	for _, dom := range b.doms {
 		for ri, r := range dom.actR {
-			b.ir[r] -= dom.gy[ri]
+			b.iz[r] -= dom.gy[ri]
 		}
 	}
 	// z = S⁻¹·r.
-	b.schur.solveInto(b.iz, b.ir)
+	b.schur.Solve(b.iz)
 	// xᵢ = Dᵢ⁻¹·(bᵢ − Fᵢ·z) per domain.
 	if err := b.eachDomain(b, phaseBack, b.derr); err != nil {
 		return err
 	}
 	for t, v := range b.iface {
 		x[v] = b.iz[t]
-	}
-	return nil
-}
-
-// SolveInto solves A·x = b into x (len N() each; x must not alias b),
-// reusing scratch kept on the view. Results are bitwise-identical across
-// views, worker counts, and repeated calls.
-func (b *BBD) SolveInto(x, bv []float64) error {
-	if len(x) != b.n || len(bv) != b.n {
-		return fmt.Errorf("sparse: BBD SolveInto lengths %d,%d != %d", len(x), len(bv), b.n)
-	}
-	if err := b.solveOnceInto(x, bv); err != nil {
-		return err
-	}
-	if b.refine {
-		if b.rw == nil {
-			b.rw = make([]float64, b.n)
-			b.dw = make([]float64, b.n)
-		}
-		r := b.a.MulVec(x, b.rw)
-		for i := range r {
-			r[i] = bv[i] - r[i]
-		}
-		if err := b.solveOnceInto(b.dw, r); err != nil {
-			return err
-		}
-		for i := range x {
-			x[i] += b.dw[i]
-		}
 	}
 	return nil
 }
@@ -532,7 +495,7 @@ func (b *BBD) Solve(bv []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveTranspose solves Aᵀ·x = b without modifying b (no refinement). In the
+// SolveTranspose solves Aᵀ·x = b without modifying b. In the
 // dissected ordering Aᵀ swaps the roles of F and G and transposes every
 // block, and the Schur complement of Aᵀ is Sᵀ — so the sweep reuses the
 // domain factors' transpose solves and the dense factor's transpose
@@ -550,7 +513,7 @@ func (b *BBD) SolveTranspose(bv []float64) ([]float64, error) {
 		}
 	}
 	for t, v := range b.iface {
-		b.ir[t] = bv[v]
+		b.iz[t] = bv[v]
 	}
 	// yᵢ = Dᵢ⁻ᵀ·bᵢ; r = b_S − Σᵢ Fᵢᵀ·yᵢ.
 	for _, dom := range b.doms {
@@ -560,9 +523,9 @@ func (b *BBD) SolveTranspose(bv []float64) ([]float64, error) {
 			return nil, err
 		}
 		copy(b.ly[dom.off:dom.off+nd], y)
-		mulTAdd(dom.fi, -1, y, b.ir)
+		mulTAdd(dom.fi, -1, y, b.iz)
 	}
-	b.schur.solveTransposeInto(b.iz, b.ir)
+	b.schur.SolveTranspose(b.iz)
 	// xᵢ = Dᵢ⁻ᵀ·(bᵢ − Gᵢᵀ·z).
 	for _, dom := range b.doms {
 		nd := len(dom.nodes)
@@ -619,7 +582,7 @@ func (b *BBD) Cond1Est() float64 {
 	est := 0.0
 	prev := -1
 	for iter := 0; iter < 5; iter++ {
-		if err := b.solveOnceInto(y, x); err != nil {
+		if err := b.SolveInto(y, x); err != nil {
 			return math.Inf(1)
 		}
 		est = 0
@@ -664,17 +627,15 @@ func (b *BBD) Cond1Est() float64 {
 
 // BBDPanelScratch owns the per-group working panels of BBD.SolvePanelInto:
 // block-local right-hand-side/solution/temp panels per domain, the
-// per-domain Gᵢ·Yᵢ rows, the interface panels, and the per-column Schur
-// vectors. One scratch per concurrently solving task, bound to a panel
-// width. The scratch is also the panel solve's domain job.
+// per-domain Gᵢ·Yᵢ rows, and the interface panels. One scratch per
+// concurrently solving task, bound to a panel width. The scratch is also the
+// panel solve's domain job.
 type BBDPanelScratch struct {
 	k          int
 	db, dy, dt []*mat.Dense // per-domain nd×k panels
 	dg         []*mat.Dense // per-domain |actR|×k rows of Gᵢ·Yᵢ
 	ds         []*PanelScratch
-	ib, iz     *mat.Dense // ni×k interface panels
-	col, colx  []float64  // Schur per-column gather/solve pair
-	res, cor   *mat.Dense // refinement panels (refine runs only)
+	iz         *mat.Dense // ni×k interface rhs, solved in place into Z
 	errs       []error    // per-domain errors of the solve phases
 
 	b     *BBD       // the view solving, for the current call
@@ -686,10 +647,7 @@ type BBDPanelScratch struct {
 func (b *BBD) NewPanelScratch(k int) *BBDPanelScratch {
 	s := &BBDPanelScratch{
 		k:    k,
-		ib:   mat.NewDense(b.ni, k),
 		iz:   mat.NewDense(b.ni, k),
-		col:  make([]float64, b.ni),
-		colx: make([]float64, b.ni),
 		errs: make([]error, len(b.doms)),
 	}
 	for _, dom := range b.doms {
@@ -700,19 +658,15 @@ func (b *BBD) NewPanelScratch(k int) *BBDPanelScratch {
 		s.dg = append(s.dg, mat.NewDense(len(dom.actR), k))
 		s.ds = append(s.ds, dom.f.NewPanelScratch(k))
 	}
-	if b.refine {
-		s.res = mat.NewDense(b.n, k)
-		s.cor = mat.NewDense(b.n, k)
-	}
 	return s
 }
 
 // SolvePanelInto solves A·X = B for an n×K panel without modifying b. Every
 // step runs the panel twin of the vector sweep — domain panel solves, the
-// Gᵢ/Fᵢ panel couplings, and column-by-column Schur solves — so
-// each column of x is bitwise-identical to a SolveInto call on the matching
-// column of b. s must come from NewPanelScratch(K) on this BBD (or a Share
-// sibling); concurrent calls need distinct scratch.
+// Gᵢ/Fᵢ panel couplings, and the dense Schur panel solve — so each column of
+// x is bitwise-identical to a SolveInto call on the matching column of b. s
+// must come from NewPanelScratch(K) on this BBD (or a Share sibling);
+// concurrent calls need distinct scratch.
 func (b *BBD) SolvePanelInto(x, bp *mat.Dense, s *BBDPanelScratch) error {
 	if bp.Rows() != b.n || x.Rows() != b.n || x.Cols() != bp.Cols() {
 		return fmt.Errorf("sparse: BBD SolvePanelInto dims %dx%d vs %dx%d (n=%d)",
@@ -721,33 +675,9 @@ func (b *BBD) SolvePanelInto(x, bp *mat.Dense, s *BBDPanelScratch) error {
 	if x.Cols() != s.k {
 		return fmt.Errorf("sparse: BBD SolvePanelInto scratch is for %d right-hand sides, got %d", s.k, x.Cols())
 	}
-	if err := b.solveOncePanel(x, bp, s); err != nil {
-		return err
-	}
-	if b.refine {
-		b.a.MulPanelInto(s.res, x)
-		rd, bd := s.res.Data(), bp.Data()
-		for i, v := range rd {
-			rd[i] = bd[i] - v
-		}
-		if err := b.solveOncePanel(s.cor, s.res, s); err != nil {
-			return err
-		}
-		xd, cd := x.Data(), s.cor.Data()
-		for i, v := range cd {
-			xd[i] += v
-		}
-	}
-	return nil
-}
-
-// solveOncePanel is one unrefined block panel solve, mirroring solveOnceInto
-// column by column.
-func (b *BBD) solveOncePanel(x, bp *mat.Dense, s *BBDPanelScratch) error {
 	s.b, s.x, s.bp = b, x, bp
-	w := bp.Cols()
 	for t, v := range b.iface {
-		copy(s.ib.Row(t), bp.Row(v))
+		copy(s.iz.Row(t), bp.Row(v))
 	}
 	// Yᵢ = Dᵢ⁻¹·Bᵢ per domain; R = B_S − Σᵢ Gᵢ·Yᵢ folded in ascending domain
 	// order, per column MulVecAdd's arithmetic.
@@ -756,19 +686,11 @@ func (b *BBD) solveOncePanel(x, bp *mat.Dense, s *BBDPanelScratch) error {
 	}
 	for d, dom := range b.doms {
 		for ri, r := range dom.actR {
-			vecops.AddMul(s.ib.Row(r), s.dg[d].Row(ri), -1)
+			vecops.AddMul(s.iz.Row(r), s.dg[d].Row(ri), -1)
 		}
 	}
-	// Z = S⁻¹·R, column by column — literally the vector path's Schur solve.
-	for c := 0; c < w; c++ {
-		for t := 0; t < b.ni; t++ {
-			s.col[t] = s.ib.Row(t)[c]
-		}
-		b.schur.solveInto(s.colx, s.col)
-		for t := 0; t < b.ni; t++ {
-			s.iz.Row(t)[c] = s.colx[t]
-		}
-	}
+	// Z = S⁻¹·R: per column bitwise the vector path's Schur solve.
+	b.schur.SolveMatrixInto(s.iz, s.iz)
 	// Xᵢ = Dᵢ⁻¹·(Bᵢ − Fᵢ·Z) per domain.
 	if err := b.eachDomain(s, phaseBack, s.errs); err != nil {
 		return err

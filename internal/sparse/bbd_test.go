@@ -83,45 +83,42 @@ func TestFactorBBDBitwiseAcrossWorkers(t *testing.T) {
 	var refX, refInto []float64
 	var refPanel *mat.Dense
 	var refCond float64
-	for _, refine := range []bool{false, true} {
-		refX = nil
-		for _, workers := range []int{1, 2, 3, 4, 8} {
-			f, err := FactorBBD(a, BBDOptions{Workers: workers, Parts: 4, Refine: refine})
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		f, err := FactorBBD(a, BBDOptions{Workers: workers, Parts: 4})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		x, err := f.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		into := make([]float64, n)
+		if err := f.SolveInto(into, b); err != nil {
+			t.Fatal(err)
+		}
+		panel := mat.NewDense(n, k)
+		if err := f.SolvePanelInto(panel, bp, f.NewPanelScratch(k)); err != nil {
+			t.Fatal(err)
+		}
+		cond := f.Cond1Est()
+		if refX == nil {
+			refX, refInto, refPanel, refCond = x, into, panel, cond
+			continue
+		}
+		for i := range x {
+			if !bitsEq(x[i], refX[i]) || !bitsEq(into[i], refInto[i]) {
+				t.Fatalf("workers=%d: x[%d] = %x / %x, workers=1 gave %x / %x", workers, i,
+					math.Float64bits(x[i]), math.Float64bits(into[i]), math.Float64bits(refX[i]), math.Float64bits(refInto[i]))
 			}
-			x, err := f.Solve(b)
-			if err != nil {
-				t.Fatal(err)
+		}
+		for i, v := range panel.Data() {
+			if !bitsEq(v, refPanel.Data()[i]) {
+				t.Fatalf("workers=%d: panel entry %d = %x, workers=1 gave %x",
+					workers, i, math.Float64bits(v), math.Float64bits(refPanel.Data()[i]))
 			}
-			into := make([]float64, n)
-			if err := f.SolveInto(into, b); err != nil {
-				t.Fatal(err)
-			}
-			panel := mat.NewDense(n, k)
-			if err := f.SolvePanelInto(panel, bp, f.NewPanelScratch(k)); err != nil {
-				t.Fatal(err)
-			}
-			cond := f.Cond1Est()
-			if refX == nil {
-				refX, refInto, refPanel, refCond = x, into, panel, cond
-				continue
-			}
-			for i := range x {
-				if !bitsEq(x[i], refX[i]) || !bitsEq(into[i], refInto[i]) {
-					t.Fatalf("refine=%v workers=%d: x[%d] = %x / %x, workers=1 gave %x / %x", refine, workers, i,
-						math.Float64bits(x[i]), math.Float64bits(into[i]), math.Float64bits(refX[i]), math.Float64bits(refInto[i]))
-				}
-			}
-			for i, v := range panel.Data() {
-				if !bitsEq(v, refPanel.Data()[i]) {
-					t.Fatalf("refine=%v workers=%d: panel entry %d = %x, workers=1 gave %x",
-						refine, workers, i, math.Float64bits(v), math.Float64bits(refPanel.Data()[i]))
-				}
-			}
-			if !bitsEq(cond, refCond) {
-				t.Fatalf("refine=%v workers=%d: Cond1Est %g, workers=1 gave %g", refine, workers, cond, refCond)
-			}
+		}
+		if !bitsEq(cond, refCond) {
+			t.Fatalf("workers=%d: Cond1Est %g, workers=1 gave %g", workers, cond, refCond)
 		}
 	}
 }
@@ -256,39 +253,37 @@ func TestBBDCond1EstTracksDense(t *testing.T) {
 // that equivalence is what lets SolveBatch route through the supernodal tier
 // without perturbing waveforms.
 func TestBBDSolvePanelIntoBitwise(t *testing.T) {
-	for _, refine := range []bool{false, true} {
-		a := gridCSR(14, 14)
-		f, err := FactorBBD(a, BBDOptions{Parts: 2, Refine: refine})
-		if err != nil {
+	a := gridCSR(14, 14)
+	f, err := FactorBBD(a, BBDOptions{Parts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := a.R
+	for _, k := range []int{1, 5, 32, 40} {
+		bp := mat.NewDense(n, k)
+		for i := 0; i < n; i++ {
+			row := bp.Row(i)
+			for j := range row {
+				row[j] = math.Sin(float64(i*k+j)) + 0.5
+			}
+		}
+		x := mat.NewDense(n, k)
+		if err := f.SolvePanelInto(x, bp, f.NewPanelScratch(k)); err != nil {
 			t.Fatal(err)
 		}
-		n := a.R
-		for _, k := range []int{1, 5, 32} {
-			bp := mat.NewDense(n, k)
+		col := make([]float64, n)
+		want := make([]float64, n)
+		for j := 0; j < k; j++ {
 			for i := 0; i < n; i++ {
-				row := bp.Row(i)
-				for j := range row {
-					row[j] = math.Sin(float64(i*k+j)) + 0.5
-				}
+				col[i] = bp.Row(i)[j]
 			}
-			x := mat.NewDense(n, k)
-			if err := f.SolvePanelInto(x, bp, f.NewPanelScratch(k)); err != nil {
+			if err := f.SolveInto(want, col); err != nil {
 				t.Fatal(err)
 			}
-			col := make([]float64, n)
-			want := make([]float64, n)
-			for j := 0; j < k; j++ {
-				for i := 0; i < n; i++ {
-					col[i] = bp.Row(i)[j]
-				}
-				if err := f.SolveInto(want, col); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < n; i++ {
-					if !bitsEq(x.Row(i)[j], want[i]) {
-						t.Fatalf("refine=%v k=%d: x[%d,%d] = %x, SolveInto %x",
-							refine, k, i, j, math.Float64bits(x.Row(i)[j]), math.Float64bits(want[i]))
-					}
+			for i := 0; i < n; i++ {
+				if !bitsEq(x.Row(i)[j], want[i]) {
+					t.Fatalf("k=%d: x[%d,%d] = %x, SolveInto %x",
+						k, i, j, math.Float64bits(x.Row(i)[j]), math.Float64bits(want[i]))
 				}
 			}
 		}
@@ -373,24 +368,5 @@ func TestFactorBBDDegenerateInputs(t *testing.T) {
 	rect.Add(0, 0, 1)
 	if _, err := FactorBBD(rect.ToCSR(), BBDOptions{}); err == nil {
 		t.Fatal("FactorBBD accepted a non-square matrix")
-	}
-}
-
-func TestBBDRefineStaysAccurate(t *testing.T) {
-	a := gridCSR(20, 20)
-	f, err := FactorBBD(a, BBDOptions{Parts: 4, Refine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := bbdRHS(a.R)
-	x, err := f.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := a.MulVec(x, nil)
-	for i := range r {
-		if math.Abs(r[i]-b[i]) > 1e-11*(1+math.Abs(b[i])) {
-			t.Fatalf("refined residual %g at row %d", r[i]-b[i], i)
-		}
 	}
 }

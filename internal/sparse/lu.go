@@ -423,13 +423,12 @@ func (f *LU) SolveTranspose(b []float64) ([]float64, error) {
 	return x, nil
 }
 
+// pivotTol is Factor's threshold-pivoting tolerance (see FactorLU): the
+// diagonal pivot is kept while it is at least a tenth of the column maximum.
+const pivotTol = 0.1
+
 // Options configures Factor.
 type Options struct {
-	// PivotTol is the threshold-pivoting tolerance in (0, 1]; 0 selects the
-	// default 0.1.
-	PivotTol float64
-	// NoRCM disables the reverse Cuthill–McKee pre-ordering.
-	NoRCM bool
 	// Refine enables one step of iterative refinement per solve.
 	Refine bool
 	// Supernodal builds the row-oriented substitution plan (rowPlan) over
@@ -455,19 +454,15 @@ type Factorization struct {
 
 // Factor computes a ready-to-solve factorization of the square matrix a.
 func Factor(a *CSR, opt Options) (*Factorization, error) {
-	tol := opt.PivotTol
-	if isExactZero(tol) {
-		tol = 0.1
-	}
 	f := &Factorization{a: a, refine: opt.Refine}
 	work := a
 	// RCM pays off on mesh-like matrices; below ~64 unknowns its setup cost
 	// exceeds any fill reduction, so skip it.
-	if !opt.NoRCM && a.R >= 64 {
+	if a.R >= 64 {
 		f.ord = RCM(a)
 		work = a.Permute(f.ord)
 	}
-	lu, err := FactorLU(work, tol)
+	lu, err := FactorLU(work, pivotTol)
 	if err != nil {
 		return nil, err
 	}

@@ -49,8 +49,6 @@ func (m Method) String() string {
 
 // Options configures the solver.
 type Options struct {
-	// PivotTol is the sparse LU pivot threshold (0 → default).
-	PivotTol float64
 	// X0 is the initial state (nil → zero).
 	X0 []float64
 }
@@ -108,12 +106,11 @@ func Simulate(e, a, b *sparse.CSR, u []waveform.Signal, T, h float64, method Met
 		return v
 	}
 
-	sopt := sparse.Options{PivotTol: opt.PivotTol}
 	rhs := make([]float64, n)
 	switch method {
 	case BackwardEuler:
 		// (E − hA)·x_{k+1} = E·x_k + h·B·u_{k+1}.
-		lhs, err := sparse.Factor(sparse.Combine(1, e, -h, a), sopt)
+		lhs, err := sparse.Factor(sparse.Combine(1, e, -h, a), sparse.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("transient: backward Euler matrix singular: %w", err)
 		}
@@ -133,7 +130,7 @@ func Simulate(e, a, b *sparse.CSR, u []waveform.Signal, T, h float64, method Met
 		}
 	case Trapezoidal:
 		// (E − h/2·A)·x_{k+1} = (E + h/2·A)·x_k + h/2·B·(u_k + u_{k+1}).
-		lhs, err := sparse.Factor(sparse.Combine(1, e, -h/2, a), sopt)
+		lhs, err := sparse.Factor(sparse.Combine(1, e, -h/2, a), sparse.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("transient: trapezoidal matrix singular: %w", err)
 		}
@@ -159,11 +156,11 @@ func Simulate(e, a, b *sparse.CSR, u []waveform.Signal, T, h float64, method Met
 		}
 	case Gear2:
 		// (3/2·E − hA)·x_{k+1} = 2E·x_k − 1/2·E·x_{k−1} + h·B·u_{k+1}.
-		lhs, err := sparse.Factor(sparse.Combine(1.5, e, -h, a), sopt)
+		lhs, err := sparse.Factor(sparse.Combine(1.5, e, -h, a), sparse.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("transient: Gear matrix singular: %w", err)
 		}
-		be, err := sparse.Factor(sparse.Combine(1, e, -h, a), sopt)
+		be, err := sparse.Factor(sparse.Combine(1, e, -h, a), sparse.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("transient: Gear bootstrap matrix singular: %w", err)
 		}
@@ -204,11 +201,11 @@ func Simulate(e, a, b *sparse.CSR, u []waveform.Signal, T, h float64, method Met
 		beta := (1 - gamma) / (2 - gamma)
 		c1 := 1 / (gamma * (2 - gamma))
 		c2 := (1 - gamma) * (1 - gamma) / (gamma * (2 - gamma))
-		lhs1, err := sparse.Factor(sparse.Combine(1, e, -gamma*h/2, a), sopt)
+		lhs1, err := sparse.Factor(sparse.Combine(1, e, -gamma*h/2, a), sparse.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("transient: TR-BDF2 stage-1 matrix singular: %w", err)
 		}
-		lhs2, err := sparse.Factor(sparse.Combine(1, e, -beta*h, a), sopt)
+		lhs2, err := sparse.Factor(sparse.Combine(1, e, -beta*h, a), sparse.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("transient: TR-BDF2 stage-2 matrix singular: %w", err)
 		}
