@@ -32,9 +32,11 @@ func TestLUSingular(t *testing.T) {
 	if _, err := LUFactor(a); !errors.Is(err, ErrSingular) {
 		t.Fatalf("LUFactor singular err = %v, want ErrSingular", err)
 	}
-	// Two identical rows in a larger matrix: rank deficient, must not
-	// silently produce factors.
-	a = NewDenseFrom(4, 4, []float64{
+}
+
+func TestLUFactorInPlaceDetectsSingular(t *testing.T) {
+	// Two identical rows: rank deficient, must not silently produce factors.
+	a := NewDenseFrom(4, 4, []float64{
 		1, 2, 3, 4,
 		1, 2, 3, 4,
 		0, 1, 0, 0,
@@ -49,6 +51,9 @@ func TestLUNonSquare(t *testing.T) {
 	if _, err := LUFactor(NewDense(2, 3)); err == nil {
 		t.Fatal("LUFactor accepted non-square matrix")
 	}
+}
+
+func TestLUFactorInPlaceRejectsBadShape(t *testing.T) {
 	if _, err := LUFactorInPlace(NewDense(3, 2)); err == nil {
 		t.Fatal("LUFactorInPlace accepted non-square matrix")
 	}
