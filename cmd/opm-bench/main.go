@@ -12,7 +12,9 @@
 // crossover and writes BENCH_history_fft.json (see -histfftout, -workers).
 // -experiment batch compares K sequential solves of the
 // Table II grid (sharing a factorization cache) against one batched
-// SolveBatch call and writes BENCH_batch.json (see -batchout).
+// SolveBatch call and writes BENCH_batch.json (see -batchout); each leg runs
+// -repeat times (default 10, so about ten times the table's summed times)
+// and the report records the count.
 // -experiment montecarlo ablates Sherman–Morrison–Woodbury factor updates
 // against refactorize-every-scenario on Monte-Carlo parameter sweeps of the
 // quickstart RC ladder and the power-grid fixture at N ∈ {1k, 10k}
@@ -35,7 +37,7 @@ func main() {
 	var (
 		experiment = flag.String("experiment", "all", "which experiment to run: table1, table2, waveforms, adaptive, opmatrix, bases, scaling, mor, fracfit, walshtrend, historyfft, batch, montecarlo, all (montecarlo is not part of all)")
 		full       = flag.Bool("full", false, "run Table II at paper scale (~75K NA states; needs several GB and minutes)")
-		repeat     = flag.Int("repeat", 10, "timing repetitions for Table I")
+		repeat     = flag.Int("repeat", 10, "timing repetitions for table1, historyfft and batch: each timed leg runs this many times and keeps its fastest run")
 		gridRows   = flag.Int("grid", 0, "override Table II grid rows/cols (0 = default 16)")
 		workers    = flag.Int("workers", 0, "worker goroutines for the historyfft and scale experiments (0 = GOMAXPROCS)")
 		histFFTOut = flag.String("histfftout", "BENCH_history_fft.json", "machine-readable output path for -experiment historyfft")

@@ -55,7 +55,7 @@ func TestRunBatchWritesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch report not written: %v", err)
 	}
-	for _, key := range []string{"\"speedup\"", "\"seq_cache_hits\"", "\"bitwise\": true"} {
+	for _, key := range []string{"\"speedup\"", "\"seq_cache_hits\"", "\"bitwise\": true", "\"repeat\": 1"} {
 		if !strings.Contains(string(buf), key) {
 			t.Fatalf("report missing %s:\n%s", key, buf)
 		}

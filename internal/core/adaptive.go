@@ -107,7 +107,7 @@ func (a *adaptiveStep) column(j int, tj float64, tiers *[numTiers]int) (int, err
 	}
 	tiers[fac.tier]++
 	a.st.commit(j, x)
-	return 0, nil
+	return 0, a.st.finish(j, tj, x)
 }
 
 // AdaptiveOptions configures the on-the-fly step controller.

@@ -16,10 +16,16 @@ import (
 // and both SolveBatch engines — is the left-to-right substitution of eq. (28)
 // over the BPF columns, and columnRun.run is the one place that loop is
 // written. Per column it runs, in this order: the ctx check, Fault.ColumnDelay,
-// the group steps (each assembles its scenarios' right-hand sides, solves and
-// commits them), Fault.CorruptColumn, the non-finite screen, the first-error
-// scan, the Columns/TierSolves accounting, the column hook (x + x0) and the
-// checkpoint deltas. The solvers differ only in their step kind:
+// the group steps, the first-error scan, the Columns/TierSolves accounting,
+// and the column's post work: the OnColumn hook and the checkpoint deltas.
+// Each group step assembles its scenarios' right-hand sides, solves them and
+// finishes every member in one pass (scenState.finish: Fault.CorruptColumn,
+// the non-finite screen and the hook values x + x0), so the post-solve work
+// on all K·n values runs inside the group tasks, not after the barrier. When
+// several groups fan out over the pool, column j's post work runs on the
+// calling goroutine while column j+1's groups solve (see run); a run of one
+// group, or any run under Options.Workers 1, keeps the serial order above.
+// The solvers differ only in their step kind:
 //
 //   - memberStep: each member assembles its own right-hand side; members
 //     riding the shared factorization are solved together as one panel (SMW
@@ -95,15 +101,20 @@ type BatchOptions struct {
 	// on len(scenarios), so any value is deterministic; widths beyond ~64
 	// trade cache residency for little extra index amortization.
 	PanelWidth int
-	// OnColumn, when non-nil, is invoked once per column at the column
-	// barrier — after every scenario group has committed column col — with
-	// the interval-midpoint time and each scenario's column including its X0
+	// OnColumn, when non-nil, is invoked once per column, in column order,
+	// after every scenario group has committed column col, with the
+	// interval-midpoint time and each scenario's column including its X0
 	// offset: cols[s] is bitwise-identical to column col of scenario s's
-	// final Solution. The backing buffers are owned by the solver and reused
-	// between invocations; consumers must copy (or encode) them before
-	// returning. The hook runs on the SolveBatchCtx goroutine, so a slow
-	// consumer throttles the batch — the intended backpressure when columns
-	// stream to a client. The embedded Options.OnColumn is ignored here: a
+	// final Solution. When several scenario groups fan out over the worker
+	// pool, the call for column col may run while the groups of column col+1
+	// solve; it always runs on the SolveBatchCtx goroutine, never
+	// concurrently with itself, and column col+2 does not start before it
+	// returns. The backing buffers are owned by the solver and reused (two
+	// sets, alternating by column); consumers must copy (or encode) them
+	// before returning. A slow consumer throttles the batch — the intended
+	// backpressure when columns stream to a client. A context cancelled
+	// inside the call for column col stops the run at column col+1, which
+	// is not committed. The embedded Options.OnColumn is ignored here: a
 	// per-scenario hook would fire from concurrent group tasks.
 	OnColumn func(col int, t float64, cols [][]float64)
 	// CheckpointEvery, with OnCheckpoint set, emits a CheckpointDelta after
@@ -164,6 +175,11 @@ type scenState struct {
 	ring  int
 	b     []float64 // right-hand side scratch
 	ucol  []float64
+	// Column post-solve pass (finish): the fault seam and, when the run has
+	// a column hook, the hook buffers of even and odd columns (the same
+	// slice when the hook never overlaps the next column's solve).
+	corrupt func(col int, x []float64)
+	hook    [2][]float64
 }
 
 // x returns the slab column holding column j.
@@ -216,6 +232,28 @@ func (st *scenState) commit(j int, x []float64) {
 			ih.advance(x)
 		}
 	}
+}
+
+// finish is the post-solve pass over the final column j of the scenario,
+// x = st.x(j), run by its group step: Fault.CorruptColumn, the hook values
+// x + x0 (same operands and order as the Solution assembly, so every
+// streamed column matches its Solution entry bit for bit) and the
+// non-finite screen.
+func (st *scenState) finish(j int, tj float64, x []float64) error {
+	if st.corrupt != nil {
+		st.corrupt(j, x)
+	}
+	if out := st.hook[j&1]; out != nil {
+		for i, x0 := range st.x0 {
+			out[i] = x[i] + x0
+		}
+	}
+	if i := firstNonFinite(x); i >= 0 {
+		d := diag(ErrNonFinite, j, tj)
+		d.Cause = fmt.Errorf("scenario %d: state %d is %g (poisoned input sample or overflow?)", st.s, i, x[i])
+		return d
+	}
+	return nil
 }
 
 // columnStep advances one scenario group through column j: it solves and
@@ -340,6 +378,9 @@ func (r *columnRun) prepareScenario(sys *System, s int, x0 []float64, uc *mat.De
 		hist: make([]*intHistory, len(sys.Terms)),
 		xbuf: make([]float64, n*slab),
 	}
+	if f := r.opt.Fault; f != nil {
+		st.corrupt = f.CorruptColumn
+	}
 	if !panel {
 		st.b, st.ucol = make([]float64, n), make([]float64, uc.Rows())
 	}
@@ -440,20 +481,40 @@ func (r *columnRun) prepareScenarios(scenarios []Scenario, prep func(s int, uc *
 // goroutine (so a single group's history engine may itself use the pool);
 // several tasks otherwise fan out over the pool.
 func (r *columnRun) runTasks(tasks []func()) error {
-	w := r.opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if len(tasks) == 1 || w == 1 {
+	if !r.fansOut(len(tasks)) {
 		return runInOrder(tasks)
 	}
 	return historyPoolDo(tasks)
 }
 
+// fansOut reports whether runTasks hands k tasks to the pool.
+func (r *columnRun) fansOut(k int) bool {
+	w := r.opt.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return k > 1 && w != 1
+}
+
+// overlapTasks runs the tasks on the pool while during runs on the calling
+// goroutine, and returns once both are done — also when during panics, so
+// no task outlives the call.
+func overlapTasks(tasks []func(), during func()) (err error) {
+	wait := historyPoolGo(tasks)
+	defer func() {
+		if werr := wait(); err == nil {
+			err = werr
+		}
+	}()
+	during()
+	return nil
+}
+
 // firstNonFinite returns the index of the first NaN/±Inf entry of x, or −1.
+// One comparison per entry: |v| ≤ MaxFloat64 fails exactly for NaN and ±Inf.
 func firstNonFinite(x []float64) int {
 	for i, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !(math.Abs(v) <= math.MaxFloat64) {
 			return i
 		}
 	}
@@ -511,37 +572,72 @@ func (r *columnRun) run() ([]*Solution, error) {
 			}
 		}
 	}
-	var hook [][]float64
+	// Column j's post work — the OnColumn hook and an interval checkpoint
+	// delta — reads only committed columns and the hook buffers of column j,
+	// so when the groups fan out it runs on this goroutine while column
+	// j+1's groups solve and write the other set of hook buffers (even and
+	// odd columns alternate; a run that never overlaps has one set).
+	overlap := r.fansOut(len(tasks))
+	var hooks [2][][]float64
 	if opt.OnColumn != nil {
-		hook = make([][]float64, K)
-		for s := range hook {
-			hook[s] = make([]float64, n)
+		sets := 1
+		if overlap {
+			sets = 2
 		}
+		buf := make([]float64, sets*K*n)
+		hooks = [2][][]float64{make([][]float64, K), make([][]float64, K)}
+		for b := range hooks {
+			set := buf[b%sets*K*n:]
+			for s, st := range r.states {
+				st.hook[b] = set[s*n : (s+1)*n : (s+1)*n]
+				hooks[b][s] = st.hook[b]
+			}
+		}
+	}
+	post := func(c int) {
+		if opt.OnColumn != nil {
+			opt.OnColumn(c, r.time(c), hooks[c&1])
+		}
+		if opt.CheckpointEvery > 0 && (c+1)%opt.CheckpointEvery == 0 && c+1 < r.m {
+			emitDelta(c + 1)
+		}
+	}
+	due := -1 // overlapped runs: the committed column whose post work is due
+	flush := func() {
+		if c := due; c >= 0 {
+			due = -1
+			post(c)
+		}
+	}
+	cancelled := func(err error) error {
+		d := diag(ErrCancelled, j, tj)
+		d.Cause = err
+		return d
 	}
 	column := func() error {
 		if err := r.ctx.Err(); err != nil {
-			d := diag(ErrCancelled, j, tj)
-			d.Cause = err
-			return d
+			flush()
+			return cancelled(err)
 		}
 		if opt.Fault != nil && opt.Fault.ColumnDelay != nil {
 			opt.Fault.ColumnDelay(j)
 		}
-		if err := r.runTasks(tasks); err != nil {
+		var err error
+		if overlap {
+			// A cancel raised by column j−1's hook abandons column j
+			// uncommitted, exactly as when the hook ran before it.
+			live := r.ctx.Err() == nil
+			err = overlapTasks(tasks, flush)
+			if cerr := r.ctx.Err(); live && cerr != nil {
+				return cancelled(cerr)
+			}
+		} else {
+			err = r.runTasks(tasks)
+		}
+		if err != nil {
 			d := diag(ErrInternal, j, tj)
 			d.Cause = err
 			return d
-		}
-		for s, st := range r.states {
-			x := st.x(j)
-			if opt.Fault != nil && opt.Fault.CorruptColumn != nil {
-				opt.Fault.CorruptColumn(j, x)
-			}
-			if i := firstNonFinite(x); i >= 0 && errs[s] == nil {
-				d := diag(ErrNonFinite, j, tj)
-				d.Cause = fmt.Errorf("scenario %d: state %d is %g (poisoned input sample or overflow?)", s, i, x[i])
-				errs[s] = d
-			}
 		}
 		for _, err := range errs {
 			if err != nil {
@@ -565,21 +661,13 @@ func (r *columnRun) run() ([]*Solution, error) {
 			}
 			tiers[g] = [numTiers]int{}
 		}
-		if hook != nil {
-			// Same operands and order as the Solution assembly, so every
-			// streamed column matches its Solution entry bit for bit.
-			for s, st := range r.states {
-				x := st.x(j)
-				for i, x0 := range st.x0 {
-					hook[s][i] = x[i] + x0
-				}
-			}
-			opt.OnColumn(j, tj, hook)
-		}
-		if opt.CheckpointEvery > 0 && (j+1)%opt.CheckpointEvery == 0 && j+1 < r.m {
-			emitDelta(j + 1)
+		if overlap {
+			due = j
+		} else {
+			post(j)
 		}
 	}
+	flush()
 	// The history engines (an n×m FFT accumulator per fractional term) are
 	// dead once the last column is committed: release them before the
 	// solutions are allocated, so a solve never holds both at once.
@@ -808,6 +896,10 @@ func (g *memberStep) column(j int, tj float64, tiers *[numTiers]int) (int, error
 		}
 		tiers[g.pf.tier] += g.w
 	}
+	// The members' first error in member order wins, as the driver's
+	// scenario-order scan would pick it.
+	var first error
+	firstS := 0
 	for _, st := range g.members {
 		x := st.x(j)
 		if panel && st.pf == nil {
@@ -821,6 +913,9 @@ func (g *memberStep) column(j int, tj float64, tiers *[numTiers]int) (int, error
 				pf = g.pf
 			}
 			if err := pf.solveInto(x, st.b); err != nil {
+				if first != nil {
+					return firstS, first
+				}
 				d := diag(ErrInternal, j, tj)
 				d.Cause = fmt.Errorf("scenario %d: %w", st.s, err)
 				return st.s, d
@@ -831,8 +926,11 @@ func (g *memberStep) column(j int, tj float64, tiers *[numTiers]int) (int, error
 			st.smw.correct(x)
 		}
 		st.commit(j, x)
+		if err := st.finish(j, tj, x); err != nil && first == nil {
+			first, firstS = err, st.s
+		}
 	}
-	return 0, nil
+	return firstS, first
 }
 
 // replay rebuilds the members' history state through column j0 from their

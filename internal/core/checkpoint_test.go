@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"opmsim/internal/faultinject"
 	"opmsim/internal/waveform"
 )
 
@@ -333,6 +335,92 @@ func TestCheckpointDeltaBoundaries(t *testing.T) {
 	for i := range want {
 		if bounds[i] != want[i] {
 			t.Fatalf("deltas %v, want %v", bounds, want)
+		}
+	}
+}
+
+// TestCheckpointOverlappedFaults checks the checkpoint a faulted run leaves
+// when several scenario groups fan out (K = 70 at PanelWidth 32: groups of
+// 32, 32 and 6) and column j's OnColumn call overlaps column j+1's solve: a
+// cancel from OnColumn(j), a NaN at column j and a panic inside the group
+// tasks at column j must leave the Workers 1 run's column count at Workers
+// 2 and 4, and resuming from it must reproduce the uninterrupted run bit
+// for bit.
+func TestCheckpointOverlappedFaults(t *testing.T) {
+	const K, col = 70, 21
+	for _, tc := range []struct {
+		name string
+		sys  func(t *testing.T) *System
+		mode HistoryMode
+	}{
+		{"panel", oscillatorTestSystem, HistoryAuto},
+		{"member", fractionalTestSystem, HistoryExact},
+	} {
+		sys := tc.sys(t)
+		scs := cpScenarios(K)
+		const m, T = 40, 2.0
+		base := BatchOptions{Options: Options{HistoryMode: tc.mode}, PanelWidth: 32}
+		ref, err := SolveBatch(sys, scs, m, T, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fc := range []struct {
+			fault string
+			cols  int // committed columns the checkpoint must hold
+		}{{"cancel", col + 1}, {"nan", col}, {"panic", col}} {
+			for _, workers := range []int{1, 2, 4} {
+				name := fmt.Sprintf("%s/%s/workers=%d", tc.name, fc.fault, workers)
+				ctx, cancel := context.WithCancel(context.Background())
+				cp := &Checkpoint{}
+				opt := base
+				opt.Workers = workers
+				opt.CheckpointEvery = 8
+				opt.OnCheckpoint = func(d *CheckpointDelta) {
+					if err := cp.ApplyCheckpoint(d); err != nil {
+						t.Errorf("%s: apply delta [%d,%d): %v", name, d.From, d.To, err)
+					}
+				}
+				opt.OnColumn = func(c int, _ float64, _ [][]float64) {
+					if fc.fault == "cancel" && c == col {
+						cancel()
+					}
+				}
+				switch fc.fault {
+				case "nan":
+					opt.Fault = faultinject.NaNAt(col, -1)
+				case "panic":
+					opt.Fault = &faultinject.Hooks{CorruptColumn: func(c int, _ []float64) {
+						if c == col {
+							panic("injected group-task panic")
+						}
+					}}
+				}
+				_, err := SolveBatchCtx(ctx, sys, scs, m, T, opt)
+				cancel()
+				if err == nil {
+					t.Fatalf("%s: the faulted run succeeded", name)
+				}
+				if cp.Columns != fc.cols {
+					t.Fatalf("%s: checkpoint holds %d columns, want %d (%v)", name, cp.Columns, fc.cols, err)
+				}
+				ropt := base
+				ropt.Workers = 4
+				ropt.ResumeFrom = cp
+				sols, err := SolveBatch(sys, scs, m, T, ropt)
+				if err != nil {
+					t.Fatalf("%s: resume: %v", name, err)
+				}
+				for s := range sols {
+					got, want := sols[s].Coefficients(), ref[s].Coefficients()
+					for i := 0; i < sys.N(); i++ {
+						for j := 0; j < m; j++ {
+							if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+								t.Fatalf("%s: resumed scenario %d state %d column %d differs", name, s, i, j)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -109,7 +109,7 @@ const (
 	// degradation.
 	TierSupernodal Tier = iota
 	// TierSparseLU is the default fast path: Gilbert–Peierls sparse LU with
-	// RCM pre-ordering, shared across all columns.
+	// AMD pre-ordering, shared across all columns.
 	TierSparseLU
 	// TierDenseLU is the first fallback: dense partial-pivoting LU with one
 	// step of iterative refinement against the sparse matrix.

@@ -33,7 +33,7 @@ func supernodalEngaged(n int, opt *Options) bool {
 // pencilFactor is one leading-pencil factorization behind the tiered
 // graceful-degradation chain of the hardened solver core:
 //
-//	sparse LU (RCM + threshold pivoting)
+//	sparse LU (AMD + threshold pivoting)
 //	  → dense LU with one step of iterative refinement
 //	    → Householder QR least-squares.
 //

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -423,5 +424,183 @@ func TestFaultFreeRunStaysOnSparseTier(t *testing.T) {
 	}
 	if rep.Columns != fx.m {
 		t.Fatalf("report.Columns = %d, want %d", rep.Columns, fx.m)
+	}
+}
+
+// overlapRun is what one faulted batch run shows its caller: the error, the
+// OnColumn sequence with a digest of each call's columns, the checkpoint
+// column count and the report's committed columns.
+type overlapRun struct {
+	err     *core.Diagnostic
+	cols    []int
+	digests []uint64
+	cpCols  int
+	columns int
+}
+
+// overlapEntry is one batch for the overlapped-driver rows.
+type overlapEntry struct {
+	name string
+	sys  *core.System
+	scs  []core.Scenario
+	m    int
+	T    float64
+}
+
+// overlapEntries are the three group steps a K = 70, PanelWidth 32 batch
+// (groups of 32, 32 and 6) can take: the integer-order panel step, the
+// member-wise step of a fractional system, and the panel step with SMW
+// members (parameter batches emit no checkpoints).
+func overlapEntries(t *testing.T, K int) []overlapEntry {
+	t.Helper()
+	scenarios := func(u []waveform.Signal, delta bool) []core.Scenario {
+		scs := make([]core.Scenario, K)
+		for s := range scs {
+			amp := 1 + 0.01*float64(s)
+			us := append([]waveform.Signal(nil), u...)
+			u0 := u[0]
+			us[0] = func(t float64) float64 { return amp * u0(t) }
+			scs[s] = core.Scenario{U: us}
+			if delta {
+				unit := sparse.Vec{Idx: []int{0}, Val: []float64{1}}
+				scs[s].Delta = &core.PencilDelta{Updates: []core.RankOne{{Term: 0, Scale: 1e-3 * amp, U: unit, V: unit}}}
+			}
+		}
+		return scs
+	}
+	quick, frac := goldenFixtures()[0], goldenFixtures()[1]
+	qsys, qu := quick.sys(t)
+	fsys, fu := frac.sys(t)
+	return []overlapEntry{
+		{"panel", qsys, scenarios(qu, false), quick.m, quick.T},
+		{"member", fsys, scenarios(fu, false), frac.m, frac.T},
+		{"smw", qsys, scenarios(qu, true), quick.m, quick.T},
+	}
+}
+
+// runOverlapFault runs one batch with the named fault at column col: a
+// cancel from OnColumn(col), a NaN at column col, or a panic inside the
+// group tasks at column col.
+func runOverlapFault(t *testing.T, sys *core.System, scs []core.Scenario, m int, T float64, workers int, fault string, col int) overlapRun {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var run overlapRun
+	cp := &core.Checkpoint{}
+	rep := &core.SolveReport{}
+	// The SMW rank limit is pinned: the measured crossover may route a
+	// scenario differently from run to run, which changes its bits.
+	opt := core.BatchOptions{Options: core.Options{Workers: workers, Report: rep}, PanelWidth: 32, CheckpointEvery: 4, UpdateRankLimit: 8}
+	opt.OnCheckpoint = func(d *core.CheckpointDelta) {
+		if err := cp.ApplyCheckpoint(d); err != nil {
+			t.Errorf("apply delta [%d,%d): %v", d.From, d.To, err)
+		}
+	}
+	opt.OnColumn = func(c int, _ float64, cols [][]float64) {
+		h := uint64(14695981039346656037)
+		for _, x := range cols {
+			for _, v := range x {
+				h = (h ^ math.Float64bits(v)) * 1099511628211
+			}
+		}
+		run.cols = append(run.cols, c)
+		run.digests = append(run.digests, h)
+		if fault == "cancel" && c == col {
+			cancel()
+		}
+	}
+	switch fault {
+	case "nan":
+		opt.Fault = faultinject.NaNAt(col, 0)
+	case "panic":
+		opt.Fault = &faultinject.Hooks{CorruptColumn: func(c int, _ []float64) {
+			if c == col {
+				panic(errInjectedPanic.Error())
+			}
+		}}
+	}
+	_, err := core.SolveBatchCtx(ctx, sys, scs, m, T, opt)
+	if !errors.As(err, &run.err) {
+		t.Fatalf("workers=%d %s: error is not a *core.Diagnostic: %v", workers, fault, err)
+	}
+	run.cpCols, run.columns = cp.Columns, rep.Columns
+	return run
+}
+
+// With several scenario groups on the pool, column j's OnColumn call runs
+// while column j+1's groups solve. A cancel from OnColumn(j), a NaN at
+// column j and a panic inside the group tasks at column j must still give
+// the Workers 1 run's (fully serial) Kind, Column, Time, OnColumn sequence
+// and columns, checkpoint column count and committed-column count.
+func TestFaultOverlappedDriverMatchesWorkersOne(t *testing.T) {
+	const K, col = 70, 9
+	for _, e := range overlapEntries(t, K) {
+		for _, fc := range []struct {
+			fault string
+			kind  error
+			col   int
+		}{
+			{"cancel", core.ErrCancelled, col + 1},
+			{"nan", core.ErrNonFinite, col},
+			{"panic", core.ErrInternal, col},
+		} {
+			t.Run(e.name+"/"+fc.fault, func(t *testing.T) {
+				ref := runOverlapFault(t, e.sys, e.scs, e.m, e.T, 1, fc.fault, col)
+				if !errors.Is(ref.err, fc.kind) || ref.err.Column != fc.col {
+					t.Fatalf("workers=1: %v at column %d, want %v at %d", ref.err.Kind, ref.err.Column, fc.kind, fc.col)
+				}
+				if len(ref.cols) != fc.col || ref.columns != fc.col*K {
+					t.Fatalf("workers=1: %d OnColumn calls, %d columns committed; want %d and %d", len(ref.cols), ref.columns, fc.col, fc.col*K)
+				}
+				if e.name != "smw" && ref.cpCols != fc.col {
+					t.Fatalf("workers=1: checkpoint holds %d columns, want %d", ref.cpCols, fc.col)
+				}
+				for _, workers := range []int{2, 4} {
+					got := runOverlapFault(t, e.sys, e.scs, e.m, e.T, workers, fc.fault, col)
+					if got.err.Kind != ref.err.Kind || got.err.Column != ref.err.Column ||
+						math.Float64bits(got.err.Time) != math.Float64bits(ref.err.Time) {
+						t.Fatalf("workers=%d: %v at column %d (t=%g), workers=1 gave %v at %d (t=%g)",
+							workers, got.err.Kind, got.err.Column, got.err.Time, ref.err.Kind, ref.err.Column, ref.err.Time)
+					}
+					if fmt.Sprint(got.cols, got.digests) != fmt.Sprint(ref.cols, ref.digests) {
+						t.Fatalf("workers=%d: OnColumn calls %v, workers=1 gave %v (or their columns differ)", workers, got.cols, ref.cols)
+					}
+					if got.cpCols != ref.cpCols || got.columns != ref.columns {
+						t.Fatalf("workers=%d: checkpoint %d / committed %d columns, workers=1 gave %d / %d",
+							workers, got.cpCols, got.columns, ref.cpCols, ref.columns)
+					}
+				}
+			})
+		}
+	}
+}
+
+// A panic inside OnColumn(j) reaches the caller after the next column's
+// group tasks have finished, and leaves that column uncommitted.
+func TestFaultOnColumnPanicLeavesNextColumnUncommitted(t *testing.T) {
+	const K, col = 70, 5
+	e := overlapEntries(t, K)[0]
+	for _, workers := range []int{1, 2, 4} {
+		rep := &core.SolveReport{}
+		var calls []int
+		func() {
+			defer func() {
+				if r := recover(); r != errInjectedPanic {
+					t.Fatalf("workers=%d: recovered %v, want the hook's panic", workers, r)
+				}
+			}()
+			opt := core.BatchOptions{Options: core.Options{Workers: workers, Report: rep}, PanelWidth: 32}
+			opt.OnColumn = func(c int, _ float64, _ [][]float64) {
+				calls = append(calls, c)
+				if c == col {
+					panic(errInjectedPanic)
+				}
+			}
+			_, err := core.SolveBatch(e.sys, e.scs, e.m, e.T, opt)
+			t.Fatalf("workers=%d: solve returned %v past a panicking hook", workers, err)
+		}()
+		if len(calls) != col+1 || rep.Columns != (col+1)*K {
+			t.Fatalf("workers=%d: %d OnColumn calls, %d columns committed; want %d and %d", workers, len(calls), rep.Columns, col+1, (col+1)*K)
+		}
 	}
 }

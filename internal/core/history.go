@@ -67,7 +67,13 @@ func runInOrder(tasks []func()) error {
 // inside any task is recovered and reported as the returned error (first one
 // wins) rather than crashing the process; the remaining tasks still run, so
 // the accumulators stay consistent for whoever inspects them post-mortem.
-func historyPoolDo(tasks []func()) error {
+func historyPoolDo(tasks []func()) error { return historyPoolGo(tasks)() }
+
+// historyPoolGo hands the tasks to the pool and returns a wait function that
+// blocks until every task has finished and returns historyPoolDo's error. A
+// task the saturated pool cannot take runs on the calling goroutine before
+// historyPoolGo returns.
+func historyPoolGo(tasks []func()) (wait func() error) {
 	historyPool.once.Do(func() {
 		n := runtime.GOMAXPROCS(0)
 		historyPool.jobs = make(chan func(), n)
@@ -101,8 +107,10 @@ func historyPoolDo(tasks []func()) error {
 			run()
 		}
 	}
-	wg.Wait()
-	return firstErr
+	return func() error {
+		wg.Wait()
+		return firstErr
+	}
 }
 
 // engineErrKind maps a history-engine error to its taxonomy sentinel:

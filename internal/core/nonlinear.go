@@ -188,7 +188,7 @@ func (ns *newtonStep) column(j int, tj float64, tiers *[numTiers]int) (int, erro
 		}
 		if norm <= opt.Tol*opt.Tol*(1+xnorm) {
 			st.commit(j, xj)
-			return 0, nil
+			return 0, st.finish(j, tj, xj)
 		}
 	}
 	d := diag(ErrNonConvergence, j, tj)

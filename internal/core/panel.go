@@ -115,6 +115,12 @@ func (g *panelStep) column(j int, tj float64, tiers *[numTiers]int) (int, error)
 		return g.members[0].s, d
 	}
 	tiers[g.pf.tier] += w
+	// One sweep over the solved panel finishes each member: its column is
+	// gathered into the slab, an SMW member's Woodbury correction is applied
+	// and written back (the panel enters the lag ring corrected), then the
+	// member's screen and hook values run on the slab column.
+	var first error
+	firstS := 0
 	xd := xcur.Data()
 	for t, st := range g.members {
 		x := st.x(j)
@@ -127,9 +133,12 @@ func (g *panelStep) column(j int, tj float64, tiers *[numTiers]int) (int, error)
 				xd[i*w+t] = v
 			}
 		}
+		if err := st.finish(j, tj, x); err != nil && first == nil {
+			first, firstS = err, st.s
+		}
 	}
 	g.advance(xcur)
-	return 0, nil
+	return firstS, first
 }
 
 // takePanel pops a spare solution panel off the pool. The pool is a stack,

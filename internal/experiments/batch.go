@@ -62,7 +62,9 @@ type BatchReport struct {
 	Provenance Provenance `json:"provenance"`
 	Fixture    string     `json:"fixture"`
 	PanelWidth int        `json:"panel_width"`
-	Rows       []BatchRow `json:"rows"`
+	// Repeat is how many times each leg ran; its times are the fastest run.
+	Repeat int        `json:"repeat"`
+	Rows   []BatchRow `json:"rows"`
 }
 
 // WriteJSON writes the report to path.
@@ -132,6 +134,7 @@ func Batch(cfg BatchConfig) (*Table, *BatchReport, error) {
 		Provenance: NewProvenance(),
 		Fixture:    fmt.Sprintf("power grid NA n=%d", na.Sys.N()),
 		PanelWidth: 32,
+		Repeat:     cfg.Repeat,
 	}
 	tbl := &Table{
 		Title: fmt.Sprintf("Batched multi-scenario solve — power grid (n=%d, m=%d, GOMAXPROCS=%d)",

@@ -60,7 +60,7 @@ type ScaleRow struct {
 	N      int `json:"n"`
 	States int `json:"states"`
 	NNZ    int `json:"nnz"`
-	// Scalar leg: Gilbert–Peierls sparse LU (RCM + threshold pivoting).
+	// Scalar leg: Gilbert–Peierls sparse LU (AMD + threshold pivoting).
 	ScalarFactorNS int64 `json:"scalar_factor_ns"`
 	ScalarSolveNS  int64 `json:"scalar_solve_ns"`
 	ScalarFillNNZ  int   `json:"scalar_fill_nnz"`
@@ -217,7 +217,7 @@ func ScaleBench(cfg ScaleConfig) (*Table, *ScaleReport, error) {
 			fmt.Sprintf("%.1e", row.MaxRelDiff))
 	}
 	rep.Notes = append(rep.Notes,
-		"scalar leg: Gilbert–Peierls sparse LU with RCM pre-ordering; BBD leg: nested-dissection domain decomposition with supernodal blocked domain factors and a dense Schur interface tier",
+		"scalar leg: Gilbert–Peierls sparse LU with AMD pre-ordering; BBD leg: nested-dissection domain decomposition with AMD-ordered supernodal domain factors and a dense Schur interface tier",
 		"both legs solve the same deterministic right-hand side; rel diff is the worst relative component difference",
 		"speedups are wall-clock on this host; the CI guard compares speedup ratios against the committed smoke baseline, which transfers across machines")
 	tbl.Notes = append(tbl.Notes, "factorization speedup = scalar / BBD wall-clock; solutions cross-checked to 1e-8 relative")

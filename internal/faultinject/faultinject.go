@@ -36,7 +36,9 @@ type Hooks struct {
 	FactorFail func(col, tier int) bool
 
 	// CorruptColumn may mutate the freshly solved column x_j in place (for
-	// example, writing a NaN) before the solver's non-finite guard runs.
+	// example, writing a NaN) before the solver's non-finite guard runs. It
+	// runs inside the scenario group tasks, so in a batch with several
+	// groups, calls for scenarios of different groups may be concurrent.
 	CorruptColumn func(col int, x []float64)
 
 	// WorkerFault runs inside every history-engine worker task. It may panic

@@ -21,7 +21,7 @@ import (
 //	    ⎢      D_P F_P⎥
 //	    ⎣G₁ ⋯  G_P  C ⎦
 //
-// Each domain factors independently (Gilbert–Peierls LU with its own RCM
+// Each domain factors independently (Gilbert–Peierls LU with its own AMD
 // ordering and a row substitution plan — rowPlan in lu.go), its Schur
 // contribution Gᵢ·Dᵢ⁻¹·Fᵢ is
 // assembled through 32-wide panel solves (the SubMulRows kernels of

@@ -443,6 +443,7 @@ type Factorization struct {
 	lu     *LU
 	a      *CSR  // original matrix (for refinement)
 	ord    []int // new -> old, nil when no pre-ordering
+	ordUI  []int // ord[ui[q]]: U's row indices in a's coordinates (panel solves)
 	refine bool
 
 	// SolveInto scratch, lazily sized; see the concurrency note there.
@@ -456,10 +457,10 @@ type Factorization struct {
 func Factor(a *CSR, opt Options) (*Factorization, error) {
 	f := &Factorization{a: a, refine: opt.Refine}
 	work := a
-	// RCM pays off on mesh-like matrices; below ~64 unknowns its setup cost
-	// exceeds any fill reduction, so skip it.
+	// A fill-reducing order pays off on mesh-like matrices; below ~64
+	// unknowns its setup cost exceeds any fill reduction, so skip it.
 	if a.R >= 64 {
-		f.ord = RCM(a)
+		f.ord = AMD(a)
 		work = a.Permute(f.ord)
 	}
 	lu, err := FactorLU(work, pivotTol)
@@ -468,6 +469,12 @@ func Factor(a *CSR, opt Options) (*Factorization, error) {
 	}
 	if opt.Supernodal {
 		lu.plan = newRowPlan(lu)
+	}
+	if f.ord != nil {
+		f.ordUI = make([]int, len(lu.ui))
+		for q, i := range lu.ui {
+			f.ordUI[q] = f.ord[i]
+		}
 	}
 	f.lu = lu
 	return f, nil
@@ -541,7 +548,7 @@ func (f *Factorization) SolveInto(x, b []float64) error {
 }
 
 // solveOnceInto mirrors the forward direction of solveOnce into a caller
-// buffer, routing through the RCM permutation sandwich when present.
+// buffer, routing through the permutation sandwich when present.
 func (f *Factorization) solveOnceInto(x, b []float64) error {
 	if f.ord == nil {
 		return f.lu.SolveInto(x, b)
@@ -574,7 +581,7 @@ func (f *Factorization) SolveTranspose(b []float64) ([]float64, error) {
 func (f *Factorization) solveOnce(b []float64, transpose bool) ([]float64, error) {
 	luSolve := f.lu.Solve
 	if transpose {
-		// The RCM pre-ordering is symmetric (W = P·A·Pᵀ), so Wᵀ = P·Aᵀ·Pᵀ and
+		// The pre-ordering is symmetric (W = P·A·Pᵀ), so Wᵀ = P·Aᵀ·Pᵀ and
 		// the same permutation sandwich applies to the transposed solve.
 		luSolve = f.lu.SolveTranspose
 	}

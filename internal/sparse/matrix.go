@@ -1,8 +1,8 @@
 // Package sparse implements the sparse linear-algebra substrate for the
 // circuit-sized systems in the OPM simulator: COO assembly, CSR storage and
-// mat-vec, reverse Cuthill–McKee ordering, a left-looking (Gilbert–Peierls)
-// sparse LU with threshold partial pivoting, and a conjugate-gradient solver
-// for symmetric positive definite systems.
+// mat-vec, approximate-minimum-degree and reverse Cuthill–McKee orderings, a
+// left-looking (Gilbert–Peierls) sparse LU with threshold partial pivoting,
+// and a conjugate-gradient solver for symmetric positive definite systems.
 //
 // The paper's complexity claim O(nᵝ m + n m²) rests on E and A being sparse
 // with O(n) nonzeros and on one sparse factorization being reused across all

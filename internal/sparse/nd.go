@@ -214,19 +214,3 @@ func levelStructure(adj [][]int, root int, inSet, level []int, e int) [][]int {
 	}
 	return levels
 }
-
-// NDPermutation returns a nested-dissection fill-reducing ordering of a (new
-// index → old index): each bisection places its two halves before its
-// separator, recursively, so elimination works inward from the domains and
-// the separator fill stays confined to the borders. It complements RCM for
-// matrices whose graphs have small separators (grids, meshes); RCM remains
-// the default ordering of Factor.
-func NDPermutation(a *CSR, parts int) []int {
-	d := Dissect(a, parts)
-	perm := make([]int, 0, a.R)
-	for _, dom := range d.Domains {
-		perm = append(perm, dom...)
-	}
-	perm = append(perm, d.Iface...)
-	return perm
-}

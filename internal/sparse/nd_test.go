@@ -123,15 +123,3 @@ func TestDissectTinyGraphDegrades(t *testing.T) {
 	d := Dissect(a, 4)
 	checkDissection(t, a, d)
 }
-
-func TestNDPermutationIsPermutation(t *testing.T) {
-	a := gridCSR(12, 12)
-	perm := NDPermutation(a, 4)
-	seen := make([]bool, a.R)
-	for _, v := range perm {
-		if v < 0 || v >= a.R || seen[v] {
-			t.Fatalf("invalid permutation entry %d", v)
-		}
-		seen[v] = true
-	}
-}

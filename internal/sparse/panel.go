@@ -31,7 +31,25 @@ func (f *LU) SolvePanelInto(x, b, work *mat.Dense) error {
 	if err := checkPanel(f.n, x, b, work); err != nil {
 		return fmt.Errorf("sparse: LU SolvePanelInto: %w", err)
 	}
-	copy(work.Data(), b.Data())
+	f.solvePanel(x, b, work, nil, f.ui)
+	return nil
+}
+
+// solvePanel is SolvePanelInto for the symmetrically pre-ordered matrix
+// W = A(ord, ord) that f factors, with b and x in A's coordinates: b's rows
+// are gathered through ord into work, and the backward sweep runs in place
+// in x, pivot position j on row ord[j], with ordUI = ord∘ui as its update
+// rows. The permutation sandwich thus costs one gather and no extra copies;
+// every row receives the same operations in the same order. A nil ord is
+// the identity (ordUI = ui).
+func (f *LU) solvePanel(x, b, work *mat.Dense, ord, ordUI []int) {
+	if ord == nil {
+		copy(work.Data(), b.Data())
+	} else {
+		for newI, oldI := range ord {
+			copy(work.Row(newI), b.Row(oldI))
+		}
+	}
 	w := b.Cols()
 	// Forward: L y = P b, processed column by column in pivot order. The
 	// exact-zero skip is hoisted out of the per-entry loop: one scan of the
@@ -59,19 +77,27 @@ func (f *LU) SolvePanelInto(x, b, work *mat.Dense) error {
 		}
 	}
 	for j := 0; j < f.n; j++ {
-		copy(x.Row(j), work.Row(f.perm[j]))
+		r := j
+		if ord != nil {
+			r = ord[j]
+		}
+		copy(x.Row(r), work.Row(f.perm[j]))
 	}
 	// Backward: U x = y, U stored by column with pivot-position rows.
 	for j := f.n - 1; j >= 0; j-- {
-		xj := x.Row(j)
+		r := j
+		if ord != nil {
+			r = ord[j]
+		}
+		xj := x.Row(r)
 		vecops.Div(xj, f.udiag[j])
 		switch panelZeros(xj) {
 		case len(xj):
 		case 0:
-			vecops.SubMulRows(x.Data(), w, f.ui[f.up[j]:f.up[j+1]], f.ux[f.up[j]:f.up[j+1]], xj)
+			vecops.SubMulRows(x.Data(), w, ordUI[f.up[j]:f.up[j+1]], f.ux[f.up[j]:f.up[j+1]], xj)
 		default:
 			for q := f.up[j]; q < f.up[j+1]; q++ {
-				dst := x.Row(f.ui[q])
+				dst := x.Row(ordUI[q])
 				ux := f.ux[q]
 				for t, v := range xj {
 					if !isExactZero(v) {
@@ -81,7 +107,6 @@ func (f *LU) SolvePanelInto(x, b, work *mat.Dense) error {
 			}
 		}
 	}
-	return nil
 }
 
 // panelZeros counts the exact zeros in one panel row, deciding which
@@ -114,17 +139,16 @@ func (f *LU) share() *LU {
 // so cached factorizations never race on scratch, and a view's solves are
 // bitwise-identical to the original's.
 func (f *Factorization) Share() *Factorization {
-	return &Factorization{lu: f.lu.share(), a: f.a, ord: f.ord, refine: f.refine}
+	return &Factorization{lu: f.lu.share(), a: f.a, ord: f.ord, ordUI: f.ordUI, refine: f.refine}
 }
 
 // PanelScratch owns the working panels one goroutine needs to run
-// Factorization.SolvePanelInto: the substitution work panel, the permutation
-// gather/scatter pair, and the refinement residual/correction pair. Scratch
-// is bound to a panel width; allocate one per concurrent solving task.
+// Factorization.SolvePanelInto: the substitution work panel and the
+// refinement residual/correction pair. Scratch is bound to a panel width;
+// allocate one per concurrent solving task.
 type PanelScratch struct {
 	k                 int
 	work              *mat.Dense
-	pb, px            *mat.Dense // permutation sandwich panels (RCM runs only)
 	residual, correct *mat.Dense // refinement panels (refine runs only)
 }
 
@@ -132,10 +156,6 @@ type PanelScratch struct {
 // exactly k right-hand sides.
 func (f *Factorization) NewPanelScratch(k int) *PanelScratch {
 	s := &PanelScratch{k: k, work: mat.NewDense(f.lu.n, k)}
-	if f.ord != nil {
-		s.pb = mat.NewDense(f.lu.n, k)
-		s.px = mat.NewDense(f.lu.n, k)
-	}
 	if f.refine {
 		s.residual = mat.NewDense(f.lu.n, k)
 		s.correct = mat.NewDense(f.lu.n, k)
@@ -144,7 +164,7 @@ func (f *Factorization) NewPanelScratch(k int) *PanelScratch {
 }
 
 // SolvePanelInto solves A·X = B for an n×K panel without modifying b, routing
-// through the RCM permutation sandwich and the optional refinement step
+// through the permutation sandwich and the optional refinement step
 // exactly as the one-vector SolveInto does, column by column in the same
 // operation order — each column of x is bitwise-identical to a SolveInto call
 // on the matching column of b. s must come from NewPanelScratch(K) on this
@@ -157,9 +177,7 @@ func (f *Factorization) SolvePanelInto(x, b *mat.Dense, s *PanelScratch) error {
 	if x.Cols() != s.k {
 		return fmt.Errorf("sparse: SolvePanelInto scratch is for %d right-hand sides, got %d", s.k, x.Cols())
 	}
-	if err := f.solveOncePanel(x, b, s); err != nil {
-		return err
-	}
+	f.solveOncePanel(x, b, s)
 	if f.refine {
 		// One refinement step per column: r = b − A·x, x += A⁻¹ r.
 		f.a.MulPanelInto(s.residual, x)
@@ -167,9 +185,7 @@ func (f *Factorization) SolvePanelInto(x, b *mat.Dense, s *PanelScratch) error {
 		for i, v := range rd {
 			rd[i] = bd[i] - v
 		}
-		if err := f.solveOncePanel(s.correct, s.residual, s); err != nil {
-			return err
-		}
+		f.solveOncePanel(s.correct, s.residual, s)
 		xd, cd := x.Data(), s.correct.Data()
 		for i, v := range cd {
 			xd[i] += v
@@ -180,20 +196,12 @@ func (f *Factorization) SolvePanelInto(x, b *mat.Dense, s *PanelScratch) error {
 
 // solveOncePanel is one unrefined panel solve through the permutation
 // sandwich, mirroring solveOnceInto.
-func (f *Factorization) solveOncePanel(x, b *mat.Dense, s *PanelScratch) error {
-	if f.ord == nil {
-		return f.lu.SolvePanelInto(x, b, s.work)
+func (f *Factorization) solveOncePanel(x, b *mat.Dense, s *PanelScratch) {
+	ordUI := f.lu.ui
+	if f.ord != nil {
+		ordUI = f.ordUI
 	}
-	for newI, oldI := range f.ord {
-		copy(s.pb.Row(newI), b.Row(oldI))
-	}
-	if err := f.lu.SolvePanelInto(s.px, s.pb, s.work); err != nil {
-		return err
-	}
-	for newI, oldI := range f.ord {
-		copy(x.Row(oldI), s.px.Row(newI))
-	}
-	return nil
+	f.lu.solvePanel(x, b, s.work, f.ord, ordUI)
 }
 
 // MulPanelInto computes dst = A·X for an n-column panel X (dst and X are

@@ -11,7 +11,7 @@ import (
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // Property: every column of the panel triangular solve is bitwise-identical
-// to SolveInto on that column — across the RCM threshold (Factor skips the
+// to SolveInto on that column — across the ordering threshold (Factor skips the
 // pre-ordering below n = 64), with and without refinement, and across panel
 // widths.
 func TestFactorizationSolvePanelIntoBitwise(t *testing.T) {

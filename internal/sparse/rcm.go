@@ -5,7 +5,7 @@ import "sort"
 // symAdjacency builds the undirected adjacency lists of the symmetrized
 // sparsity pattern of a (pattern of A + Aᵀ, no self loops), each list sorted
 // ascending with duplicates removed. It is the shared graph substrate of the
-// RCM and nested-dissection orderings. The construction is merge-based — two
+// RCM, AMD and nested-dissection orderings. The construction is merge-based — two
 // counted passes over the nonzeros plus one sort/dedup per row — instead of a
 // hash-set of edges, which is what lets the orderings scale to the n=10⁵
 // grids the BBD factorization targets; the resulting lists are identical to
@@ -57,7 +57,9 @@ func symAdjacency(a *CSR) [][]int {
 // RCM computes a reverse Cuthill–McKee ordering of the symmetrized sparsity
 // pattern of the square matrix a. The returned slice maps new index → old
 // index. RCM reduces bandwidth, which bounds fill-in of the subsequent LU
-// factorization on the mesh-like matrices that circuit grids produce.
+// factorization on the mesh-like matrices that circuit grids produce; Factor
+// orders with AMD, which leaves less fill on those matrices, and RCM stays
+// as the bandwidth-reducing reference.
 //
 // Disconnected graphs — including fully isolated nodes, which circuit
 // matrices produce for source-only node families — are handled by restarting

@@ -219,7 +219,7 @@ func TestFactorLUNeedsPivoting(t *testing.T) {
 	}
 }
 
-// Property: Factor (with RCM + refinement) solves random diagonally dominant
+// Property: Factor (with AMD + refinement) solves random diagonally dominant
 // systems to high accuracy.
 func TestFactorSolveProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -293,7 +293,7 @@ func TestFromDenseRoundTrip(t *testing.T) {
 
 func TestSolveTransposeAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	// Cover both the direct path and the RCM-preordered path (n ≥ 64).
+	// Cover both the direct path and the AMD-preordered path (n ≥ 64).
 	for _, n := range []int{1, 2, 7, 30, 80} {
 		a := randomSparseSquare(rng, n, 0.15)
 		fac, err := Factor(a, Options{})
