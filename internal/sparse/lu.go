@@ -443,7 +443,7 @@ type Factorization struct {
 	lu     *LU
 	a      *CSR  // original matrix (for refinement)
 	ord    []int // new -> old, nil when no pre-ordering
-	ordUI  []int // ord[ui[q]]: U's row indices in a's coordinates (panel solves)
+	ordUI  []int // U's row indices in a's coordinates, ord[ui[q]] (ui when unordered; panel solves)
 	refine bool
 
 	// SolveInto scratch, lazily sized; see the concurrency note there.
@@ -470,6 +470,7 @@ func Factor(a *CSR, opt Options) (*Factorization, error) {
 	if opt.Supernodal {
 		lu.plan = newRowPlan(lu)
 	}
+	f.ordUI = lu.ui
 	if f.ord != nil {
 		f.ordUI = make([]int, len(lu.ui))
 		for q, i := range lu.ui {

@@ -23,25 +23,16 @@ import (
 // bitwise-identical to column-by-column solves, which is what lets SolveBatch
 // guarantee bitwise equality with sequential Solve calls.
 
-// SolvePanelInto solves A·X = B for a panel of right-hand sides: x, b, and
-// work are n×K with the same K; x must not alias b or work. The work panel is
+// solvePanel solves W·X = B for a panel of right-hand sides, W = A(ord, ord)
+// being the symmetrically pre-ordered matrix f factors, with b and x in A's
+// coordinates: x, b and work are n×K with the same K, and x must not alias
+// b or work. b's rows are gathered through ord into work, and the backward
+// sweep runs in place in x, pivot position j on row ord[j], with
+// ordUI = ord∘ui as its update rows — so the permutation sandwich costs one
+// gather and no extra copies, and every row receives the same operations in
+// the same order. A nil ord is the identity (ordUI = ui). The work panel is
 // caller-owned scratch, which keeps the kernel safe for concurrent use on
 // disjoint panels of one shared factorization.
-func (f *LU) SolvePanelInto(x, b, work *mat.Dense) error {
-	if err := checkPanel(f.n, x, b, work); err != nil {
-		return fmt.Errorf("sparse: LU SolvePanelInto: %w", err)
-	}
-	f.solvePanel(x, b, work, nil, f.ui)
-	return nil
-}
-
-// solvePanel is SolvePanelInto for the symmetrically pre-ordered matrix
-// W = A(ord, ord) that f factors, with b and x in A's coordinates: b's rows
-// are gathered through ord into work, and the backward sweep runs in place
-// in x, pivot position j on row ord[j], with ordUI = ord∘ui as its update
-// rows. The permutation sandwich thus costs one gather and no extra copies;
-// every row receives the same operations in the same order. A nil ord is
-// the identity (ordUI = ui).
 func (f *LU) solvePanel(x, b, work *mat.Dense, ord, ordUI []int) {
 	if ord == nil {
 		copy(work.Data(), b.Data())
@@ -177,7 +168,7 @@ func (f *Factorization) SolvePanelInto(x, b *mat.Dense, s *PanelScratch) error {
 	if x.Cols() != s.k {
 		return fmt.Errorf("sparse: SolvePanelInto scratch is for %d right-hand sides, got %d", s.k, x.Cols())
 	}
-	f.solveOncePanel(x, b, s)
+	f.lu.solvePanel(x, b, s.work, f.ord, f.ordUI)
 	if f.refine {
 		// One refinement step per column: r = b − A·x, x += A⁻¹ r.
 		f.a.MulPanelInto(s.residual, x)
@@ -185,23 +176,13 @@ func (f *Factorization) SolvePanelInto(x, b *mat.Dense, s *PanelScratch) error {
 		for i, v := range rd {
 			rd[i] = bd[i] - v
 		}
-		f.solveOncePanel(s.correct, s.residual, s)
+		f.lu.solvePanel(s.correct, s.residual, s.work, f.ord, f.ordUI)
 		xd, cd := x.Data(), s.correct.Data()
 		for i, v := range cd {
 			xd[i] += v
 		}
 	}
 	return nil
-}
-
-// solveOncePanel is one unrefined panel solve through the permutation
-// sandwich, mirroring solveOnceInto.
-func (f *Factorization) solveOncePanel(x, b *mat.Dense, s *PanelScratch) {
-	ordUI := f.lu.ui
-	if f.ord != nil {
-		ordUI = f.ordUI
-	}
-	f.lu.solvePanel(x, b, s.work, f.ord, ordUI)
 }
 
 // MulPanelInto computes dst = A·X for an n-column panel X (dst and X are
