@@ -624,12 +624,18 @@ func (r *columnRun) run() ([]*Solution, error) {
 		}
 		var err error
 		if overlap {
-			// A cancel raised by column j−1's hook abandons column j
-			// uncommitted, exactly as when the hook ran before it.
+			// A cancel raised by column j−1's post work abandons column j
+			// uncommitted, exactly as when that work ran before it.
+			var hookErr error
 			live := r.ctx.Err() == nil
-			err = overlapTasks(tasks, flush)
-			if cerr := r.ctx.Err(); live && cerr != nil {
-				return cancelled(cerr)
+			err = overlapTasks(tasks, func() {
+				flush()
+				if live {
+					hookErr = r.ctx.Err()
+				}
+			})
+			if hookErr != nil {
+				return cancelled(hookErr)
 			}
 		} else {
 			err = r.runTasks(tasks)
