@@ -63,8 +63,8 @@ func SolveAdaptiveCtx(ctx context.Context, sys *System, u []waveform.Signal, ste
 		r.times[j] = r.T + h/2
 		r.T += h
 	}
-	return r.solveOne(u, func(st *scenState) columnStep {
-		return &adaptiveStep{r: r, st: st, steps: steps, cache: map[float64]*pencilFactor{}}
+	return r.solveOne(u, func(g *panelStep) columnStep {
+		return &adaptiveStep{r: r, g: g, steps: steps, cache: map[float64]*pencilFactor{}}
 	})
 }
 
@@ -74,17 +74,17 @@ func SolveAdaptiveCtx(ctx context.Context, sys *System, u []waveform.Signal, ste
 // size (schedules alternating between a few distinct h values pay for that
 // many factorizations at most), and behind it the optional shared
 // Options.FactorCache, which lets repeated SolveAdaptive runs over the same
-// step ladder skip even those.
+// step ladder skip even those. The right-hand side comes from the one-wide
+// panel step, whose terms all run on the history engine here.
 type adaptiveStep struct {
 	r     *columnRun
-	st    *scenState
+	g     *panelStep
 	steps []float64
 	cache map[float64]*pencilFactor
 }
 
 func (a *adaptiveStep) column(j int, tj float64, tiers *[numTiers]int) (int, error) {
-	rhs, err := a.st.rhs(j, tj)
-	if err != nil {
+	if _, err := a.g.rhs(j, tj); err != nil {
 		return 0, err
 	}
 	h := a.steps[j]
@@ -99,15 +99,16 @@ func (a *adaptiveStep) column(j int, tj float64, tiers *[numTiers]int) (int, err
 		}
 		a.cache[h] = fac
 	}
-	x := a.st.x(j)
-	if err := fac.solveInto(x, rhs); err != nil {
+	st := a.g.members[0]
+	x := st.x(j)
+	if err := fac.solveInto(x, a.g.b.Data()); err != nil {
 		d := diag(ErrInternal, j, tj)
 		d.Cause = err
 		return 0, d
 	}
 	tiers[fac.tier]++
-	a.st.commit(j, x)
-	return 0, a.st.finish(j, tj, x)
+	a.g.commit(j)
+	return 0, st.finish(j, tj, x)
 }
 
 // AdaptiveOptions configures the on-the-fly step controller.

@@ -1,5 +1,7 @@
 package core
 
+//lint:hot
+
 import (
 	"context"
 	"fmt"
@@ -25,21 +27,18 @@ import (
 // several groups fan out over the pool, column j's post work runs on the
 // calling goroutine while column j+1's groups solve (see run); a run of one
 // group, or any run under Options.Workers 1, keeps the serial order above.
-// The solvers differ only in their step kind:
+// There is one right-hand-side path: panelStep.rhs (panel.go) builds the
+// column's eq. (28) right-hand sides for a group as one n×w panel, at every
+// width, 1 included. The solvers differ only in how they solve it:
 //
-//   - memberStep: each member assembles its own right-hand side; members
-//     riding the shared factorization are solved together as one panel (SMW
-//     members then take their Woodbury correction), refactored members are
-//     solved through their private factorization. An amplitude scenario is a
-//     panel member with no updates, and a one-scenario Solve is a group of
-//     one such member.
-//   - panelStep (panel.go): the integer-order fast path, with right-hand
-//     sides, history recurrences and input injection all at panel
-//     granularity. It serves amplitude groups and parameter groups whose
-//     members all ride the shared factorization (SMW members' rank-1 rhs
-//     corrections and Woodbury corrections apply per panel column).
-//   - newtonStep: SolveNonlinear's damped Newton iteration.
-//   - adaptiveStep: SolveAdaptive's per-step-size factorizations.
+//   - panelStep: the group's panel solve through the shared factorization
+//     (or a refactored scenario's private one), then SMW members' Woodbury
+//     corrections. Every Solve and SolveBatch group takes it; a one-scenario
+//     Solve is a group of one.
+//   - newtonStep: SolveNonlinear's damped Newton iteration on a one-wide
+//     panel step's right-hand side.
+//   - adaptiveStep: SolveAdaptive's per-step-size factorizations on a
+//     one-wide panel step's right-hand side.
 //
 // The batch engine runs K scenarios that share one circuit pencil through a
 // single factorization and blocked multi-RHS kernels: just as one
@@ -50,10 +49,9 @@ import (
 // partitioned into contiguous groups of PanelWidth, a pure function of K and
 // PanelWidth; groups own disjoint state and fan out over the shared worker
 // pool (in order on the calling goroutine under Options.Workers 1), so
-// results never depend on Options.Workers or scheduling. A group of
-// width 1 takes the member-wise step, whose one-column panel solve runs the
-// tier's scalar kernel; so does a group holding a refactored member, and
-// every group of a system with fractional terms.
+// results never depend on Options.Workers or scheduling. At width 1 the
+// panel kernels are the one-vector kernels (MulVecAdd, solveInto), so a
+// lone scenario costs what the scalar loop costs.
 //
 // Determinism contract: SolveBatch is bitwise-identical, scenario by
 // scenario, to K sequential Solve calls with the same Options. Every
@@ -150,31 +148,27 @@ type BatchOptions struct {
 	// slice: Monte-Carlo envelope runs consume columns through OnColumn and
 	// would otherwise hold K full n×m solution matrices. With
 	// DiscardSolutions set on a parameter-varying batch of a system without
-	// fractional/high-order engine terms, the engine also shrinks the
-	// per-scenario column slab to a (maxLag+1)-column ring, bounding memory
-	// at O(K·n) instead of O(K·n·m).
+	// fractional engine terms, the engine also shrinks each scenario's
+	// column slab to one column (the recurrence lags live in the group's
+	// panels), bounding memory at O(K·n) instead of O(K·n·m).
 	DiscardSolutions bool
 }
 
 // scenState is the per-scenario solve state: exactly what one sequential
-// Solve call keeps, owned by the scenario's group step during the column
-// loop.
+// Solve call keeps outside its group's panels, owned by the scenario's group
+// step during the column loop.
 type scenState struct {
 	s     int       // scenario index, for diagnostics
 	sys   *System   // matrices the rhs reads: the run's system, or an ApplyDelta materialization
 	ups   []RankOne // SMW path: term-level updates for the rank-1 rhs corrections
 	smw   *smwFactor
-	pf    *pencilFactor // refactored scenario: private factorization (nil → group panel member)
-	slot  int           // panel member: column in the group's panel
+	pf    *pencilFactor // refactored scenario: private factorization (nil → shared)
 	uc    *mat.Dense
 	x0    []float64
 	shift []float64
-	hist  []*intHistory
 	eng   *historyEngine
-	xbuf  []float64 // column slab: column j at slot j (mod ring)
-	ring  int
-	b     []float64 // right-hand side scratch
-	ucol  []float64
+	xbuf  []float64 // column slab: column j at slot j (slot 0 in a ring run)
+	ring  bool
 	// Column post-solve pass (finish): the fault seam and, when the run has
 	// a column hook, the hook buffers of even and odd columns (the same
 	// slice when the hook never overlaps the next column's solve).
@@ -185,53 +179,10 @@ type scenState struct {
 // x returns the slab column holding column j.
 func (st *scenState) x(j int) []float64 {
 	n := len(st.shift)
-	if st.ring > 0 {
-		j %= st.ring
+	if st.ring {
+		j = 0
 	}
 	return st.xbuf[j*n : (j+1)*n : (j+1)*n]
-}
-
-// rhs assembles column j's right-hand side b = shift + B·u_j − Σ_k E_k·s_j⁽ᵏ⁾
-// (minus δ·(vᵀs)·u for every SMW update of term k — the exact contribution the
-// materialized E_k + δuvᵀ would add) into st.b.
-func (st *scenState) rhs(j int, tj float64) ([]float64, error) {
-	b := st.b
-	copy(b, st.shift)
-	st.sys.B.MulVecAdd(1, ucColumnInto(st.ucol, st.uc, j), b)
-	for k, t := range st.sys.Terms {
-		var w []float64
-		switch {
-		case isExactZero(t.Order):
-			continue
-		case st.hist[k] != nil:
-			w = st.hist[k].current()
-		default:
-			var err error
-			if w, err = st.eng.history(k, j, st.xbuf); err != nil {
-				d := diag(engineErrKind(err), j, tj)
-				d.Order = t.Order
-				d.Cause = fmt.Errorf("scenario %d: %w", st.s, err)
-				return nil, d
-			}
-		}
-		t.Coeff.MulVecAdd(-1, w, b)
-		for _, u := range st.ups {
-			if u.Term == k {
-				u.U.ScatterAdd(-(u.Scale * u.V.Dot(w)), b)
-			}
-		}
-	}
-	return b, nil
-}
-
-// commit records x — the slab column st.x(j) — as column j and advances the
-// integer-order recurrences past it; rhs(j) computed their s_j.
-func (st *scenState) commit(j int, x []float64) {
-	for _, ih := range st.hist {
-		if ih != nil {
-			ih.advance(x)
-		}
-	}
 }
 
 // finish is the post-solve pass over the final column j of the scenario,
@@ -281,7 +232,7 @@ type columnRun struct {
 	bmat    *mat.Dense   // adaptive grid: D̃ᵝ of the input order
 	kernels *kernelCache // FFT kernel spectra shared across scenario engines
 	serial  bool         // several groups run concurrently: engines fold serially
-	ring    int          // >0: slab ring length (envelope runs)
+	ring    bool         // envelope run: each slab holds only the newest column
 	states  []*scenState
 	steps   []columnStep
 }
@@ -354,35 +305,23 @@ func (r *columnRun) inputs(u []waveform.Signal) (*mat.Dense, error) {
 }
 
 // prepareScenario builds scenario s's state against sys (the run's system or
-// its ApplyDelta materialization): initial state, integer-order recurrences,
-// and the general history engine. uc is the scenario's input coefficient
-// matrix, possibly shared read-only with other scenarios. A panel member
-// (its group takes panelStep, which keeps the recurrences, right-hand sides
-// and solution lags as panels) gets none of the scalar state it would never
-// read, and in a ring run a one-column slab.
-func (r *columnRun) prepareScenario(sys *System, s int, x0 []float64, uc *mat.Dense, panel bool) (*scenState, error) {
+// its ApplyDelta materialization): initial state, column slab, and the
+// history engine serving its fractional terms (every nonzero-order term on
+// the adaptive grid); integer orders on the uniform grid run on the group
+// step's recurrences. uc is the scenario's input coefficient matrix,
+// possibly shared read-only with other scenarios.
+func (r *columnRun) prepareScenario(sys *System, s int, x0 []float64, uc *mat.Dense) (*scenState, error) {
 	x0, shift, err := prepareInitialState(sys, x0)
 	if err != nil {
 		return nil, err
 	}
-	n, ring := r.n, r.ring
-	if panel && ring > 0 {
-		ring = 1
+	n, slab := r.n, r.m
+	if r.ring {
+		slab = 1
 	}
-	slab := r.m
-	if ring > 0 {
-		slab = ring
-	}
-	st := &scenState{
-		s: s, sys: sys, uc: uc, x0: x0, shift: shift, ring: ring,
-		hist: make([]*intHistory, len(sys.Terms)),
-		xbuf: make([]float64, n*slab),
-	}
+	st := &scenState{s: s, sys: sys, uc: uc, x0: x0, shift: shift, ring: r.ring, xbuf: make([]float64, n*slab)}
 	if f := r.opt.Fault; f != nil {
 		st.corrupt = f.CorruptColumn
-	}
-	if !panel {
-		st.b, st.ucol = make([]float64, n), make([]float64, uc.Rows())
 	}
 	if st.eng, err = newHistoryEngine(n, r.m, &r.opt.Options); err != nil {
 		return nil, err
@@ -397,11 +336,7 @@ func (r *columnRun) prepareScenario(sys *System, s int, x0 []float64, uc *mat.De
 		case isExactZero(t.Order):
 		case r.dmats != nil:
 			st.eng.addGeneral(k, r.dmats[k])
-		case isExactEq(t.Order, float64(int(t.Order))):
-			if !panel {
-				st.hist[k] = newIntHistory(int(t.Order), r.h, n)
-			}
-		default:
+		case !isExactEq(t.Order, float64(int(t.Order))):
 			st.eng.addToeplitz(k, r.coeffs[k])
 		}
 	}
@@ -758,7 +693,6 @@ func solveUniform(ctx context.Context, sys *System, scenarios []Scenario, m int,
 		width = batchPanelWidth
 	}
 	width = min(width, K)
-	r.serial = K > width
 	// Scenarios that perturb the pencil itself route through the
 	// parameter-varying engine (SMW updates + crossover refactorization).
 	for s := range scenarios {
@@ -766,186 +700,81 @@ func solveUniform(ctx context.Context, sys *System, scenarios []Scenario, m int,
 			return r.solveParamBatch(scenarios, shared, width)
 		}
 	}
-	panel := r.panelMembers(K, width, nil)
+	groups := scenarioGroups(K, width, nil)
+	r.serial = len(groups) > 1
 	if err := r.prepareScenarios(scenarios, func(s int, uc *mat.Dense) (*scenState, error) {
-		return r.prepareScenario(sys, s, scenarios[s].X0, uc, panel[s])
+		return r.prepareScenario(sys, s, scenarios[s].X0, uc)
 	}); err != nil {
 		return nil, err
 	}
-	r.addGroupSteps(shared, width, panel)
+	r.addGroupSteps(shared, groups)
 	return r.run()
 }
 
-// intOrderLag reports whether every term of sys has an integer order — so
-// its history runs entirely on the O(p·n) recurrences, with no history
-// engine — and the largest such order.
-func intOrderLag(sys *System) (maxLag int, ok bool) {
-	for _, t := range sys.Terms {
-		switch {
-		case isExactZero(t.Order):
-		case isExactEq(t.Order, float64(int(t.Order))):
-			maxLag = max(maxLag, int(t.Order))
-		default:
-			return 0, false
-		}
-	}
-	return maxLag, true
-}
-
-// panelMembers partitions K scenarios into the contiguous groups of width
-// and reports, per scenario, whether its group takes the panel-native step:
-// the system's history is integer-order, the group holds more than one
-// scenario, and no member has a private factorization (private[s]; nil
-// means none does).
-func (r *columnRun) panelMembers(K, width int, private []bool) []bool {
-	panel := make([]bool, K)
-	if _, ok := intOrderLag(r.sys); !ok {
-		return panel
-	}
+// scenarioGroups partitions K scenarios into the contiguous chunks of width,
+// a pure function of K and width; a refactored scenario (private[s]; nil
+// means none) leaves its chunk for a one-wide group of its own. The groups
+// view one index buffer.
+func scenarioGroups(K, width int, private []bool) [][]int {
+	idx := make([]int, 0, K)
+	var groups [][]int
 	for lo := 0; lo < K; lo += width {
-		hi := min(lo+width, K)
-		on := hi-lo > 1
-		for s := lo; s < hi && on; s++ {
-			on = private == nil || !private[s]
+		start := len(idx)
+		for s := lo; s < min(lo+width, K); s++ {
+			if private == nil || !private[s] {
+				idx = append(idx, s)
+			}
 		}
-		for s := lo; s < hi; s++ {
-			panel[s] = on
+		if len(idx) > start {
+			groups = append(groups, idx[start:])
+		}
+		for s := lo; s < min(lo+width, K); s++ {
+			if private != nil && private[s] {
+				idx = append(idx, s)
+				groups = append(groups, idx[len(idx)-1:])
+			}
 		}
 	}
-	return panel
+	return groups
 }
 
-// addGroupSteps builds one step per scenario group of width: panelStep for
-// the groups panelMembers marked, the member-wise step otherwise.
-func (r *columnRun) addGroupSteps(shared *pencilFactor, width int, panel []bool) {
+// addGroupSteps builds one panelStep per scenario group: a refactored
+// scenario's over its private factorization, the others' over a view of
+// shared.
+func (r *columnRun) addGroupSteps(shared *pencilFactor, groups [][]int) {
 	workers := r.solveWorkers()
-	for lo := 0; lo < len(r.states); lo += width {
-		members := r.states[lo:min(lo+width, len(r.states))]
-		if panel[lo] {
-			r.steps = append(r.steps, newPanelStep(r.sys, members, shared.instantiate(workers), r.h))
-		} else {
-			r.steps = append(r.steps, newMemberStep(members, shared, workers))
+	all, off := make([]*scenState, len(r.states)), 0
+	for _, idx := range groups {
+		members := all[off : off+len(idx) : off+len(idx)]
+		off += len(idx)
+		for t, s := range idx {
+			members[t] = r.states[s]
 		}
+		pf := members[0].pf
+		if pf == nil {
+			pf = shared.instantiate(workers)
+		}
+		r.steps = append(r.steps, newPanelStep(members, pf, r.h))
 	}
 }
 
 // solveOne runs a one-scenario solver on the prepared run: it builds the
-// scenario state for the inputs u and drives step(st) through the columns.
-func (r *columnRun) solveOne(u []waveform.Signal, step func(st *scenState) columnStep) (*Solution, error) {
+// scenario state for the inputs u and drives step(g) through the columns, g
+// being the scenario's one-wide right-hand-side builder.
+func (r *columnRun) solveOne(u []waveform.Signal, step func(g *panelStep) columnStep) (*Solution, error) {
 	uc, err := r.inputs(u)
 	if err != nil {
 		return nil, err
 	}
-	st, err := r.prepareScenario(r.sys, 0, nil, uc, false)
+	st, err := r.prepareScenario(r.sys, 0, nil, uc)
 	if err != nil {
 		return nil, err
 	}
-	r.states, r.steps = []*scenState{st}, []columnStep{step(st)}
+	r.states = []*scenState{st}
+	r.steps = []columnStep{step(newPanelStep(r.states, nil, r.h))}
 	sols, err := r.run()
 	if err != nil {
 		return nil, err
 	}
 	return sols[0], nil
-}
-
-// memberStep is the member-wise step (see the top of this file).
-type memberStep struct {
-	members []*scenState
-	pf      *pencilFactor // shared-factorization view for the panel members
-	b, x    *mat.Dense    // n×w panels of the w panel members
-	w       int
-	scratch *panelScratch
-}
-
-// newMemberStep groups members, numbering those without a private
-// factorization as the panel columns of a view of shared solving on workers
-// goroutines. A lone panel member is solved 1-wide through the view, with no
-// panel copies.
-func newMemberStep(members []*scenState, shared *pencilFactor, workers int) *memberStep {
-	g := &memberStep{members: members}
-	for _, st := range members {
-		if st.pf == nil {
-			st.slot = g.w
-			g.w++
-		}
-	}
-	if g.w > 0 {
-		g.pf = shared.instantiate(workers)
-	}
-	if g.w > 1 {
-		n := len(members[0].b)
-		g.b, g.x = mat.NewDense(n, g.w), mat.NewDense(n, g.w)
-		g.scratch = g.pf.newPanelScratch(g.w)
-	}
-	return g
-}
-
-func (g *memberStep) column(j int, tj float64, tiers *[numTiers]int) (int, error) {
-	panel := g.w > 1
-	for _, st := range g.members {
-		b, err := st.rhs(j, tj)
-		if err != nil {
-			return st.s, err
-		}
-		if panel && st.pf == nil {
-			bd := g.b.Data()
-			for i, v := range b {
-				bd[i*g.w+st.slot] = v
-			}
-		}
-	}
-	if panel {
-		if err := g.pf.solvePanelInto(g.x, g.b, g.scratch); err != nil {
-			d := diag(ErrInternal, j, tj)
-			d.Cause = fmt.Errorf("scenario %d's group: %w", g.members[0].s, err)
-			return g.members[0].s, d
-		}
-		tiers[g.pf.tier] += g.w
-	}
-	// The members' first error in member order wins, as the driver's
-	// scenario-order scan would pick it.
-	var first error
-	firstS := 0
-	for _, st := range g.members {
-		x := st.x(j)
-		if panel && st.pf == nil {
-			xd := g.x.Data()
-			for i := range x {
-				x[i] = xd[i*g.w+st.slot]
-			}
-		} else {
-			pf := st.pf
-			if pf == nil {
-				pf = g.pf
-			}
-			if err := pf.solveInto(x, st.b); err != nil {
-				if first != nil {
-					return firstS, first
-				}
-				d := diag(ErrInternal, j, tj)
-				d.Cause = fmt.Errorf("scenario %d: %w", st.s, err)
-				return st.s, d
-			}
-			tiers[pf.tier]++
-		}
-		if st.smw != nil {
-			st.smw.correct(x)
-		}
-		st.commit(j, x)
-		if err := st.finish(j, tj, x); err != nil && first == nil {
-			first, firstS = err, st.s
-		}
-	}
-	return firstS, first
-}
-
-// replay rebuilds the members' history state through column j0 from their
-// committed slabs (see checkpoint.go).
-func (g *memberStep) replay(j0 int) error {
-	for _, st := range g.members {
-		if err := replayScenario(st, j0); err != nil {
-			return err
-		}
-	}
-	return nil
 }

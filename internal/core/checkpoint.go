@@ -1,5 +1,7 @@
 package core
 
+//lint:hot
+
 import (
 	"errors"
 	"fmt"
@@ -20,8 +22,12 @@ import (
 // uninterrupted run would have seen, so a resumed SolveBatch emits
 // Float64bits-identical columns from the resume point onward.
 //
-// Two structural facts make the replay exact rather than merely close:
+// Three structural facts make the replay exact rather than merely close:
 //
+//   - The integer-order recurrences read only the group's lag panels, which
+//     hold the committed columns as the slabs do: replay gathers each
+//     column j < j0 from the slabs and steps the recurrences exactly as the
+//     live run did (panelStep.replay).
 //   - The exact history tier keeps no state between columns: each history
 //     sum is one ascending fold over the committed slab, so a fresh engine
 //     resuming at any column j0 computes the identical sum with nothing to
@@ -215,11 +221,10 @@ func fpMix64(h, v uint64) uint64 {
 
 // resume restores the run's state to the end of the checkpoint's committed
 // prefix: it prefills each scenario's column slab and has every group step
-// replay its history state (integer-order recurrences, scalar or
-// panel-granular to match the step, and the FFT tier's segment firings) in
-// the exact floating-point operation order of the original solve, so the
-// continuation is bitwise-exact. Fan-out is one task per group, as in the
-// column loop.
+// replay its history state (the integer-order panel recurrences and each
+// member engine's FFT segment firings) in the exact floating-point
+// operation order of the original solve, so the continuation is
+// bitwise-exact. Fan-out is one task per group, as in the column loop.
 func (r *columnRun) resume(cp *Checkpoint) error {
 	j0, n := cp.Columns, r.n
 	for s, st := range r.states {
@@ -231,7 +236,7 @@ func (r *columnRun) resume(cp *Checkpoint) error {
 	errs := make([]error, len(r.steps))
 	tasks := make([]func(), len(r.steps))
 	for g, step := range r.steps {
-		tasks[g] = func() { errs[g] = step.(interface{ replay(int) error }).replay(j0) }
+		tasks[g] = func() { errs[g] = step.(*panelStep).replay(j0) }
 	}
 	if err := r.runTasks(tasks); err != nil {
 		return err
@@ -242,23 +247,6 @@ func (r *columnRun) resume(cp *Checkpoint) error {
 		}
 	}
 	return nil
-}
-
-// replayScenario rebuilds one scenario's member-wise history state through
-// column j0: the integer-order recurrences step column by column exactly as
-// rhs and commit do, and the history engine refires its FFT segments. The
-// exact tier needs no replay: it keeps no state between columns, and each
-// history call folds the committed slab from column 0.
-func replayScenario(st *scenState, j0 int) error {
-	for j := 0; j < j0; j++ {
-		for _, ih := range st.hist {
-			if ih != nil {
-				ih.current()
-			}
-		}
-		st.commit(j, st.x(j))
-	}
-	return st.eng.resumeAt(j0, st.xbuf)
 }
 
 // resumeAt replays the engine-internal history state a run committed through

@@ -447,10 +447,10 @@ type overlapEntry struct {
 	T    float64
 }
 
-// overlapEntries are the three group steps a K = 70, PanelWidth 32 batch
-// (groups of 32, 32 and 6) can take: the integer-order panel step, the
-// member-wise step of a fractional system, and the panel step with SMW
-// members (parameter batches emit no checkpoints).
+// overlapEntries are three shapes of the group step a K = 70, PanelWidth 32
+// batch (groups of 32, 32 and 6) takes: integer-order recurrences only,
+// a fractional system's history engines gathered into term panels (the
+// "member" rows), and SMW members (parameter batches emit no checkpoints).
 func overlapEntries(t *testing.T, K int) []overlapEntry {
 	t.Helper()
 	scenarios := func(u []waveform.Signal, delta bool) []core.Scenario {

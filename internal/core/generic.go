@@ -1,5 +1,7 @@
 package core
 
+//lint:hot
+
 import (
 	"fmt"
 

@@ -57,52 +57,61 @@ func TestIntegerFastHistoryResidualProperty(t *testing.T) {
 }
 
 // The p-term recurrence must agree with the naive Toeplitz history sum
-// s_j = Σ_{i<j} c_{j−i}·x_i directly, for random column sequences and
-// p ∈ {1,2,3} — this pins the recurrence itself, independent of any solve.
+// s_j = Σ_{i<j} c_{j−i}·x_i directly, for random column sequences,
+// p ∈ {1,2,3} and panel widths 1 and 3 — this pins the recurrence itself,
+// independent of any solve.
 func TestIntHistoryRecurrenceMatchesToeplitzProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(4)
-		m := 5 + rng.Intn(40)
-		p := 1 + rng.Intn(3)
-		T := 0.5 + rng.Float64()
-		bpf, err := basis.NewBPF(m, T)
-		if err != nil {
-			return false
-		}
-		c := bpf.DiffCoeffs(float64(p))
-		ih := newIntHistory(p, bpf.Step(), n)
-		cols := make([][]float64, m)
-		naive := make([]float64, n)
-		for j := 0; j < m; j++ {
-			for i := range naive {
-				naive[i] = 0
+	for _, w := range []int{1, 3} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			n := 1 + rng.Intn(4)
+			m := 5 + rng.Intn(40)
+			p := 1 + rng.Intn(3)
+			T := 0.5 + rng.Float64()
+			bpf, err := basis.NewBPF(m, T)
+			if err != nil {
+				return false
 			}
-			for i := 0; i < j; i++ {
-				mat.Axpy(c[j-i], cols[i], naive)
-			}
-			s := ih.current()
-			// The recurrence coefficients grow like (2/h)ᵖ·C(p,k); compare
-			// relative to the running magnitude.
-			scale := 1 + mat.NormInf(naive)
-			for i := range s {
-				if math.Abs(s[i]-naive[i]) > 1e-10*scale {
-					t.Logf("seed=%d n=%d m=%d p=%d j=%d i=%d: recurrence %g vs naive %g",
-						seed, n, m, p, j, i, s[i], naive[i])
-					return false
+			c := bpf.DiffCoeffs(float64(p))
+			ph := newPanelIntHistory(p, bpf.Step(), n, w)
+			var xlags []*mat.Dense // newest first, as panelStep keeps them
+			cols := make([]*mat.Dense, m)
+			naive := mat.NewDense(n, w)
+			for j := 0; j < m; j++ {
+				nd := naive.Data()
+				for i := range nd {
+					nd[i] = 0
 				}
+				for i := 0; i < j; i++ {
+					mat.Axpy(c[j-i], cols[i].Data(), nd)
+				}
+				s := ph.current(xlags).Data()
+				// The recurrence coefficients grow like (2/h)ᵖ·C(p,k); compare
+				// relative to the running magnitude.
+				scale := 1 + mat.NormInf(nd)
+				for i := range s {
+					if math.Abs(s[i]-nd[i]) > 1e-10*scale {
+						t.Logf("w=%d seed=%d n=%d m=%d p=%d j=%d entry=%d: recurrence %g vs naive %g",
+							w, seed, n, m, p, j, i, s[i], nd[i])
+						return false
+					}
+				}
+				xj := mat.NewDense(n, w)
+				for i, xd := 0, xj.Data(); i < len(xd); i++ {
+					xd[i] = rng.NormFloat64()
+				}
+				cols[j] = xj
+				xlags = append([]*mat.Dense{xj}, xlags...)
+				if len(xlags) > p {
+					xlags = xlags[:p]
+				}
+				ph.advance()
 			}
-			xj := make([]float64, n)
-			for i := range xj {
-				xj[i] = rng.NormFloat64()
-			}
-			cols[j] = xj
-			ih.advance(xj)
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+			t.Fatalf("width %d: %v", w, err)
+		}
 	}
 }
 

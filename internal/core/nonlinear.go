@@ -86,22 +86,22 @@ func SolveNonlinearCtx(ctx context.Context, sys *System, g Nonlinearity, u []wav
 		return nil, err
 	}
 	n := sys.N()
-	return r.solveOne(u, func(st *scenState) columnStep {
-		return &newtonStep{st: st, g: g, m0: m0, opt: &opt, rep: rep,
+	return r.solveOne(u, func(pg *panelStep) columnStep {
+		return &newtonStep{panel: pg, g: g, m0: m0, opt: &opt, rep: rep,
 			gval: make([]float64, n), resid: make([]float64, n), delta: make([]float64, n),
 			xTrial: make([]float64, n), rTrial: make([]float64, n)}
 	})
 }
 
 // newtonStep is the driver step of SolveNonlinear: column j's right-hand side
-// comes from the shared history machinery, then damped Newton solves
+// comes from the one-wide panel step, then damped Newton solves
 // M₀·x_j + g(x_j) = rhs, warm-started from column j−1.
 type newtonStep struct {
-	st  *scenState
-	g   Nonlinearity
-	m0  *sparse.CSR
-	opt *NonlinearOptions
-	rep *SolveReport
+	panel *panelStep
+	g     Nonlinearity
+	m0    *sparse.CSR
+	opt   *NonlinearOptions
+	rep   *SolveReport
 
 	gval, resid, delta, xTrial, rTrial []float64
 }
@@ -122,11 +122,11 @@ func (ns *newtonStep) residAt(x, rhs, out []float64) float64 {
 }
 
 func (ns *newtonStep) column(j int, tj float64, tiers *[numTiers]int) (int, error) {
-	st, opt, n := ns.st, ns.opt, len(ns.resid)
-	rhs, err := st.rhs(j, tj)
-	if err != nil {
+	st, opt, n := ns.panel.members[0], ns.opt, len(ns.resid)
+	if _, err := ns.panel.rhs(j, tj); err != nil {
 		return 0, err
 	}
+	rhs := ns.panel.b.Data()
 	// Warm start from the previous column (the slab starts zeroed).
 	xj := st.x(j)
 	if j > 0 {
@@ -187,7 +187,7 @@ func (ns *newtonStep) column(j int, tj float64, tiers *[numTiers]int) (int, erro
 			xnorm += xj[i] * xj[i]
 		}
 		if norm <= opt.Tol*opt.Tol*(1+xnorm) {
-			st.commit(j, xj)
+			ns.panel.commit(j)
 			return 0, st.finish(j, tj, xj)
 		}
 	}

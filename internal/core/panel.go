@@ -1,31 +1,42 @@
 package core
 
+//lint:hot
+
 import (
 	"fmt"
+	"math"
 
 	"opmsim/internal/mat"
 	"opmsim/internal/vecops"
 )
 
-// panelStep is the panel-native step for systems whose nonzero terms all
-// have integer order: every operation — shift, input injection, history
-// recurrences, the solve — runs at panel granularity, and only the committed
-// solution column is gathered per scenario. Per panel column the operations
-// match the scalar loop exactly: panel kernels are column-wise identical to
-// their one-vector counterparts and the history panels mirror intHistory's
-// recurrence.
+// panelStep is the one scenario step of the uniform-grid solvers: it builds
+// a group's column right-hand sides of eq. (28) as one n×w panel, solves
+// them through the group's factorization, and finishes every member. Shift,
+// input injection, the integer-order history recurrences and the solve all
+// run at panel granularity; a term served by a history engine (fractional
+// orders, and every term on the adaptive grid) gathers each member's w_j
+// into a term panel first. Only the committed solution column is gathered
+// per scenario. Per panel column the operations match a one-vector solve
+// exactly: panel kernels are column-wise identical to their vector
+// counterparts (at width 1 they are those counterparts), so a scenario's
+// bits do not depend on its group's width.
 //
-// Members of a parameter-varying group ride the shared factorization too:
-// after each term's MulPanelAdd a member's rank-1 right-hand-side
-// corrections b −= δ·(vᵀs)·u are applied to its panel column, and after the
-// solve an SMW member's column takes its Woodbury correction before the
-// column enters the lag ring. Both run the same operations in the same
-// order as memberStep's scalar rhs and correct, so a scenario's bits do not
-// depend on which step served it.
+// A group is a contiguous chunk of the batch's scenarios that ride the
+// shared factorization, or one refactored scenario alone over its ApplyDelta
+// system and private factorization. An SMW member's rank-1 right-hand-side
+// corrections b −= δ·(vᵀs)·u follow each term's MulPanelAdd on its panel
+// column, and its Woodbury correction is applied to the solved column
+// before the column enters the lag ring — the same products and sums the
+// materialized E_k + δuvᵀ would add.
+//
+// SolveNonlinear and SolveAdaptive solve a one-wide group themselves
+// (newtonStep, adaptiveStep): they build the right-hand side through rhs
+// and enter the solved column through commit.
 type panelStep struct {
 	sys     *System
 	members []*scenState
-	pf      *pencilFactor
+	pf      *pencilFactor // nil when the owning step solves
 	b       *mat.Dense
 	scratch *panelScratch
 	maxLag  int
@@ -33,6 +44,7 @@ type panelStep struct {
 	uP      *mat.Dense // inputs×w gather of the scenarios' u_j columns
 	acc     []float64  // MulPanelAdd row accumulator
 	hist    []*panelIntHistory
+	engP    []*mat.Dense // per engine term: the members' w_j as panel columns
 	fixes   [][]panelFix // per term: the members' rank-1 rhs corrections
 	xpool   []*mat.Dense // spare solve targets (a stack; maxLag+1 panels in circulation)
 	xlags   []*mat.Dense // solution lag panels, newest first (≤ maxLag)
@@ -46,11 +58,20 @@ type panelFix struct {
 	up RankOne
 }
 
-func newPanelStep(sys *System, members []*scenState, pf *pencilFactor, h float64) *panelStep {
+// newPanelStep builds the step of a group whose members share one system
+// and one set of history-engine terms. A term of nonzero order runs on the
+// members' engines when they registered it and on an integer-order
+// recurrence of step h otherwise.
+func newPanelStep(members []*scenState, pf *pencilFactor, h float64) *panelStep {
+	sys := members[0].sys
 	n, w := sys.N(), len(members)
-	g := &panelStep{sys: sys, members: members, pf: pf, b: mat.NewDense(n, w), scratch: pf.newPanelScratch(w),
+	g := &panelStep{sys: sys, members: members, pf: pf, b: mat.NewDense(n, w),
 		shiftP: mat.NewDense(n, w), uP: mat.NewDense(sys.Inputs(), w), acc: make([]float64, w),
-		hist: make([]*panelIntHistory, len(sys.Terms)), fixes: make([][]panelFix, len(sys.Terms))}
+		hist: make([]*panelIntHistory, len(sys.Terms)), engP: make([]*mat.Dense, len(sys.Terms)),
+		fixes: make([][]panelFix, len(sys.Terms))}
+	if pf != nil && w > 1 {
+		g.scratch = pf.newPanelScratch(w)
+	}
 	for i := 0; i < n; i++ {
 		row := g.shiftP.Row(i)
 		for t, st := range members {
@@ -58,14 +79,19 @@ func newPanelStep(sys *System, members []*scenState, pf *pencilFactor, h float64
 		}
 	}
 	for k, t := range sys.Terms {
-		if p := int(t.Order); !isExactZero(t.Order) {
+		switch {
+		case isExactZero(t.Order):
+		case members[0].eng.active(k):
+			g.engP[k] = mat.NewDense(n, w)
+		default:
+			p := int(t.Order)
 			g.hist[k] = newPanelIntHistory(p, h, n, w)
 			g.maxLag = max(g.maxLag, p)
 		}
 	}
 	for t, st := range members {
 		for _, up := range st.ups {
-			if g.hist[up.Term] != nil {
+			if !isExactZero(sys.Terms[up.Term].Order) {
 				g.fixes[up.Term] = append(g.fixes[up.Term], panelFix{t: t, up: up})
 			}
 		}
@@ -76,9 +102,11 @@ func newPanelStep(sys *System, members []*scenState, pf *pencilFactor, h float64
 	return g
 }
 
-func (g *panelStep) column(j int, tj float64, tiers *[numTiers]int) (int, error) {
+// rhs assembles column j's right-hand-side panel into g.b:
+// shift + B·u_j − Σ_k E_k·s_j⁽ᵏ⁾, less the SMW members' rank-1 corrections.
+// On an engine failure it returns the failing scenario's index.
+func (g *panelStep) rhs(j int, tj float64) (int, error) {
 	w := len(g.members)
-	// rhs panel = shift + B·u_j − Σ_k E_k·s_j⁽ᵏ⁾, assembled panel-wide.
 	copy(g.b.Data(), g.shiftP.Data())
 	for c := 0; c < g.uP.Rows(); c++ {
 		urow := g.uP.Row(c)
@@ -88,16 +116,34 @@ func (g *panelStep) column(j int, tj float64, tiers *[numTiers]int) (int, error)
 	}
 	g.sys.B.MulPanelAdd(1, g.uP, g.b, g.acc)
 	bd := g.b.Data()
-	for k, t := range g.sys.Terms {
-		if g.hist[k] == nil {
+	for k, term := range g.sys.Terms {
+		var s *mat.Dense
+		switch {
+		case g.hist[k] != nil:
+			s = g.hist[k].current(g.xlags)
+		case g.engP[k] != nil:
+			s = g.engP[k]
+			sd := s.Data()
+			for t, st := range g.members {
+				hw, err := st.eng.history(k, j, st.xbuf)
+				if err != nil {
+					d := diag(engineErrKind(err), j, tj)
+					d.Order = term.Order
+					d.Cause = fmt.Errorf("scenario %d: %w", st.s, err)
+					return st.s, d
+				}
+				for i, v := range hw {
+					sd[i*w+t] = v
+				}
+			}
+		default:
 			continue
 		}
-		s := g.hist[k].current(g.xlags)
-		t.Coeff.MulPanelAdd(-1, s, g.b, g.acc)
+		term.Coeff.MulPanelAdd(-1, s, g.b, g.acc)
 		sd := s.Data()
 		for _, f := range g.fixes[k] {
-			// scenState.rhs's U.ScatterAdd(−(δ·V.Dot(s)), b) on column f.t:
-			// the same products and sums in the same order.
+			// U.ScatterAdd(−(δ·V.Dot(s)), b) on column f.t: the same
+			// products and sums in the same order.
 			dot := 0.0
 			for q, i := range f.up.V.Idx {
 				dot += f.up.V.Val[q] * sd[i*w+f.t]
@@ -108,6 +154,14 @@ func (g *panelStep) column(j int, tj float64, tiers *[numTiers]int) (int, error)
 			}
 		}
 	}
+	return 0, nil
+}
+
+func (g *panelStep) column(j int, tj float64, tiers *[numTiers]int) (int, error) {
+	if s, err := g.rhs(j, tj); err != nil {
+		return s, err
+	}
+	w := len(g.members)
 	xcur := g.takePanel()
 	if err := g.pf.solvePanelInto(xcur, g.b, g.scratch); err != nil {
 		d := diag(ErrInternal, j, tj)
@@ -141,6 +195,23 @@ func (g *panelStep) column(j int, tj float64, tiers *[numTiers]int) (int, error)
 	return firstS, first
 }
 
+// commit enters the members' slab columns j into the lag ring, for steps
+// that solve into the slab themselves and for replay.
+func (g *panelStep) commit(j int) {
+	if g.maxLag == 0 {
+		return
+	}
+	w := len(g.members)
+	xcur := g.takePanel()
+	xd := xcur.Data()
+	for t, st := range g.members {
+		for i, v := range st.x(j) {
+			xd[i*w+t] = v
+		}
+	}
+	g.advance(xcur)
+}
+
 // takePanel pops a spare solution panel off the pool. The pool is a stack,
 // so the rotation never reallocates it; every panel taken is overwritten
 // whole before it is read.
@@ -172,56 +243,73 @@ func (g *panelStep) advance(xcur *mat.Dense) {
 	}
 }
 
-// replay rebuilds the group's panel history state through column j0,
-// mirroring column minus the solve: the committed columns are gathered from
-// the checkpointed slabs instead.
+// replay rebuilds the group's history state through column j0 from the
+// committed slabs (see checkpoint.go): the recurrences step column by
+// column as rhs and commit do, and each member's engine refires its FFT
+// segments.
 func (g *panelStep) replay(j0 int) error {
-	w := len(g.members)
 	for j := 0; j < j0; j++ {
 		for _, ph := range g.hist {
 			if ph != nil {
 				ph.current(g.xlags)
 			}
 		}
-		xcur := g.takePanel()
-		xd := xcur.Data()
-		for t, st := range g.members {
-			for i, v := range st.x(j) {
-				xd[i*w+t] = v
-			}
+		g.commit(j)
+	}
+	for _, st := range g.members {
+		if err := st.eng.resumeAt(j0, st.xbuf); err != nil {
+			return err
 		}
-		g.advance(xcur)
 	}
 	return nil
 }
 
-// panelIntHistory is intHistory at scenario-panel granularity: the same
-// p-term recurrence with every vector operation applied to an n×w panel
-// whose columns are the group's scenarios. Since panel ops are element-wise
-// with no cross-column interaction, each column reproduces the scalar
-// recurrence bit for bit. Ring buffers rotate pointers instead of copying:
-// current() claims a panel from the pool, advance() pushes it into the lag
-// ring and recycles the evicted panel.
+// panelIntHistory maintains the history sums of an integer-order term
+// p ≥ 1 for an n×w panel whose columns are the group's scenarios. Because
+// (1+q)ᵖ·ρ_p(q) = (2/h)ᵖ(1−q)ᵖ is a degree-p polynomial, the Toeplitz
+// coefficients obey a p-term linear recurrence and so do the history sums
+// s_j = Σ_{i<j} c_{j−i}·x_i:
+//
+//	s_j = Σ_{k=1..p} γ_k·x_{j−k} − Σ_{l=1..p} C(p,l)·s_{j−l},
+//	γ_k = C(p,k)·(2/h)ᵖ·((−1)ᵏ − 1)   (zero for even k).
+//
+// For p = 1 this is the classical s_j = −(4/h)x_{j−1} − s_{j−1} of §III-A;
+// for p ≥ 2 it keeps high-order solves at O(p·n) per column instead of
+// O(n·j). Fractional orders have no such recurrence and use the history
+// engine, matching the paper's complexity discussion for eq. (28). Panel
+// ops are element-wise with no cross-column interaction, so each column
+// runs the one-vector recurrence bit for bit. Protocol per column: call
+// current() exactly once, use the result, then call advance(). Ring buffers
+// rotate pointers instead of copying: current() claims a panel from the
+// pool, advance() pushes it into the lag ring and recycles the evicted one.
 type panelIntHistory struct {
 	p     int
-	gamma []float64
-	binom []float64
+	gamma []float64    // γ_k, k = 1..p (zero for even k)
+	binom []float64    // C(p,k), k = 1..p
 	ss    []*mat.Dense // previous sum panels, newest first
 	pool  []*mat.Dense // spare panels (p+1 total in circulation)
 	s     *mat.Dense   // s_j panel between current() and advance()
 }
 
 func newPanelIntHistory(p int, h float64, n, w int) *panelIntHistory {
-	ih := newIntHistory(p, h, n)
-	ph := &panelIntHistory{p: p, gamma: ih.gamma, binom: ih.binom}
+	hp := math.Pow(2/h, float64(p))
+	ph := &panelIntHistory{p: p, gamma: make([]float64, p), binom: make([]float64, p)}
+	b := 1.0
+	for k := 1; k <= p; k++ {
+		b = b * float64(p-k+1) / float64(k)
+		ph.binom[k-1] = b
+		if k%2 == 1 {
+			ph.gamma[k-1] = -2 * b * hp
+		}
+	}
 	for i := 0; i <= p; i++ {
 		ph.pool = append(ph.pool, mat.NewDense(n, w))
 	}
 	return ph
 }
 
-// current computes the s_j panel from the group's solution-lag panels,
-// mirroring intHistory.current term for term (including the γ zero skip).
+// current computes the s_j panel from the group's solution-lag panels
+// (newest first), skipping the zero γ_k.
 func (ph *panelIntHistory) current(xlags []*mat.Dense) *mat.Dense {
 	ph.s = ph.pool[len(ph.pool)-1]
 	ph.pool = ph.pool[:len(ph.pool)-1]

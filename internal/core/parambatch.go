@@ -1,5 +1,7 @@
 package core
 
+//lint:hot
+
 import (
 	"fmt"
 	"time"
@@ -26,12 +28,11 @@ import (
 //
 // The crossover between them is decided once per run (resolveUpdateRankLimit)
 // from the measured factorization cost of the pencil family and a probe
-// solve. Scenario groups run through batch.go's column driver: on an
-// integer-order system a group whose members all ride the shared
-// factorization takes the panel-native step (panel.go), which applies the
-// rank-1 rhs corrections and Woodbury corrections per panel column; a group
-// holding a refactored member, a group of one, and every group of a
-// fractional system take the member-wise step. Checkpoint/resume is the one
+// solve. Scenario groups run through batch.go's column driver and its one
+// step (panel.go): the scenarios riding the shared factorization form the
+// contiguous PanelWidth groups, whose panel columns take the rank-1 rhs
+// corrections and Woodbury corrections, and each refactored scenario is a
+// one-wide group over its own factorization. Checkpoint/resume is the one
 // feature the parameter-varying engine does not support (per-scenario
 // factorization state is not captured by a column-slab checkpoint), so
 // ResumeFrom errors and CheckpointEvery/OnCheckpoint are ignored.
@@ -42,9 +43,9 @@ import (
 // scenarios are bitwise-identical to sequential Solve; SMW scenarios agree
 // with the refactored result to the ≤1e-12 relative level of the waveform
 // contract (see the property tests) and are themselves bitwise-reproducible
-// for a fixed path assignment, whatever the PanelWidth and Workers: the
-// panel and member-wise steps run the same operations in the same order,
-// and the basis columns are independent panel-column solves.
+// for a fixed path assignment, whatever the PanelWidth and Workers: a
+// panel column runs a one-wide panel's operations in the same order, and
+// the basis columns are independent panel-column solves.
 
 // resolveUpdateRankLimit turns BatchOptions.UpdateRankLimit into the rank
 // bound actually used: the caller's explicit limit, or the measured
@@ -173,15 +174,12 @@ func (r *columnRun) solveParamBatch(scenarios []Scenario, shared *pencilFactor, 
 		}
 	}
 
-	// Slab sizing: envelope runs (DiscardSolutions) on systems whose terms
-	// are all integer-order never read past columns, so the per-scenario slab
-	// shrinks to a (maxLag+1)-column ring — intHistory keeps at most maxLag
-	// column references, so a slot is dead by the time it is rewritten — and
-	// to one column for panel members, whose lags live in the group's panels.
-	if maxLag, ok := intOrderLag(sys); opt.DiscardSolutions && ok && maxLag+1 < m {
-		r.ring = maxLag + 1
-	}
-	panel := r.panelMembers(K, width, refac)
+	// Slab sizing: an envelope run (DiscardSolutions) reads no past column
+	// when no term runs on a history engine — every member's recurrence lags
+	// live in its group's panels — so each slab holds one column.
+	r.ring = opt.DiscardSolutions && !hasEngineTerms(sys)
+	groups := scenarioGroups(K, width, refac)
+	r.serial = len(groups) > 1
 
 	// Per-scenario preparation fans out over the worker pool. Tasks touch only
 	// their own slot: state build, and for the refactor path the ApplyDelta
@@ -213,7 +211,7 @@ func (r *columnRun) solveParamBatch(scenarios []Scenario, shared *pencilFactor, 
 			// corrections still apply.
 			ups = d.Updates
 		}
-		st, err := r.prepareScenario(psys, s, scenarios[s].X0, uc, panel[s])
+		st, err := r.prepareScenario(psys, s, scenarios[s].X0, uc)
 		if err != nil {
 			return nil, err
 		}
@@ -251,11 +249,21 @@ func (r *columnRun) solveParamBatch(scenarios []Scenario, shared *pencilFactor, 
 		}
 	}
 
-	// Scenario groups: the same contiguous (K, width) partition as the
-	// amplitude batch. Parameter-varying runs emit no checkpoint deltas.
-	r.addGroupSteps(shared, width, panel)
+	// Parameter-varying runs emit no checkpoint deltas.
+	r.addGroupSteps(shared, groups)
 	po := *opt
 	po.OnCheckpoint = nil
 	r.opt = &po
 	return r.run()
+}
+
+// hasEngineTerms reports whether a uniform-grid solve of sys runs any term
+// on a history engine: whether some order is not an integer.
+func hasEngineTerms(sys *System) bool {
+	for _, t := range sys.Terms {
+		if !isExactEq(t.Order, float64(int(t.Order))) {
+			return true
+		}
+	}
+	return false
 }

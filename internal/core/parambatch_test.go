@@ -380,39 +380,84 @@ func intDAESystem(n int, seed int64) *System {
 	return sys
 }
 
-// Integer-order delta batches take the panel-native step in groups wider
-// than one scenario; width 1 takes the member-wise step. Every width and
-// worker count must give the same bits, so the panel route's rank-1 rhs
-// corrections and Woodbury corrections are pinned to the member-wise ones
-// — with X0 ≠ 0 and order-0 updates in the mix — and each scenario stays
-// within 1e-12 of solving its materialized system.
+// cpeLadderSystem is an n-section RC ladder driven at its first node whose
+// nodes each hold a constant-phase element of order α beside a capacitor:
+// one fractional term on the history engine and one integer term on the
+// recurrences.
+func cpeLadderSystem(n int, alpha float64) (*System, []waveform.Signal) {
+	cpe, c, g, b := sparse.NewCOO(n, n), sparse.NewCOO(n, n), sparse.NewCOO(n, n), sparse.NewCOO(n, 1)
+	for i := 0; i < n; i++ {
+		cpe.Add(i, i, 1)
+		c.Add(i, i, 0.5)
+		g.Add(i, i, 2) // a unit conductance to each neighbour (the source at node 0, a load at node n−1)
+		if i > 0 {
+			g.Add(i, i-1, -1)
+			g.Add(i-1, i, -1)
+		}
+	}
+	b.Add(0, 0, 1)
+	sys := &System{
+		Terms: []Term{
+			{Order: alpha, Coeff: cpe.ToCSR()},
+			{Order: 1, Coeff: c.ToCSR()},
+			{Order: 0, Coeff: g.ToCSR()},
+		},
+		B: b.ToCSR(),
+	}
+	return sys, []waveform.Signal{waveform.Sine(1, 0.8, 0.3)}
+}
+
+// Delta batches take the panel step at every group width, width 1 included.
+// Every width and worker count must give the same bits, so the rank-1 rhs
+// corrections and Woodbury corrections are pinned across widths — with
+// X0 ≠ 0 and order-0 updates in the integer rows, and corrections on the
+// fractional term's engine panel in the CPE-ladder rows, whose scenario 5
+// refactors (its rank exceeds the pinned UpdateRankLimit) into a one-wide
+// group of its own. Each SMW scenario stays within 1e-12 of solving its
+// materialized system, and the refactored one is bitwise that solve.
 func TestParamBatchPanelBitwiseAcrossWidthsAndWorkers(t *testing.T) {
 	second, u := intTestSystem(7, 3)
+	dae := intDAESystem(6, 8)
+	ladder, lu := cpeLadderSystem(8, 0.6)
+	ladderScs := intDeltaScenarios(ladder, lu, 11, 19, false)
+	ladderScs[5].Delta = randomDelta(rand.New(rand.NewSource(5)), ladder, 7)
 	cases := []struct {
-		name   string
-		sys    *System
-		withX0 bool
+		name  string
+		sys   *System
+		u     []waveform.Signal
+		scs   []Scenario
+		m     int
+		mode  HistoryMode
+		limit int
+		refac int // the scenario past limit, or −1
 	}{
-		{"second-order", second, false},
-		{"dae+x0", intDAESystem(6, 8), true},
+		{"second-order", second, u, intDeltaScenarios(second, u, 11, 17, false), 48, HistoryAuto, 64, -1},
+		{"dae+x0", dae, u, intDeltaScenarios(dae, u, 11, 17, true), 48, HistoryAuto, 64, -1},
+		{"cpe-ladder/exact", ladder, lu, ladderScs, 48, HistoryExact, 4, 5},
+		{"cpe-ladder/fft", ladder, lu, ladderScs, 160, HistoryFFT, 4, 5},
 	}
-	m, T := 48, 1.5
+	const T = 1.5
 	for _, tc := range cases {
-		scs := intDeltaScenarios(tc.sys, u, 11, 17, tc.withX0)
+		scs, m := tc.scs, tc.m
+		wantRefac := 0
+		if tc.refac >= 0 {
+			wantRefac = 1
+		}
 		var ref []*Solution
 		for _, workers := range []int{1, 4} {
 			for _, width := range []int{1, 2, 7, 32} {
 				var rep SolveReport
 				sols, err := SolveBatch(tc.sys, scs, m, T, BatchOptions{
-					Options:         Options{Workers: workers, Report: &rep},
+					Options:         Options{Workers: workers, HistoryMode: tc.mode, Report: &rep},
 					PanelWidth:      width,
-					UpdateRankLimit: 64,
+					UpdateRankLimit: tc.limit,
 				})
 				if err != nil {
 					t.Fatalf("%s workers=%d width=%d: %v", tc.name, workers, width, err)
 				}
-				if rep.PencilUpdates != len(scs)-1 || rep.PencilRefactors != 0 {
-					t.Fatalf("%s: dispatch updates=%d refactors=%d, want %d/0", tc.name, rep.PencilUpdates, rep.PencilRefactors, len(scs)-1)
+				if rep.PencilUpdates != len(scs)-1-wantRefac || rep.PencilRefactors != wantRefac {
+					t.Fatalf("%s: dispatch updates=%d refactors=%d, want %d/%d", tc.name,
+						rep.PencilUpdates, rep.PencilRefactors, len(scs)-1-wantRefac, wantRefac)
 				}
 				if ref == nil {
 					ref = sols
@@ -421,13 +466,13 @@ func TestParamBatchPanelBitwiseAcrossWidthsAndWorkers(t *testing.T) {
 					name := fmt.Sprintf("%s workers=%d width=%d scenario=%d", tc.name, workers, width, s)
 					sameDense(t, name, sols[s].Coefficients(), ref[s].Coefficients())
 				}
-				// The envelope shape: DiscardSolutions shrinks panel members'
-				// slabs to one column and member-wise ones to a lag ring;
-				// the streamed columns keep their bits.
+				// The envelope shape: DiscardSolutions shrinks an
+				// integer-order run's slabs to one column; the streamed
+				// columns keep their bits.
 				if _, err := SolveBatch(tc.sys, scs, m, T, BatchOptions{
-					Options:         Options{Workers: workers},
+					Options:         Options{Workers: workers, HistoryMode: tc.mode},
 					PanelWidth:      width,
-					UpdateRankLimit: 64, DiscardSolutions: true,
+					UpdateRankLimit: tc.limit, DiscardSolutions: true,
 					OnColumn: func(j int, _ float64, cols [][]float64) {
 						for s, c := range cols {
 							for i, v := range c {
@@ -448,11 +493,13 @@ func TestParamBatchPanelBitwiseAcrossWidthsAndWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Solve(psys, u, m, T, Options{X0: sc.X0})
+			want, err := Solve(psys, tc.u, m, T, Options{X0: sc.X0, HistoryMode: tc.mode})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := maxRelErr(denseRows(ref[s]), denseRows(want)); got > 1e-12 {
+			if s == tc.refac {
+				sameDense(t, tc.name+" refactored member", ref[s].Coefficients(), want.Coefficients())
+			} else if got := maxRelErr(denseRows(ref[s]), denseRows(want)); got > 1e-12 {
 				t.Fatalf("%s scenario %d: SMW deviates from the materialized solve by %.3g (> 1e-12)", tc.name, s, got)
 			}
 		}

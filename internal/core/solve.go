@@ -1,9 +1,10 @@
 package core
 
+//lint:hot
+
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"opmsim/internal/basis"
 	"opmsim/internal/faultinject"
@@ -137,86 +138,6 @@ func expandInputs(sys *System, u []waveform.Signal, b basis.Basis) (*mat.Dense, 
 		copy(uc.Row(c), row)
 	}
 	return uc, nil
-}
-
-// intHistory maintains the history sum of an integer-order term p ≥ 1.
-// Because (1+q)ᵖ·ρ_p(q) = (2/h)ᵖ(1−q)ᵖ is a degree-p polynomial, the Toeplitz
-// coefficients obey a p-term linear recurrence and so do the history sums
-// s_j = Σ_{i<j} c_{j−i}·x_i:
-//
-//	s_j = Σ_{k=1..p} γ_k·x_{j−k} − Σ_{l=1..p} C(p,l)·s_{j−l},
-//	γ_k = C(p,k)·(2/h)ᵖ·((−1)ᵏ − 1)   (zero for even k).
-//
-// For p = 1 this is the classical s_j = −(4/h)x_{j−1} − s_{j−1} of §III-A;
-// for p ≥ 2 it keeps high-order solves at O(p·n) per column instead of
-// O(n·j). Fractional orders have no such recurrence and use the full history
-// engine, matching the paper's complexity discussion for eq. (28). Protocol
-// per column: call current() exactly once (it computes s_j), use the result,
-// then call advance(x_j).
-type intHistory struct {
-	p     int
-	gamma []float64   // γ_k, k = 1..p (zero for even k)
-	binom []float64   // C(p,k), k = 1..p
-	xs    [][]float64 // previous columns: xs[0] = x_{j−1}, ... (references)
-	ss    [][]float64 // previous sums: ss[0] = s_{j−1}, ... (owned buffers)
-	s     []float64   // scratch holding s_j between current() and advance()
-}
-
-func newIntHistory(p int, h float64, n int) *intHistory {
-	hp := math.Pow(2/h, float64(p))
-	ih := &intHistory{
-		p:     p,
-		gamma: make([]float64, p),
-		binom: make([]float64, p),
-		s:     make([]float64, n),
-	}
-	b := 1.0
-	for k := 1; k <= p; k++ {
-		b = b * float64(p-k+1) / float64(k)
-		ih.binom[k-1] = b
-		if k%2 == 1 {
-			ih.gamma[k-1] = -2 * b * hp
-		}
-	}
-	return ih
-}
-
-// current computes and returns s_j from the stored lags.
-func (ih *intHistory) current() []float64 {
-	for i := range ih.s {
-		ih.s[i] = 0
-	}
-	for k := 0; k < len(ih.xs); k++ {
-		if g := ih.gamma[k]; !isExactZero(g) {
-			mat.Axpy(g, ih.xs[k], ih.s)
-		}
-	}
-	for l := 0; l < len(ih.ss); l++ {
-		mat.Axpy(-ih.binom[l], ih.ss[l], ih.s)
-	}
-	return ih.s
-}
-
-// advance pushes x_j (kept by reference) and the s_j just computed. The lag
-// windows rotate in place — the oldest sum buffer is recycled and slice
-// headers shift right — so steady-state columns allocate nothing.
-func (ih *intHistory) advance(xj []float64) {
-	var sbuf []float64
-	if len(ih.ss) == ih.p {
-		// Recycle the oldest sum buffer.
-		sbuf = ih.ss[ih.p-1]
-	} else {
-		sbuf = make([]float64, len(ih.s))
-		ih.ss = append(ih.ss, nil)
-	}
-	copy(ih.ss[1:], ih.ss[:len(ih.ss)-1])
-	ih.ss[0] = sbuf
-	copy(sbuf, ih.s)
-	if len(ih.xs) < ih.p {
-		ih.xs = append(ih.xs, nil)
-	}
-	copy(ih.xs[1:], ih.xs[:len(ih.xs)-1])
-	ih.xs[0] = xj
 }
 
 // applyInputOrder right-multiplies the input coefficient matrix by the

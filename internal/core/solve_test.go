@@ -385,10 +385,35 @@ func TestSolveAllocsIndependentOfColumns(t *testing.T) {
 		t.Fatalf("allocations grew with columns: m=256 → %.0f, m=2048 → %.0f (want ≤ +32)", small, large)
 	}
 
+	// A fractional Solve (a one-wide panel step gathering the history
+	// engine's sums into its term panels) and a one-group fractional
+	// SolveBatch. The exact engine folds on every column; the FFT engine's
+	// firings come every 64 columns and are left out.
+	fsys, fu := fracTestSystem(6, 4)
+	fscs := []Scenario{{U: fu}, {U: fu}, {U: fu}, {U: fu}, {U: fu}}
+	for _, k := range []int{1, len(fscs)} {
+		fracAllocsAt := func(m int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				opt := Options{HistoryMode: HistoryExact}
+				if k == 1 {
+					if _, err := Solve(fsys, fu, m, 2, opt); err != nil {
+						t.Fatal(err)
+					}
+				} else if _, err := SolveBatch(fsys, fscs[:k], m, 2, BatchOptions{Options: opt}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := fracAllocsAt(256), fracAllocsAt(2048)
+		if large > small+32 {
+			t.Fatalf("fractional, %d scenario(s): allocations grew with columns: m=256 → %.0f, m=2048 → %.0f (want ≤ +32)", k, small, large)
+		}
+	}
+
 	// The parameter-varying batch on an integer-order system, streamed
 	// through OnColumn with DiscardSolutions: one panel group of nine
 	// scenarios (rank-1 rhs corrections and Woodbury corrections on the
-	// panel step), then one SMW scenario alone (the member-wise step).
+	// panel step), then one SMW scenario alone (a one-wide panel step).
 	isys, iu := intTestSystem(12, 9)
 	scs := intDeltaScenarios(isys, iu, 9, 23, false)
 	for _, k := range []int{9, 1} {

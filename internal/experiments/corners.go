@@ -1,5 +1,7 @@
 package experiments
 
+//lint:hot
+
 import (
 	"fmt"
 	"math"

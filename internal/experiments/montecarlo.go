@@ -1,5 +1,7 @@
 package experiments
 
+//lint:hot
+
 import (
 	"encoding/json"
 	"fmt"

@@ -1,5 +1,7 @@
 package fft
 
+//lint:hot
+
 import (
 	"math"
 	"math/bits"

@@ -3,13 +3,12 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 
 	"opmsim/internal/lint/cfg"
 )
 
 // AnalyzerAllocSite (advisory) flags allocation sites inside the per-column
-// hot loops of the atset watchlist files: make/new per iteration, formatting
+// hot loops of the files marked //lint:hot: make/new per iteration, formatting
 // (boxing) calls, and append growth whose backing slice is (re)defined inside
 // the loop. Flow-sensitive via reaching definitions so the approved idiom —
 // `buf := make(..., cap)` hoisted above the loop, `buf = buf[:0]` reslices
@@ -24,17 +23,8 @@ var AnalyzerAllocSite = &Analyzer{
 }
 
 func runAllocSite(p *Pass) {
-	hot := false
-	for _, suffix := range atsetHotPackages {
-		if pkgHasSuffix(p.Pkg.Path(), suffix) {
-			hot = true
-		}
-	}
-	if !hot {
-		return
-	}
 	for _, f := range p.Files {
-		if !atsetFileHot(p.Pkg.Path(), filepath.Base(p.Fset.Position(f.Pos()).Filename)) {
+		if !fileHot(f) {
 			continue
 		}
 		for _, decl := range f.Decls {

@@ -135,17 +135,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 			if !fixtureHasSuppression(t, dir, a.Name) {
 				t.Errorf("fixture %s demonstrates no //lint:ignore %s suppression", dir, a.Name)
 			}
-			// Variant fixtures (testdata/src/<rule>@<variant>/) exercise the
-			// same analyzer under a different package path or file-name gate —
-			// the atset@waveform variant regression-tests the PR 9 watchlist
-			// extension. Variants need wants but not their own suppression.
-			variants, _ := filepath.Glob(dir + "@*")
-			sort.Strings(variants)
-			for _, vdir := range variants {
-				t.Run(filepath.Base(vdir), func(t *testing.T) {
-					runFixtureDir(t, a, vdir)
-				})
-			}
 		})
 	}
 }

@@ -16,6 +16,15 @@
 //
 // The reason is mandatory: a suppression without a justification is itself
 // reported (rule "directive").
+//
+// A file puts its loops on the solve-time hot path, where the atset and
+// allocsite rules hold them to the row-view and no-allocation idioms, with
+// one file-level directive before its first declaration:
+//
+//	//lint:hot
+//
+// It takes no arguments; one with arguments or below a declaration is
+// reported as rule "directive" and not honored.
 package lint
 
 import (
@@ -247,8 +256,19 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) (suppressionInd
 				if !strings.HasPrefix(text, "//lint:") {
 					continue
 				}
-				ruleList, _, ok := parseDirective(text)
 				pos := fset.Position(c.Pos())
+				if strings.HasPrefix(text, hotDirective) {
+					if !hotComment(f, c) {
+						bad = append(bad, Diagnostic{
+							Pos:      pos,
+							Rule:     "directive",
+							Severity: SeverityError,
+							Message:  "malformed lint directive; //lint:hot stands alone on its line, before the file's first declaration",
+						})
+					}
+					continue
+				}
+				ruleList, _, ok := parseDirective(text)
 				if !ok {
 					bad = append(bad, Diagnostic{
 						Pos:      pos,
@@ -268,6 +288,27 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) (suppressionInd
 		}
 	}
 	return idx, bad
+}
+
+// hotDirective marks a file whose loops are on the solve-time hot path.
+const hotDirective = "//lint:hot"
+
+// hotComment reports whether c is a well-formed //lint:hot directive of f:
+// the bare directive, before the file's first declaration.
+func hotComment(f *ast.File, c *ast.Comment) bool {
+	return strings.TrimSpace(c.Text) == hotDirective && (len(f.Decls) == 0 || c.Pos() < f.Decls[0].Pos())
+}
+
+// fileHot reports whether f carries a well-formed //lint:hot directive.
+func fileHot(f *ast.File) bool {
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if hotComment(f, c) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // directiveExtent widens a directive's default two-line window [line, line+1]

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -83,6 +84,42 @@ func wellFormed(v float64) bool {
 	}
 	if len(diags) != 4 {
 		t.Errorf("want exactly 4 findings, got %d: %v", len(diags), diags)
+	}
+}
+
+// TestHotDirective: only a bare //lint:hot before the first declaration
+// puts a file on the hot path; one with arguments or inside a declaration
+// is a "directive" finding and leaves the file's loops unchecked.
+func TestHotDirective(t *testing.T) {
+	const body = `
+func perColumn(m, n int) [][]float64 {
+	%s
+	out := make([][]float64, m)
+	for j := range out {
+		buf := make([]float64, n)
+		out[j] = buf
+	}
+	return out
+}
+`
+	cases := []struct {
+		name, header, inner string
+		want                []string
+	}{
+		{"hot", "//lint:hot", "", []string{"allocsite:9"}},
+		{"arguments", "//lint:hot per-column loops", "", []string{"directive:3"}},
+		{"inside a declaration", "", "//lint:hot", []string{"directive:6"}},
+		{"absent", "", "", nil},
+	}
+	for _, tc := range cases {
+		src := "package p\n\n" + tc.header + "\n" + fmt.Sprintf(body, tc.inner)
+		var got []string
+		for _, d := range checkSource(t, src, []*Analyzer{AnalyzerAllocSite}) {
+			got = append(got, d.Rule+":"+strconv.Itoa(d.Pos.Line))
+		}
+		if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+			t.Errorf("%s: findings %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -1,10 +1,9 @@
-// fixturepath: fixture/internal/core
-//
 // Fixture for the allocsite analyzer (advisory): per-iteration allocation in
-// hot-path loops. The fixturepath directive places this package at an
-// internal/core-suffixed import path and the file name solve.go is on the
-// hot-file watchlist, so the rule is active here.
+// hot-path loops. The //lint:hot directive puts the file on the hot path, so
+// the rule is active here.
 package core
+
+//lint:hot
 
 import "fmt"
 

@@ -2,9 +2,12 @@
 //
 // Fixture for the atset analyzer (advisory): element-wise At/Set in
 // doubly-nested loops on hot paths. The fixturepath directive places this
-// package at an internal/mat-suffixed import path, and the file name dense.go
-// is on the hot-file list, so the rule is active here.
+// package at an internal/mat-suffixed import path, where the rule knows the
+// matrix types, and the //lint:hot directive puts the file on the hot path,
+// so the rule is active here.
 package mat
+
+//lint:hot
 
 type Dense struct {
 	data []float64

@@ -1,8 +1,10 @@
 // Fixture for the atset analyzer on the PR 8 parameter-varying surface: the
-// file name smw.go is on the hot-file list (the capacitance solve runs per
-// scenario per column), so element-wise At/Set in nested loops fires here
-// exactly as in dense.go.
+// file carries //lint:hot (the capacitance solve runs per scenario per
+// column), so element-wise At/Set in nested loops fires here exactly as in
+// dense.go.
 package mat
+
+//lint:hot
 
 // correctPanel is the offending shape: a capacitance back-substitution
 // walking the panel element-wise instead of through row views.

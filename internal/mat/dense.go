@@ -9,6 +9,8 @@
 // of dimension n), while large circuit matrices live in package sparse.
 package mat
 
+//lint:hot
+
 import (
 	"fmt"
 	"math"

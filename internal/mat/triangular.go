@@ -1,5 +1,7 @@
 package mat
 
+//lint:hot
+
 import (
 	"fmt"
 	"math"

@@ -1,5 +1,7 @@
 package mat
 
+//lint:hot
+
 import "math"
 
 // Dot returns the dot product of x and y. It panics on length mismatch.

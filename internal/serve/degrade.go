@@ -97,27 +97,24 @@ func breakerFault(err error) bool {
 
 // degradedPlan is the ladder: how an entry's accumulated strikes (deadline
 // expiries and solver faults on previous attempts) reshape its next run.
+// Both rungs are bitwise-neutral, so the checkpoint always survives.
 //
 //	strike ≥ 1 — halve the checkpoint interval per strike (min 1): shorter
 //	             intervals mean less recomputation on the next interruption;
 //	strike ≥ 2 — PanelWidth 1: sequential per-scenario batches cut peak
-//	             memory and per-column latency variance (both bitwise-neutral,
-//	             so the checkpoint survives);
-//	strike ≥ 3 — an fft-engine job falls back to the exact engine and
-//	             discards its checkpoint: the engine switch changes summation
-//	             order, so the run restarts from column zero — trading the
-//	             committed prefix for the exact tier's lower memory footprint
-//	             and strictly incremental progress.
+//	             memory and per-column latency variance.
+//
+// A job keeps its history engine on every rung: the exact tier is 4.8–53×
+// slower than the FFT tier at m ≥ 1024 (BENCH_history_fft.json), and a
+// switch would also discard the committed prefix.
 type degradedPlan struct {
 	checkpointEvery int
 	panelWidth      int
-	history         core.HistoryMode
 	resume          *core.Checkpoint
-	droppedResume   bool
 }
 
-func planFor(strikes, baseEvery int, history core.HistoryMode, cp *core.Checkpoint) degradedPlan {
-	p := degradedPlan{checkpointEvery: baseEvery, history: history}
+func planFor(strikes, baseEvery int, cp *core.Checkpoint) degradedPlan {
+	p := degradedPlan{checkpointEvery: baseEvery}
 	if cp != nil && cp.Columns > 0 {
 		p.resume = cp
 	}
@@ -129,11 +126,6 @@ func planFor(strikes, baseEvery int, history core.HistoryMode, cp *core.Checkpoi
 	}
 	if strikes >= 2 {
 		p.panelWidth = 1
-	}
-	if strikes >= 3 && p.resume != nil && p.resume.Engine == "fft" {
-		p.history = core.HistoryExact
-		p.resume = nil
-		p.droppedResume = true
 	}
 	return p
 }

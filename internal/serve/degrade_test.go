@@ -219,31 +219,27 @@ func TestPlanForLadder(t *testing.T) {
 		strikes int
 		every   int
 		panel   int
-		history core.HistoryMode
-		resume  bool
-		dropped bool
 	}{
-		{0, 32, 0, core.HistoryFFT, true, false},
-		{1, 16, 0, core.HistoryFFT, true, false},
-		{2, 8, 1, core.HistoryFFT, true, false},
-		{3, 4, 1, core.HistoryExact, false, true},
-		{8, 1, 1, core.HistoryExact, false, true},
+		{0, 32, 0},
+		{1, 16, 0},
+		{2, 8, 1},
+		{3, 4, 1},
+		{8, 1, 1},
 	}
+	// Every rung keeps the FFT-engine checkpoint: no rung switches engines.
 	for _, tc := range cases {
-		p := planFor(tc.strikes, 32, core.HistoryFFT, cp)
-		if p.checkpointEvery != tc.every || p.panelWidth != tc.panel || p.history != tc.history ||
-			(p.resume != nil) != tc.resume || p.droppedResume != tc.dropped {
-			t.Fatalf("planFor(%d) = %+v, want every=%d panel=%d history=%v resume=%v dropped=%v",
-				tc.strikes, p, tc.every, tc.panel, tc.history, tc.resume, tc.dropped)
+		p := planFor(tc.strikes, 32, cp)
+		if p.checkpointEvery != tc.every || p.panelWidth != tc.panel || p.resume != cp || p.resume.Engine != "fft" {
+			t.Fatalf("planFor(%d) = %+v, want every=%d panel=%d and the fft checkpoint resumed",
+				tc.strikes, p, tc.every, tc.panel)
 		}
 	}
-	// Exact-engine checkpoints survive every rung: no engine switch needed.
 	ecp := &core.Checkpoint{Columns: 40, Engine: "exact"}
-	if p := planFor(5, 32, core.HistoryExact, ecp); p.resume == nil || p.droppedResume {
+	if p := planFor(5, 32, ecp); p.resume != ecp {
 		t.Fatalf("exact checkpoint dropped by the ladder: %+v", p)
 	}
-	// No checkpoint → nothing to resume or drop.
-	if p := planFor(3, 32, core.HistoryFFT, nil); p.resume != nil || p.droppedResume {
+	// No checkpoint → nothing to resume.
+	if p := planFor(3, 32, nil); p.resume != nil {
 		t.Fatalf("phantom resume: %+v", p)
 	}
 }

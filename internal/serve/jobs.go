@@ -1,5 +1,7 @@
 package serve
 
+//lint:hot
+
 import (
 	"errors"
 	"fmt"
@@ -9,7 +11,6 @@ import (
 	"sync"
 
 	"opmsim/internal/core"
-	"opmsim/internal/faultinject"
 )
 
 // jobEntry is one registered job's resilience state: the verbatim request
@@ -91,34 +92,6 @@ func (e *jobEntry) applyCheckpointDelta(d *core.CheckpointDelta) error {
 		return err
 	}
 	return nil
-}
-
-// discardCheckpoint drops the in-memory checkpoint (ladder step 3: the
-// engine switch invalidates it). The journal keeps its stale deltas; they
-// are superseded the moment the restarted run checkpoints again — recovery
-// applies deltas in order and a from-zero delta after an engine switch fails
-// to apply, which replay treats as the journal's logical end. To keep the
-// journal coherent instead, it is truncated to just the start record by
-// rewriting it.
-func (e *jobEntry) discardCheckpoint(dir string, hooks *faultinject.ServeHooks) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cp = nil
-	if e.jw == nil || e.journalBroken {
-		return
-	}
-	// Rewrite: remove and recreate with the same start record. Failure just
-	// degrades to in-memory mode.
-	//lint:ignore lockhold journal rewrite must be atomic with the checkpoint discard or a resume could replay stale deltas
-	_ = e.jw.removeJournal()
-	//lint:ignore lockhold second half of the atomic rewrite; see above
-	jw, err := createJobJournal(dir, e.id, e.body, hooks)
-	if err != nil {
-		e.journalBroken = true
-		e.jw = nil
-		return
-	}
-	e.jw = jw
 }
 
 // registry tracks every resumable job by ID. Attached entries (a handler

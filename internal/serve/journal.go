@@ -1,5 +1,7 @@
 package serve
 
+//lint:hot
+
 import (
 	"encoding/binary"
 	"errors"

@@ -29,6 +29,8 @@
 // suite in this package holds the service to exactly that.
 package serve
 
+//lint:hot
+
 import (
 	"context"
 	"encoding/json"
@@ -529,10 +531,7 @@ func (s *Server) executeJob(w http.ResponseWriter, r *http.Request, job *job, bo
 	entry.mu.Unlock()
 
 	// Degradation ladder: prior strikes reshape this attempt.
-	plan := planFor(strikes, s.cfg.CheckpointEvery, job.history, entry.cp)
-	if plan.droppedResume {
-		entry.discardCheckpoint(s.cfg.JournalDir, s.cfg.ServeFault)
-	}
+	plan := planFor(strikes, s.cfg.CheckpointEvery, entry.cp)
 
 	// Deadline: wall-clock budget from slot grant, measured on the injected
 	// clock so skew is testable. context.WithDeadline compares against real
@@ -715,7 +714,7 @@ func (s *Server) runJob(ctx context.Context, sw *streamWriter, job *job, entry *
 	opts := core.BatchOptions{
 		Options: core.Options{
 			Workers:     s.cfg.SolveWorkers,
-			HistoryMode: plan.history,
+			HistoryMode: job.history,
 			Report:      rep,
 			FactorCache: s.cache,
 			Fault:       s.cfg.Fault,

@@ -1,5 +1,7 @@
 package sparse
 
+//lint:hot
+
 import (
 	"fmt"
 	"math"

@@ -1,5 +1,7 @@
 package sparse
 
+//lint:hot
+
 import (
 	"fmt"
 
@@ -208,11 +210,17 @@ func (a *CSR) MulPanelInto(dst, x *mat.Dense) {
 // a.R×K, X is a.C×K), mirroring MulVecAdd column by column: each output row
 // first accumulates its products in ascending nonzero order into acc, then
 // folds s·acc into dst — per column exactly the operations (and roundings)
-// MulVecAdd performs. acc is caller-owned scratch of length K.
+// MulVecAdd performs. acc is caller-owned scratch of length K. A one-column
+// panel runs MulVecAdd itself on the backing slices, which skips the
+// per-row lane setup.
 func (a *CSR) MulPanelAdd(s float64, x, dst *mat.Dense, acc []float64) {
 	if x.Rows() != a.C || dst.Rows() != a.R || dst.Cols() != x.Cols() || len(acc) != x.Cols() {
 		panic(fmt.Sprintf("sparse: MulPanelAdd dims %dx%d += %dx%d · %dx%d (acc %d)",
 			dst.Rows(), dst.Cols(), a.R, a.C, x.Rows(), x.Cols(), len(acc)))
+	}
+	if len(acc) == 1 {
+		a.MulVecAdd(s, x.Data(), dst.Data())
+		return
 	}
 	for i := 0; i < a.R; i++ {
 		// Same structural empty-row skip as MulVecAdd (see there) — the pair

@@ -117,6 +117,90 @@ func TestMulPanelIntoBitwise(t *testing.T) {
 	}
 }
 
+// A one-column MulPanelAdd must give MulVecAdd's bits: on a matrix with
+// structurally empty rows (whose -0 destination entries stay -0), with ±0
+// and NaN among the inputs and the stored values. The width-3 panel's
+// columns hold to the same bits wherever the result is not NaN (vecops
+// leaves NaN payloads to the hardware).
+func TestMulPanelAddWidthOneMatchesMulVecAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const n = 32
+	coo := NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		if i%5 == 3 {
+			continue // structurally empty row
+		}
+		for _, j := range []int{(i + n - 1) % n, i, (i + 1) % n} {
+			v := rng.NormFloat64()
+			switch (i + j) % 11 {
+			case 0:
+				v = math.Copysign(0, -1)
+			case 4:
+				v = 0
+			}
+			coo.Add(i, j, v)
+		}
+	}
+	a := coo.ToCSR()
+	a.Val[7] = math.Copysign(0, -1) // a stored -0 in a nonempty row
+	input := func(i int) float64 {
+		switch i % 9 {
+		case 2:
+			return math.Copysign(0, -1)
+		case 5:
+			return 0
+		case 8:
+			if i == 17 {
+				return math.NaN()
+			}
+		}
+		return rng.NormFloat64()
+	}
+	const w = 3
+	x1, d1 := mat.NewDense(n, 1), mat.NewDense(n, 1)
+	xw, dw := mat.NewDense(n, w), mat.NewDense(n, w)
+	xv, yv := make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		xv[i] = input(i)
+		yv[i] = math.Copysign(0, -1)
+		if i%4 == 1 {
+			yv[i] = rng.NormFloat64()
+		}
+		x1.Data()[i], d1.Data()[i] = xv[i], yv[i]
+		for c := 0; c < w; c++ {
+			xw.Row(i)[c], dw.Row(i)[c] = xv[i], yv[i]
+		}
+	}
+	for _, s := range []float64{1, -1, 0.5} {
+		a.MulVecAdd(s, xv, yv)
+		a.MulPanelAdd(s, x1, d1, make([]float64, 1))
+		a.MulPanelAdd(s, xw, dw, make([]float64, w))
+		for i := 0; i < n; i++ {
+			if got := d1.Data()[i]; !bitsEq(got, yv[i]) {
+				t.Fatalf("s=%g row %d: width-1 MulPanelAdd %v (%#x), MulVecAdd %v (%#x)",
+					s, i, got, math.Float64bits(got), yv[i], math.Float64bits(yv[i]))
+			}
+			for c := 0; c < w; c++ {
+				if got := dw.Row(i)[c]; !math.IsNaN(yv[i]) && !bitsEq(got, yv[i]) {
+					t.Fatalf("s=%g row %d col %d: width-%d MulPanelAdd %v, MulVecAdd %v", s, i, c, w, got, yv[i])
+				}
+			}
+		}
+	}
+	var nans, negZeros int
+	for _, v := range yv {
+		if math.IsNaN(v) {
+			nans++
+		}
+		if v == 0 && math.Signbit(v) {
+			negZeros++
+		}
+	}
+	if nans == 0 || negZeros == 0 {
+		t.Fatalf("fixture lost its edge cases: %d NaN and %d -0 results", nans, negZeros)
+	}
+}
+
 // The panel solve rejects shape mismatches and aliased arguments instead of
 // corrupting data.
 func TestSolvePanelIntoChecks(t *testing.T) {

@@ -1,5 +1,7 @@
 package waveform
 
+//lint:hot
+
 import (
 	"fmt"
 	"math"
