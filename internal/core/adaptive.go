@@ -40,7 +40,10 @@ func SolveAdaptiveCtx(ctx context.Context, sys *System, u []waveform.Signal, ste
 	}
 	m := len(steps)
 	r := &columnRun{ctx: ctx, opt: single(opt), rep: rep, sys: sys, bas: ab, n: sys.N(), m: m,
-		times: make([]float64, m), dmats: make([]*mat.Dense, len(sys.Terms)), kernels: newKernelCache()}
+		times: make([]float64, m), dmats: make([]*mat.Dense, len(sys.Terms))}
+	if _, err := opt.historyFFTEnabled(m); err != nil {
+		return nil, err
+	}
 	if !isExactZero(sys.BOrder) {
 		if r.bmat, err = ab.DiffMatrixAlpha(sys.BOrder); err != nil {
 			return nil, fmt.Errorf("core: input order %g: %w", sys.BOrder, err)
@@ -110,6 +113,8 @@ func (a *adaptiveStep) column(j int, tj float64, tiers *[numTiers]int) (int, err
 	a.g.commit(j)
 	return 0, st.finish(j, tj, x)
 }
+
+func (a *adaptiveStep) group() *panelStep { return a.g }
 
 // AdaptiveOptions configures the on-the-fly step controller.
 type AdaptiveOptions struct {

@@ -9,7 +9,6 @@ import (
 	"runtime"
 
 	"opmsim/internal/basis"
-	"opmsim/internal/fft"
 	"opmsim/internal/mat"
 	"opmsim/internal/waveform"
 )
@@ -57,10 +56,11 @@ import (
 // scenario, to K sequential Solve calls with the same Options. Every
 // floating-point operation of the sequential path runs in the same order —
 // panel kernels are column-wise identical to their one-vector counterparts,
-// panel assembly/extraction are pure copies, and the history engines are
-// worker-count-invariant by construction. A run with several groups folds
-// history serially inside each group task; a single-group run keeps
-// Options.Workers for its engine.
+// panel assembly/extraction are pure copies, and each group's history
+// engine computes a member's sums from that member's slab alone, in an order
+// no worker count changes. A run with several groups fires each group's
+// engine serially inside its group task; a single-group run fans the
+// firings out over Options.Workers.
 
 // batchPanelWidth is the default scenario-panel width, matching the dense
 // kernels' luPanelWidth: wide enough to amortize factor index streams, narrow
@@ -166,7 +166,6 @@ type scenState struct {
 	uc    *mat.Dense
 	x0    []float64
 	shift []float64
-	eng   *historyEngine
 	xbuf  []float64 // column slab: column j at slot j (slot 0 in a ring run)
 	ring  bool
 	// Column post-solve pass (finish): the fault seam and, when the run has
@@ -210,31 +209,34 @@ func (st *scenState) finish(j int, tj float64, x []float64) error {
 // columnStep advances one scenario group through column j: it solves and
 // commits each member's column into its slab and counts its linear solves per
 // tier. On failure it returns the failing scenario's index and diagnostic.
+// group is the panel step that builds the group's right-hand sides and owns
+// its history state.
 type columnStep interface {
 	column(j int, tj float64, tiers *[numTiers]int) (int, error)
+	group() *panelStep
 }
 
 // columnRun is one solve: the column grid, the run-wide options, the
 // scenario states and the group steps that advance them. run is the column
 // driver.
 type columnRun struct {
-	ctx     context.Context
-	opt     *BatchOptions
-	rep     *SolveReport
-	sys     *System
-	bas     basis.Basis
-	n, m    int
-	T, h    float64      // span; uniform step (unused when times is set)
-	times   []float64    // adaptive grid: interval midpoints
-	coeffs  [][]float64  // uniform grid: Toeplitz coefficients of Dᵅᵏ per term
-	dmats   []*mat.Dense // adaptive grid: D̃ᵅᵏ per term
-	bcoef   []float64    // uniform grid: Dᵝ coefficients of the input order
-	bmat    *mat.Dense   // adaptive grid: D̃ᵝ of the input order
-	kernels *kernelCache // FFT kernel spectra shared across scenario engines
-	serial  bool         // several groups run concurrently: engines fold serially
-	ring    bool         // envelope run: each slab holds only the newest column
-	states  []*scenState
-	steps   []columnStep
+	ctx    context.Context
+	opt    *BatchOptions
+	rep    *SolveReport
+	sys    *System
+	bas    basis.Basis
+	n, m   int
+	T, h   float64      // span; uniform step (unused when times is set)
+	times  []float64    // adaptive grid: interval midpoints
+	coeffs [][]float64  // uniform grid: Toeplitz coefficients of Dᵅᵏ per term
+	dmats  []*mat.Dense // adaptive grid: D̃ᵅᵏ per term
+	bcoef  []float64    // uniform grid: Dᵝ coefficients of the input order
+	bmat   *mat.Dense   // adaptive grid: D̃ᵝ of the input order
+	useFFT bool         // resolved Options.HistoryMode: Toeplitz engine terms run on the FFT tier
+	serial bool         // several groups run concurrently: each runs on one goroutine
+	ring   bool         // envelope run: each slab holds only the newest column
+	states []*scenState
+	steps  []columnStep
 }
 
 // single adapts a one-scenario solver's options to the driver, forwarding
@@ -258,7 +260,10 @@ func newUniformRun(ctx context.Context, sys *System, m int, T float64, opt *Batc
 		return nil, err
 	}
 	r := &columnRun{ctx: ctx, opt: opt, rep: rep, sys: sys, bas: bpf, n: sys.N(), m: m, T: T, h: bpf.Step(),
-		coeffs: make([][]float64, len(sys.Terms)), kernels: newKernelCache()}
+		coeffs: make([][]float64, len(sys.Terms))}
+	if r.useFFT, err = opt.historyFFTEnabled(m); err != nil {
+		return nil, err
+	}
 	for k, t := range sys.Terms {
 		r.coeffs[k] = bpf.DiffCoeffs(t.Order)
 	}
@@ -268,9 +273,9 @@ func newUniformRun(ctx context.Context, sys *System, m int, T float64, opt *Batc
 	return r, nil
 }
 
-// solveWorkers is the worker count of the run's supernodal solves: 1 when
-// several groups run concurrently, Options.Workers otherwise — the rule the
-// history engines follow.
+// solveWorkers is the worker count of each group's supernodal solves and
+// FFT history firings: 1 when several groups run concurrently,
+// Options.Workers otherwise.
 func (r *columnRun) solveWorkers() int {
 	if r.serial {
 		return 1
@@ -305,11 +310,9 @@ func (r *columnRun) inputs(u []waveform.Signal) (*mat.Dense, error) {
 }
 
 // prepareScenario builds scenario s's state against sys (the run's system or
-// its ApplyDelta materialization): initial state, column slab, and the
-// history engine serving its fractional terms (every nonzero-order term on
-// the adaptive grid); integer orders on the uniform grid run on the group
-// step's recurrences. uc is the scenario's input coefficient matrix,
-// possibly shared read-only with other scenarios.
+// its ApplyDelta materialization): initial state and column slab. uc is the
+// scenario's input coefficient matrix, possibly shared read-only with other
+// scenarios.
 func (r *columnRun) prepareScenario(sys *System, s int, x0 []float64, uc *mat.Dense) (*scenState, error) {
 	x0, shift, err := prepareInitialState(sys, x0)
 	if err != nil {
@@ -323,23 +326,6 @@ func (r *columnRun) prepareScenario(sys *System, s int, x0 []float64, uc *mat.De
 	if f := r.opt.Fault; f != nil {
 		st.corrupt = f.CorruptColumn
 	}
-	if st.eng, err = newHistoryEngine(n, r.m, &r.opt.Options); err != nil {
-		return nil, err
-	}
-	if r.serial {
-		st.eng.workers = 1
-	}
-	st.eng.kernels = r.kernels
-	st.eng.setGuards(r.ctx, &r.opt.Options)
-	for k, t := range sys.Terms {
-		switch {
-		case isExactZero(t.Order):
-		case r.dmats != nil:
-			st.eng.addGeneral(k, r.dmats[k])
-		case !isExactEq(t.Order, float64(int(t.Order))):
-			st.eng.addToeplitz(k, r.coeffs[k])
-		}
-	}
 	return st, nil
 }
 
@@ -348,14 +334,6 @@ func (r *columnRun) prepareScenario(sys *System, s int, x0 []float64, uc *mat.De
 // (identified by backing-array identity: Monte-Carlo scenarios built from one
 // []Signal share it); expansion is deterministic, so sharing changes no bits.
 func (r *columnRun) prepareScenarios(scenarios []Scenario, prep func(s int, uc *mat.Dense) (*scenState, error)) error {
-	if on, err := r.opt.historyFFTEnabled(r.m); err == nil && on && r.serial {
-		// Concurrent scenario engines would race to build the same plans.
-		var sizes []int
-		for L := historyFFTBase; L <= r.m; L *= 2 {
-			sizes = append(sizes, 2*L)
-		}
-		fft.Prewarm(sizes...)
-	}
 	type ucSlot struct {
 		uc  *mat.Dense
 		err error
@@ -413,13 +391,14 @@ func (r *columnRun) prepareScenarios(scenarios []Scenario, prep func(s int, uc *
 // runTasks runs the tasks of one batch phase — scenario preparation, the
 // group steps of a column, replay, solution assembly. One task, or any
 // number under a resolved Options.Workers of 1, runs in order on the calling
-// goroutine (so a single group's history engine may itself use the pool);
+// goroutine (so a single group's history engine and supernodal solves may
+// themselves use the pool);
 // several tasks otherwise fan out over the pool.
 func (r *columnRun) runTasks(tasks []func()) error {
 	if !r.fansOut(len(tasks)) {
 		return runInOrder(tasks)
 	}
-	return historyPoolDo(tasks)
+	return poolDo(tasks)
 }
 
 // fansOut reports whether runTasks hands k tasks to the pool.
@@ -435,7 +414,7 @@ func (r *columnRun) fansOut(k int) bool {
 // goroutine, and returns once both are done — also when during panics, so
 // no task outlives the call.
 func overlapTasks(tasks []func(), during func()) (err error) {
-	wait := historyPoolGo(tasks)
+	wait := poolGo(tasks)
 	defer func() {
 		if werr := wait(); err == nil {
 			err = werr
@@ -462,8 +441,8 @@ func firstNonFinite(x []float64) int {
 func (r *columnRun) run() ([]*Solution, error) {
 	opt, rep, n, K := r.opt, r.rep, r.n, len(r.states)
 	engine := ""
-	if len(r.states[0].eng.terms) > 0 {
-		engine = r.states[0].eng.modeName()
+	if e := r.steps[0].group().eng; e != nil {
+		engine = e.modeName()
 		rep.HistoryEngine = engine
 	}
 	j0 := 0
@@ -609,11 +588,12 @@ func (r *columnRun) run() ([]*Solution, error) {
 		}
 	}
 	flush()
-	// The history engines (an n×m FFT accumulator per fractional term) are
-	// dead once the last column is committed: release them before the
-	// solutions are allocated, so a solve never holds both at once.
-	for _, st := range r.states {
-		st.eng = nil
+	// The history engines (an n×m FFT accumulator per fractional term and
+	// member) are dead once the last column is committed: release them
+	// before the solutions are allocated, so a solve never holds both at
+	// once.
+	for _, step := range r.steps {
+		step.group().eng = nil
 	}
 	if opt.DiscardSolutions {
 		return nil, nil
@@ -661,7 +641,7 @@ func SolveBatch(sys *System, scenarios []Scenario, m int, T float64, opt BatchOp
 }
 
 // SolveBatchCtx is SolveBatch with cancellation, checked once per column (and
-// at the FFT segment firings of the scenario history engines).
+// at the FFT segment firings of the groups' history engines).
 func SolveBatchCtx(ctx context.Context, sys *System, scenarios []Scenario, m int, T float64, opt BatchOptions) (_ []*Solution, err error) {
 	rep := opt.report()
 	defer func() { rep.Err = err }()
@@ -740,7 +720,7 @@ func scenarioGroups(K, width int, private []bool) [][]int {
 
 // addGroupSteps builds one panelStep per scenario group: a refactored
 // scenario's over its private factorization, the others' over a view of
-// shared.
+// shared. Each step carries its group's history engine.
 func (r *columnRun) addGroupSteps(shared *pencilFactor, groups [][]int) {
 	workers := r.solveWorkers()
 	all, off := make([]*scenState, len(r.states)), 0
@@ -754,7 +734,7 @@ func (r *columnRun) addGroupSteps(shared *pencilFactor, groups [][]int) {
 		if pf == nil {
 			pf = shared.instantiate(workers)
 		}
-		r.steps = append(r.steps, newPanelStep(members, pf, r.h))
+		r.steps = append(r.steps, r.newPanelStep(members, pf))
 	}
 }
 
@@ -771,7 +751,7 @@ func (r *columnRun) solveOne(u []waveform.Signal, step func(g *panelStep) column
 		return nil, err
 	}
 	r.states = []*scenState{st}
-	r.steps = []columnStep{step(newPanelStep(r.states, nil, r.h))}
+	r.steps = []columnStep{step(r.newPanelStep(r.states, nil))}
 	sols, err := r.run()
 	if err != nil {
 		return nil, err

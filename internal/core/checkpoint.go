@@ -221,8 +221,8 @@ func fpMix64(h, v uint64) uint64 {
 
 // resume restores the run's state to the end of the checkpoint's committed
 // prefix: it prefills each scenario's column slab and has every group step
-// replay its history state (the integer-order panel recurrences and each
-// member engine's FFT segment firings) in the exact floating-point
+// replay its history state (the integer-order panel recurrences and the
+// group engine's FFT segment firings) in the exact floating-point
 // operation order of the original solve, so the continuation is
 // bitwise-exact. Fan-out is one task per group, as in the column loop.
 func (r *columnRun) resume(cp *Checkpoint) error {
@@ -236,7 +236,7 @@ func (r *columnRun) resume(cp *Checkpoint) error {
 	errs := make([]error, len(r.steps))
 	tasks := make([]func(), len(r.steps))
 	for g, step := range r.steps {
-		tasks[g] = func() { errs[g] = step.(*panelStep).replay(j0) }
+		tasks[g] = func() { errs[g] = step.group().replay(j0) }
 	}
 	if err := r.runTasks(tasks); err != nil {
 		return err
@@ -251,21 +251,19 @@ func (r *columnRun) resume(cp *Checkpoint) error {
 
 // resumeAt replays the engine-internal history state a run committed through
 // column j0 would hold. Only the FFT tier carries state that must be rebuilt
-// eagerly: every segment firing strictly below j0 is refired in ascending
-// fire-column order (the chronological order of the original run), restoring
-// the spectra accumulators bit for bit. A firing due at j0 itself happens
-// live when the loop solves column j0. The exact tier holds no state.
-func (e *historyEngine) resumeAt(j0 int, xs []float64) error {
-	if j0 == 0 {
-		return nil
-	}
-	for _, t := range e.orderedTerms() {
-		if t.fft == nil {
+// eagerly: every segment firing strictly below j0 is refired, for all the
+// group's members at once, in ascending fire-column order (the
+// chronological order of the original run), restoring the spectra
+// accumulators bit for bit. A firing due at j0 itself happens live when the
+// loop solves column j0. The exact tier holds no state.
+func (e *historyEngine) resumeAt(j0 int) error {
+	for _, t := range e.terms {
+		if t == nil || t.fft == nil {
 			continue
 		}
 		for c := e.fftBase; c < j0; c += e.fftBase {
 			t.fft.fired = c
-			if err := e.fireSegment(t, c, xs); err != nil {
+			if err := e.fire(t, c); err != nil {
 				return err
 			}
 		}

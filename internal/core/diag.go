@@ -31,7 +31,7 @@ var (
 	// its deadline expired.
 	ErrCancelled = errors.New("solve cancelled")
 	// ErrInternal: an invariant was violated inside the solver — e.g. a
-	// history worker panicked — and was recovered instead of crashing the
+	// worker task panicked — and was recovered instead of crashing the
 	// process.
 	ErrInternal = errors.New("internal solver fault")
 )

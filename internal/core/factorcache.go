@@ -193,8 +193,8 @@ func (pf *pencilFactor) instantiate(workers int) *pencilFactor {
 
 // setSolveWorkers sets the goroutine count of the supernodal tier's
 // per-domain solve phases (≤ 0: GOMAXPROCS); other tiers solve serially.
-// Like the history engines, a factorization solved inside one of several
-// concurrent group tasks takes 1. No value changes a result bit.
+// Like the group's history engine, a factorization solved inside one of
+// several concurrent group tasks takes 1. No value changes a result bit.
 func (pf *pencilFactor) setSolveWorkers(workers int) {
 	if pf.bbd != nil {
 		pf.bbd.SetWorkers(workers)

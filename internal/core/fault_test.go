@@ -449,7 +449,7 @@ type overlapEntry struct {
 
 // overlapEntries are three shapes of the group step a K = 70, PanelWidth 32
 // batch (groups of 32, 32 and 6) takes: integer-order recurrences only,
-// a fractional system's history engines gathered into term panels (the
+// a fractional system's group history engine filling its term panels (the
 // "member" rows), and SMW members (parameter batches emit no checkpoints).
 func overlapEntries(t *testing.T, K int) []overlapEntry {
 	t.Helper()

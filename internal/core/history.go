@@ -20,21 +20,27 @@ import (
 //
 // for the fractional/high-order terms whose Toeplitz (or adaptive-grid)
 // coefficients admit no short recurrence — the O(nᵝm + nm²) part of the
-// paper's §IV cost split. It has two tiers:
+// paper's §IV cost split. One engine serves a scenario group: each of its
+// terms holds the coefficients once, and each history call fills the term's
+// n×w panel, one column per member. It has two tiers:
 //
 //   - the exact tier folds the past columns into w_j one by one, in
 //     ascending i, on the solving goroutine: the reference summation,
-//     O(n·j) per column;
+//     O(n·j) per column and member;
 //   - the FFT tier (historyfft.go) serves Toeplitz terms by segmented fast
-//     convolution, O(n·m log² m) in total.
+//     convolution, O(n·m log² m) in total per member.
 //
 // Determinism: the exact tier has one accumulation order, so its results
 // depend on nothing but the inputs; the FFT tier's firings are
 // bitwise-identical under any Options.Workers setting (see historyfft.go).
-// historyPool is the process-wide worker pool shared by the FFT tier's
-// firings, batch preparation and the driver's group tasks across all solves. Goroutines are
-// started once, sized to GOMAXPROCS, and parked on a channel between bursts.
-var historyPool struct {
+// A member's sums read only its own slab, so they do not depend on the
+// group it rides in.
+
+// taskPool is the process-wide worker pool behind every fan-out of the
+// solvers: scenario preparation, the driver's group tasks, the FFT tier's
+// firings and solution assembly, across all solves. Goroutines are started
+// once, sized to GOMAXPROCS, and parked on a channel between bursts.
+var taskPool struct {
 	once sync.Once
 	jobs chan func()
 }
@@ -44,7 +50,7 @@ var historyPool struct {
 func runRecovered(f func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("history worker panic: %v", r)
+			err = fmt.Errorf("worker panic: %v", r)
 		}
 	}()
 	f()
@@ -52,8 +58,8 @@ func runRecovered(f func()) (err error) {
 }
 
 // runInOrder runs the tasks one after another on the calling goroutine,
-// with historyPoolDo's error rule: a panic becomes an error, the first one
-// wins, and the remaining tasks still run.
+// with poolDo's error rule: a panic becomes an error, the first one wins,
+// and the remaining tasks still run.
 func runInOrder(tasks []func()) error {
 	var firstErr error
 	for _, t := range tasks {
@@ -64,24 +70,24 @@ func runInOrder(tasks []func()) error {
 	return firstErr
 }
 
-// historyPoolDo runs the tasks to completion, preferring pool goroutines and
+// poolDo runs the tasks to completion, preferring pool goroutines and
 // falling back to the calling goroutine when the pool is saturated. A panic
 // inside any task is recovered and reported as the returned error (first one
 // wins) rather than crashing the process; the remaining tasks still run, so
 // the accumulators stay consistent for whoever inspects them post-mortem.
-func historyPoolDo(tasks []func()) error { return historyPoolGo(tasks)() }
+func poolDo(tasks []func()) error { return poolGo(tasks)() }
 
-// historyPoolGo hands the tasks to the pool and returns a wait function that
-// blocks until every task has finished and returns historyPoolDo's error. A
-// task the saturated pool cannot take runs on the calling goroutine before
-// historyPoolGo returns.
-func historyPoolGo(tasks []func()) (wait func() error) {
-	historyPool.once.Do(func() {
+// poolGo hands the tasks to the pool and returns a wait function that blocks
+// until every task has finished and returns poolDo's error. A task the
+// saturated pool cannot take runs on the calling goroutine before poolGo
+// returns.
+func poolGo(tasks []func()) (wait func() error) {
+	taskPool.once.Do(func() {
 		n := runtime.GOMAXPROCS(0)
-		historyPool.jobs = make(chan func(), n)
+		taskPool.jobs = make(chan func(), n)
 		for i := 0; i < n; i++ {
 			go func() {
-				for f := range historyPool.jobs {
+				for f := range taskPool.jobs {
 					f()
 				}
 			}()
@@ -104,7 +110,7 @@ func historyPoolGo(tasks []func()) (wait func() error) {
 			}
 		}
 		select {
-		case historyPool.jobs <- run:
+		case taskPool.jobs <- run:
 		default:
 			run()
 		}
@@ -133,171 +139,117 @@ func engineErrKind(err error) error {
 // Toeplitz terms of an FFT-mode engine carry the fast-convolution state in
 // fft.
 type historyTerm struct {
-	key     int // registration key (System term index); names the term in shared caches
 	toe     []float64
 	genCols *mat.Dense
 	fft     *fftHist  // segmented fast-convolution state (FFT tier only)
-	w       []float64 // scratch returned by history()
-}
-
-// kernelCache shares FFT lag-kernel spectra across the per-scenario history
-// engines of a batch: the K scenarios of SolveBatch have identical Toeplitz
-// coefficients per term (same h, α, m), so the spectrum for (term, segment
-// length) is computed once and reused instead of K times. Spectra are
-// deterministic functions of the coefficients, so whether an engine computes
-// or fetches one cannot change any bit of its results. Safe for concurrent
-// use; stored slices are immutable after insertion.
-type kernelCache struct {
-	mu sync.Mutex
-	m  map[kernelKey][]complex128
-}
-
-type kernelKey struct{ term, L int }
-
-func newKernelCache() *kernelCache { return &kernelCache{m: map[kernelKey][]complex128{}} }
-
-// get returns the cached spectrum for (term, L), or nil.
-func (c *kernelCache) get(term, L int) []complex128 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[kernelKey{term, L}]
-}
-
-// put stores a freshly built spectrum. Concurrent builders of the same key
-// store bitwise-identical slices, so last-write-wins is harmless.
-func (c *kernelCache) put(term, L int, spec []complex128) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[kernelKey{term, L}] = spec
+	w       []float64 // one member's w_j, scattered into the term panel
 }
 
 // historyEngine evaluates general (non-recurrence) history sums for a
-// column-by-column solve. Columns must be consumed in order j = 0..m−1, and
-// columns 0..j−1 of the slab xs — column i at xs[i·n : (i+1)·n] — must be
-// solved before history(·, j, xs) is called.
+// scenario group's column-by-column solve. Columns must be consumed in order
+// j = 0..m−1, and columns 0..j−1 of every member slab must be solved before
+// history(·, j, ·) is called.
 type historyEngine struct {
 	n, m    int
-	workers int  // FFT-tier pair fan-out
-	useFFT  bool // route new Toeplitz terms to the fast-convolution tier
-	fftBase int  // FFT-tier base segment length (historyFFTBase; tests shrink it)
-	terms   map[int]*historyTerm
-	// order lists term keys in registration order. All term iteration goes
-	// through it — never through the map — so checkpoint replay is
-	// independent of map iteration order (maporder lint rule).
-	order   []int
-	kernels *kernelCache       // shared FFT kernel spectra (batch runs); may be nil
+	fftBase int                // FFT-tier base segment length (historyFFTBase; tests shrink it)
+	maxL    int                // longest segment that can fire: the largest power of two below m
+	useFFT  bool               // Toeplitz terms run on the fast-convolution tier
+	xs      [][]float64        // member slabs: member t's column i at xs[t][i·n : (i+1)·n]
+	terms   []*historyTerm     // indexed by system term; nil for terms the engine does not serve
 	ctx     context.Context    // checked at FFT segment firings; may be nil
 	fault   *faultinject.Hooks // optional injection hooks; may be nil
+	// FFT firings: the one in progress, and the task list that runs it over
+	// the (member, row pair) ranges, built once.
+	cur   firing
+	tasks []func()
 }
 
-// setGuards attaches the cancellation context and fault-injection hooks the
-// engine consults at FFT segment firings and inside their worker tasks.
-func (e *historyEngine) setGuards(ctx context.Context, opt *Options) {
-	e.ctx = ctx
-	e.fault = opt.Fault
-}
-
-// newHistoryEngine creates an engine for an n-state, m-column solve,
-// resolving Options.Workers (≤ 0 means runtime.GOMAXPROCS(0)) and
-// Options.HistoryMode (which routes Toeplitz terms to the FFT
-// fast-convolution tier). The only error is an unrecognized HistoryMode.
-func newHistoryEngine(n, m int, opt *Options) (*historyEngine, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// newHistoryEngine creates the engine of a group whose members keep their
+// column slabs in xs, for an n-state, m-column solve. workers is the FFT
+// firing fan-out (≤ 0 means runtime.GOMAXPROCS(0)); useFFT routes Toeplitz
+// terms to the fast-convolution tier.
+func newHistoryEngine(n, m, workers int, useFFT bool, xs [][]float64, nterms int) *historyEngine {
+	e := &historyEngine{n: n, m: m, fftBase: historyFFTBase, maxL: 1, useFFT: useFFT, xs: xs,
+		terms: make([]*historyTerm, nterms)}
+	for 2*e.maxL < m {
+		e.maxL *= 2
 	}
-	useFFT, err := opt.historyFFTEnabled(m)
-	if err != nil {
-		return nil, err
-	}
-	return &historyEngine{
-		n: n, m: m,
-		workers: workers,
-		useFFT:  useFFT,
-		fftBase: historyFFTBase,
-		terms:   map[int]*historyTerm{},
-	}, nil
-}
-
-// newTerm allocates a term's scratch, plus the fast-convolution state when
-// the term runs on the FFT tier.
-func (e *historyEngine) newTerm(useFFT bool) *historyTerm {
-	t := &historyTerm{w: make([]float64, e.n)}
 	if useFFT {
-		t.fft = &fftHist{
-			acc:   mat.NewDense(e.n, e.m),
-			ker:   map[int][]complex128{},
-			fired: -1,
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
+		e.buildTasks(workers)
 	}
-	return t
+	return e
 }
 
 // addToeplitz registers term k with uniform-grid Toeplitz coefficients.
 func (e *historyEngine) addToeplitz(k int, c []float64) {
-	t := e.newTerm(e.useFFT)
-	t.toe = c
-	e.setTerm(k, t)
+	t := &historyTerm{toe: c, w: make([]float64, e.n)}
+	if e.useFFT {
+		t.fft = &fftHist{acc: make([]*mat.Dense, len(e.xs)), spec: make([]complex128, 4*e.maxL),
+			ker: map[int][]complex128{}, fired: -1}
+		for i := range t.fft.acc {
+			t.fft.acc[i] = mat.NewDense(e.n, e.m)
+		}
+	}
+	e.terms[k] = t
 }
 
 // addGeneral registers term k with an adaptive-grid operational matrix.
 // General terms always run on the exact engine: the adaptive D̃ᵅ has no
 // Toeplitz structure, so there is no convolution to accelerate.
 func (e *historyEngine) addGeneral(k int, d *mat.Dense) {
-	t := e.newTerm(false)
-	t.genCols = d.T()
-	e.setTerm(k, t)
+	e.terms[k] = &historyTerm{genCols: d.T(), w: make([]float64, e.n)}
 }
 
-// setTerm stores term k, keeping the deterministic iteration order current.
-func (e *historyEngine) setTerm(k int, t *historyTerm) {
-	t.key = k
-	if e.terms[k] == nil {
-		e.order = append(e.order, k)
-	}
-	e.terms[k] = t
-}
-
-// orderedTerms returns the registered terms in registration order.
-func (e *historyEngine) orderedTerms() []*historyTerm {
-	out := make([]*historyTerm, len(e.order))
-	for i, k := range e.order {
-		out[i] = e.terms[k]
-	}
-	return out
-}
-
-// active reports whether term k uses the engine.
-func (e *historyEngine) active(k int) bool { return e.terms[k] != nil }
-
-// modeName reports which evaluation strategy the engine's registered terms
-// use, for SolveReport.HistoryEngine: "fft" when any term runs on the
+// modeName reports which evaluation strategy the engine's terms use, for
+// SolveReport.HistoryEngine: "fft" when its Toeplitz terms run on the
 // fast-convolution tier, else "exact".
 func (e *historyEngine) modeName() string {
-	for _, t := range e.orderedTerms() {
-		if t.fft != nil {
-			return "fft"
-		}
+	if e.useFFT {
+		return "fft"
 	}
 	return "exact"
 }
 
-// history returns w_j = Σ_{i<j} c(i,j)·x_i for term k. The returned slice
-// is owned by the engine and valid until the next history call for k. An
-// error means the engine's context expired at an FFT segment firing or a
-// firing's worker task panicked (see engineErrKind); the exact tier cannot
-// fail.
-func (e *historyEngine) history(k, j int, xs []float64) ([]float64, error) {
+// history fills dst (n×w) with w_j = Σ_{i<j} c(i,j)·x_i of term k, member t's
+// sum in column t. An error means the engine's context expired at an FFT
+// segment firing or a firing's worker task panicked (see engineErrKind); the
+// exact tier cannot fail.
+func (e *historyEngine) history(k, j int, dst *mat.Dense) error {
 	t := e.terms[k]
+	lo := 0
 	if t.fft != nil {
-		return e.historyFFT(t, j, xs)
+		if j > 0 && j%e.fftBase == 0 && t.fft.fired != j {
+			t.fft.fired = j
+			if err := e.fire(t, j); err != nil {
+				return err
+			}
+		}
+		lo = j - j%e.fftBase
 	}
-	w := t.w
-	for i := range w {
-		w[i] = 0
+	w, dd, v := len(e.xs), dst.Data(), t.w
+	for c, xs := range e.xs {
+		// The FFT tier starts from the completed segments' accumulated
+		// part and folds the in-segment remainder; the exact tier folds
+		// every past column.
+		if t.fft != nil {
+			acc := t.fft.acc[c]
+			for i := range v {
+				v[i] = acc.Row(i)[j]
+			}
+		} else {
+			for i := range v {
+				v[i] = 0
+			}
+		}
+		t.fold(j, lo, j, xs, v)
+		for i, x := range v {
+			dd[i*w+c] = x
+		}
 	}
-	t.fold(j, 0, j, xs, w)
-	return w, nil
+	return nil
 }
 
 // fold accumulates dst += Σ_{i∈[lo,hi)} c(i,j)·x_i in ascending i order,

@@ -43,8 +43,11 @@ import (
 //     (bit-reversed in, natural out), so no bit-reversal pass runs. The
 //     kernel spectrum is computed once per (term, L) in that bit-reversed
 //     order, prescaled by the exact factor 1/(2L), and cached;
-//   - the pairs of a firing are independent and fan out over the shared
+//   - the pairs of a firing are independent, and a group's engine fires
+//     each term once for all its members: one task list over the (member,
+//     row pair) ranges, built once per engine, fans out over the shared
 //     worker pool, each row's accumulator slice owned by exactly one task.
+//     A pair never spans two members.
 //
 // Determinism: pairs are fixed by row index, not by the worker partition; a
 // pair's scaling, transforms and accumulation run in one task in a fixed
@@ -115,86 +118,74 @@ func (o *Options) historyFFTEnabled(m int) (bool, error) {
 
 // fftHist is the per-term state of the segmented fast-convolution tier.
 type fftHist struct {
-	acc   *mat.Dense           // n×m: completed segments' contributions to future columns
-	ker   map[int][]complex128 // segment length L → bit-reversed, 1/(2L)-scaled spectrum of the 2L-point lag kernel
+	acc   []*mat.Dense         // per member, n×m: completed segments' contributions to future columns
+	spec  []complex128         // backing store of every level's spectrum: length L at [2(L−base), 4L−2·base)
+	ker   map[int][]complex128 // segment length L → bit-reversed, 1/(2L)-scaled spectrum of the 2L-point lag kernel, once built
 	fired int                  // last column at which a segment fired (idempotency guard)
 }
 
-// historyFFT evaluates w_j for a Toeplitz term through the FFT tier: fire
-// the segment due at this column (if any), then read the accumulated
-// long-range part and fold the in-segment remainder serially.
-func (e *historyEngine) historyFFT(t *historyTerm, j int, xs []float64) ([]float64, error) {
-	base := e.fftBase
-	if j > 0 && j%base == 0 && t.fft.fired != j {
-		t.fft.fired = j
-		if err := e.fireSegment(t, j, xs); err != nil {
-			return nil, err
-		}
-	}
-	w := t.w
-	acc := t.fft.acc
-	for i := 0; i < e.n; i++ {
-		w[i] = acc.Row(i)[j]
-	}
-	t.fold(j, j-j%base, j, xs, w)
-	return w, nil
+// firing is the fast-convolution level in progress: term t's completed
+// segment [a, a+L) against the kernel spectrum ker, accumulated into columns
+// [j, j+outLen) of every member.
+type firing struct {
+	t               *historyTerm
+	ker             []complex128
+	a, L, j, outLen int
 }
 
-// fireSegment runs the one fast-convolution level due at column j (a
-// nonzero multiple of the base segment length): with v the number of
-// trailing zero bits of j/base, the level covers the L = base·2^v
+// buildTasks splits the group's (member, row pair) sequence into at most
+// workers contiguous ranges, one task each, with a transform buffer long
+// enough for the longest segment that can fire. Pairs are fixed by row
+// index, so the partition changes which goroutine runs a pair, never what
+// it computes.
+func (e *historyEngine) buildTasks(workers int) {
+	total := len(e.xs) * ((e.n + 1) / 2)
+	nt := min(workers, total)
+	bufs := make([]complex128, nt*2*e.maxL)
+	e.tasks = make([]func(), nt)
+	for r := range e.tasks {
+		lo, hi := r*total/nt, (r+1)*total/nt
+		z := bufs[r*2*e.maxL : (r+1)*2*e.maxL]
+		e.tasks[r] = func() {
+			if e.fault != nil && e.fault.WorkerFault != nil {
+				e.fault.WorkerFault()
+			}
+			e.convPairs(z, lo, hi)
+		}
+	}
+}
+
+// fire runs term t's one fast-convolution level due at column j (a nonzero
+// multiple of the base segment length) for every member: with v the number
+// of trailing zero bits of j/base, the level covers the L = base·2^v
 // just-completed columns [j−L, j) and accumulates their contribution to
-// columns [j, min(j+L, m)). The work is split into tasks on row-pair
-// boundaries; pairs are fixed by row index, so the partition changes which
-// goroutine runs a pair, never what it computes. The context is checked
-// here — a firing is the largest indivisible unit of work in the tier — and
-// worker panics are recovered into the returned error.
-func (e *historyEngine) fireSegment(t *historyTerm, j int, xs []float64) error {
+// columns [j, min(j+L, m)). The context is checked here — a firing is the
+// largest indivisible unit of work in the tier — and worker panics are
+// recovered into the returned error.
+func (e *historyEngine) fire(t *historyTerm, j int) error {
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {
 			return err
 		}
 	}
 	L := e.fftBase << bits.TrailingZeros(uint(j/e.fftBase))
-	outLen := e.m - j
-	if outLen > L {
-		outLen = L
-	}
+	outLen := min(L, e.m-j)
 	if outLen <= 0 {
 		return nil
 	}
-	ker := e.fftKernel(t, L)
-	a := j - L
-	pairs := (e.n + 1) / 2
-	nt := e.workers
-	if nt > pairs {
-		nt = pairs
+	e.cur = firing{t: t, ker: e.fftKernel(t, L), a: j - L, L: L, j: j, outLen: outLen}
+	if len(e.tasks) == 1 {
+		return runInOrder(e.tasks)
 	}
-	var tasks []func()
-	for r := 0; r < nt; r++ {
-		lo := r * pairs / nt
-		hi := (r + 1) * pairs / nt
-		if lo >= hi {
-			continue
-		}
-		tasks = append(tasks, func() {
-			if e.fault != nil && e.fault.WorkerFault != nil {
-				e.fault.WorkerFault()
-			}
-			e.convPairs(t, ker, a, L, j, outLen, lo, hi, xs)
-		})
-	}
-	if len(tasks) <= 1 || e.workers == 1 {
-		return runInOrder(tasks)
-	}
-	return historyPoolDo(tasks)
+	return poolDo(e.tasks)
 }
 
-// convPairs convolves the row pairs [lo, hi) — rows 2q and 2q+1 — of the
-// completed segment [a, a+L) against the cached kernel spectrum and
-// accumulates conv[L+r] into future column j+r: conv[L+r] = Σ_p seg[p]·k[L+r−p]
-// with the lag L+r−p ranging over [r+1, L+r] ⊂ [1, 2L−1], so the zero-padded
-// 2L-point circular convolution never wraps and equals the linear one.
+// convPairs convolves the (member, row pair) range [lo, hi) of the current
+// firing — pair p is rows 2q and 2q+1 of member p / pairs, q = p mod pairs —
+// against the kernel spectrum and accumulates conv[L+r] into future column
+// j+r: conv[L+r] = Σ_p seg[p]·k[L+r−p] with the lag L+r−p ranging over
+// [r+1, L+r] ⊂ [1, 2L−1], so the zero-padded 2L-point circular convolution
+// never wraps and equals the linear one. z is the task's transform buffer.
 //
 // The two rows ride in one complex transform, z = s₀·row(2q) + i·s₁·row(2q+1),
 // so the product's real part is s₀·conv(row(2q)) and its imaginary part
@@ -207,22 +198,24 @@ func (e *historyEngine) fireSegment(t *historyTerm, j int, xs []float64) error {
 // results independent of the worker count. The gather walks the segment's
 // slab block at stride n; the scaling, the transform and the accumulation
 // run on internal/fft's kernels.
-func (e *historyEngine) convPairs(t *historyTerm, ker []complex128, a, L, j, outLen, lo, hi int, xs []float64) {
-	n, n2 := e.n, 2*L
-	plan := fft.PlanFor(n2)
-	z := fft.GetComplex(n2)
+func (e *historyEngine) convPairs(z []complex128, lo, hi int) {
+	f := &e.cur
+	n, L, pairs := e.n, f.L, (e.n+1)/2
+	z = z[:2*L]
+	plan := fft.PlanFor(2 * L)
 	seg := z[:L]
-	blk := xs[a*n : (a+L)*n]
-	for q := lo; q < hi; q++ {
-		i0, i1 := 2*q, 2*q+1
+	for p := lo; p < hi; p++ {
+		blk := e.xs[p/pairs][f.a*n : (f.a+L)*n]
+		acc := f.t.fft.acc[p/pairs]
+		i0, i1 := 2*(p%pairs), 2*(p%pairs)+1
 		paired := i1 < n
 		mx0, mx1 := 0.0, 0.0
-		for p, off := 0, i0; p < len(seg); p, off = p+1, off+n {
+		for q, off := 0, i0; q < len(seg); q, off = q+1, off+n {
 			v0, v1 := blk[off], 0.0
 			if paired {
 				v1 = blk[off+1]
 			}
-			seg[p] = complex(v0, v1)
+			seg[q] = complex(v0, v1)
 			if v := math.Abs(v0); v > mx0 {
 				mx0 = v
 			}
@@ -236,16 +229,15 @@ func (e *historyEngine) convPairs(t *historyTerm, ker []complex128, a, L, j, out
 		s0, u0 := pow2Scale(mx0)
 		s1, u1 := pow2Scale(mx1)
 		fft.ScaleParts(seg, s0, s1)
-		plan.Convolve(z, ker)
-		out := z[L : L+outLen]
+		plan.Convolve(z, f.ker)
+		out := z[L : L+f.outLen]
 		if !isExactZero(mx0) {
-			fft.AddReal(t.fft.acc.Row(i0)[j:j+outLen], out, u0)
+			fft.AddReal(acc.Row(i0)[f.j:f.j+f.outLen], out, u0)
 		}
 		if !isExactZero(mx1) {
-			fft.AddImag(t.fft.acc.Row(i1)[j:j+outLen], out, u1)
+			fft.AddImag(acc.Row(i1)[f.j:f.j+f.outLen], out, u1)
 		}
 	}
-	fft.PutComplex(z)
 }
 
 // pow2Scale returns the power of two s that brings mx (> 0) into [½, 1),
@@ -270,22 +262,14 @@ func pow2Scale(mx float64) (s, inv float64) {
 // the exact factor 1/(2L), so that convPairs' product needs neither a
 // reordering nor the inverse transform's normalization. It runs on the
 // orchestrating goroutine before the pair fan-out, so each (term, L) pays
-// for one kernel transform per run.
+// for one kernel transform per group, whatever the group's width. The
+// spectrum is written into its still-zero slot of the term's backing store.
 func (e *historyEngine) fftKernel(t *historyTerm, L int) []complex128 {
 	if s, ok := t.fft.ker[L]; ok {
 		return s
 	}
-	// Batch runs share spectra across scenario engines: identical Toeplitz
-	// coefficients give bitwise-identical spectra, so fetching instead of
-	// rebuilding cannot perturb any result.
-	if e.kernels != nil {
-		if s := e.kernels.get(t.key, L); s != nil {
-			t.fft.ker[L] = s
-			return s
-		}
-	}
 	n2 := 2 * L
-	spec := make([]complex128, n2)
+	spec := t.fft.spec[2*(L-e.fftBase) : 2*(L-e.fftBase)+n2]
 	for d := 1; d < n2 && d < len(t.toe); d++ {
 		spec[d] = complex(t.toe[d], 0)
 	}
@@ -295,8 +279,5 @@ func (e *historyEngine) fftKernel(t *historyTerm, L int) []complex128 {
 		spec[q] = complex(real(v)*inv, imag(v)*inv)
 	}
 	t.fft.ker[L] = spec
-	if e.kernels != nil {
-		e.kernels.put(t.key, L, spec)
-	}
 	return spec
 }

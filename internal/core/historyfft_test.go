@@ -34,50 +34,59 @@ func maxRelDiff(a, b *mat.Dense) float64 {
 // lone row, an unpaired last row and several pairs. The scaled inputs put
 // rows 2^±90 and 10^±12 apart inside one pair; each row must still match
 // its naive sum relative to its own scale, which fails unless every row is
-// scaled on its own before it shares a transform.
+// scaled on its own before it shares a transform. A group engine serves one
+// member or three, each member's rows at different scales, and two firing
+// tasks split the (member, row pair) sequence mid-member: a pair that
+// crossed members, or a member that read another's slab, would fail.
 func TestHistoryFFTEngineMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	rowScales := []float64{0x1p90, 0x1p-90, 1e12, 1e-12, 1, 0x1p-90, 1e-12, 0x1p90}
-	for _, n := range []int{1, 2, 3, 8} {
-		for _, scaled := range []bool{false, true} {
-			scale := make([]float64, n)
-			for i := range scale {
-				scale[i] = 1
-				if scaled {
-					scale[i] = rowScales[i%len(rowScales)]
-				}
-			}
-			for _, m := range []int{1, 2, 5, 8, 9, 16, 31, 32, 33, 63, 64, 65, 100, 127, 130} {
-				xs := make([]float64, m*n)
-				for k := range xs {
-					xs[k] = rng.NormFloat64() * scale[k%n]
-				}
-				// Decaying Toeplitz coefficients, like the fractional ρ_α tails.
-				c := make([]float64, m)
-				for d := range c {
-					c[d] = rng.NormFloat64() / float64(1+d)
-				}
-				opt := &Options{HistoryMode: HistoryFFT}
-				eng, err := newHistoryEngine(n, m, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng.fftBase = 4 // exercise many segment levels on small grids
-				eng.addToeplitz(0, c)
-				for j := 0; j < m; j++ {
-					// Naive reference for column j.
-					want := make([]float64, n)
-					for i := 0; i < j; i++ {
-						mat.Axpy(c[j-i], xs[i*n:(i+1)*n], want)
+	for _, w := range []int{1, 3} {
+		for _, n := range []int{1, 2, 3, 8} {
+			for _, scaled := range []bool{false, true} {
+				scale := make([][]float64, w)
+				for c := range scale {
+					scale[c] = make([]float64, n)
+					for i := range scale[c] {
+						scale[c][i] = 1
+						if scaled {
+							scale[c][i] = rowScales[(i+3*c)%len(rowScales)]
+						}
 					}
-					got, err := eng.history(0, j, xs)
-					if err != nil {
-						t.Fatalf("n=%d m=%d j=%d: %v", n, m, j, err)
+				}
+				for _, m := range []int{1, 2, 5, 8, 9, 16, 31, 32, 33, 63, 64, 65, 100, 127, 130} {
+					xs := make([][]float64, w)
+					for c := range xs {
+						xs[c] = make([]float64, m*n)
+						for k := range xs[c] {
+							xs[c][k] = rng.NormFloat64() * scale[c][k%n]
+						}
 					}
-					for i := range want {
-						if d := math.Abs(got[i] - want[i]); d > 1e-11*scale[i] {
-							t.Fatalf("n=%d scaled=%v m=%d j=%d state %d: fft %g vs naive %g (|Δ|=%g, row scale %g)",
-								n, scaled, m, j, i, got[i], want[i], d, scale[i])
+					// Decaying Toeplitz coefficients, like the fractional ρ_α tails.
+					coef := make([]float64, m)
+					for d := range coef {
+						coef[d] = rng.NormFloat64() / float64(1+d)
+					}
+					eng := newHistoryEngine(n, m, 2, true, xs, 1)
+					eng.fftBase = 4 // exercise many segment levels on small grids
+					eng.addToeplitz(0, coef)
+					got := mat.NewDense(n, w)
+					for j := 0; j < m; j++ {
+						if err := eng.history(0, j, got); err != nil {
+							t.Fatalf("w=%d n=%d m=%d j=%d: %v", w, n, m, j, err)
+						}
+						for c := range xs {
+							// Naive reference for member c's column j.
+							want := make([]float64, n)
+							for i := 0; i < j; i++ {
+								mat.Axpy(coef[j-i], xs[c][i*n:(i+1)*n], want)
+							}
+							for i := range want {
+								if d := math.Abs(got.At(i, c) - want[i]); d > 1e-11*scale[c][i] {
+									t.Fatalf("w=%d n=%d scaled=%v m=%d j=%d member %d state %d: fft %g vs naive %g (|Δ|=%g, row scale %g)",
+										w, n, scaled, m, j, c, i, got.At(i, c), want[i], d, scale[c][i])
+								}
+							}
 						}
 					}
 				}

@@ -106,6 +106,8 @@ type newtonStep struct {
 	gval, resid, delta, xTrial, rTrial []float64
 }
 
+func (ns *newtonStep) group() *panelStep { return ns.panel }
+
 // residAt writes M₀·x + g(x) − rhs into out and returns its 2-norm.
 func (ns *newtonStep) residAt(x, rhs, out []float64) float64 {
 	for i := range out {

@@ -13,14 +13,16 @@ import (
 // panelStep is the one scenario step of the uniform-grid solvers: it builds
 // a group's column right-hand sides of eq. (28) as one n×w panel, solves
 // them through the group's factorization, and finishes every member. Shift,
-// input injection, the integer-order history recurrences and the solve all
-// run at panel granularity; a term served by a history engine (fractional
-// orders, and every term on the adaptive grid) gathers each member's w_j
-// into a term panel first. Only the committed solution column is gathered
-// per scenario. Per panel column the operations match a one-vector solve
-// exactly: panel kernels are column-wise identical to their vector
-// counterparts (at width 1 they are those counterparts), so a scenario's
-// bits do not depend on its group's width.
+// input injection, the history sums and the solve all run at panel
+// granularity: an integer-order term steps its recurrence on the group's
+// lag panels, and a term served by the group's history engine (fractional
+// orders, and every term on the adaptive grid) has the engine fill its term
+// panel with all members' w_j. Only the committed solution column is
+// gathered per scenario. Per panel column the operations match a one-vector
+// solve exactly: panel kernels are column-wise identical to their vector
+// counterparts (at width 1 they are those counterparts), and the engine
+// computes each member's sums from its own slab, so a scenario's bits do not
+// depend on its group's width.
 //
 // A group is a contiguous chunk of the batch's scenarios that ride the
 // shared factorization, or one refactored scenario alone over its ApplyDelta
@@ -44,10 +46,11 @@ type panelStep struct {
 	uP      *mat.Dense // inputs×w gather of the scenarios' u_j columns
 	acc     []float64  // MulPanelAdd row accumulator
 	hist    []*panelIntHistory
-	engP    []*mat.Dense // per engine term: the members' w_j as panel columns
-	fixes   [][]panelFix // per term: the members' rank-1 rhs corrections
-	xpool   []*mat.Dense // spare solve targets (a stack; maxLag+1 panels in circulation)
-	xlags   []*mat.Dense // solution lag panels, newest first (≤ maxLag)
+	eng     *historyEngine // the group's engine terms; nil when it has none
+	engP    []*mat.Dense   // per engine term: the members' w_j as panel columns
+	fixes   [][]panelFix   // per term: the members' rank-1 rhs corrections
+	xpool   []*mat.Dense   // spare solve targets (a stack; maxLag+1 panels in circulation)
+	xlags   []*mat.Dense   // solution lag panels, newest first (≤ maxLag)
 }
 
 // panelFix is one member's rank-1 right-hand-side correction for a term:
@@ -58,11 +61,31 @@ type panelFix struct {
 	up RankOne
 }
 
-// newPanelStep builds the step of a group whose members share one system
-// and one set of history-engine terms. A term of nonzero order runs on the
-// members' engines when they registered it and on an integer-order
-// recurrence of step h otherwise.
-func newPanelStep(members []*scenState, pf *pencilFactor, h float64) *panelStep {
+// onEngine reports whether a term of the given order runs on the group's
+// history engine: every nonzero order on the adaptive grid, and on the
+// uniform grid the non-integer orders, whose Toeplitz coefficients admit no
+// short recurrence. Order 0 has no history; the other integer orders step
+// a panelIntHistory recurrence.
+func onEngine(order float64, adaptive bool) bool {
+	return !isExactZero(order) && (adaptive || !isExactEq(order, float64(int(order))))
+}
+
+// hasEngineTerms reports whether a solve of sys runs any term on a history
+// engine (onEngine).
+func hasEngineTerms(sys *System, adaptive bool) bool {
+	for _, t := range sys.Terms {
+		if onEngine(t.Order, adaptive) {
+			return true
+		}
+	}
+	return false
+}
+
+// newPanelStep builds the step of a group whose members share one system.
+// It is the one place that routes the system's terms (onEngine): each
+// engine term is registered once, on the group's engine, which fans its FFT
+// firings out under the run's solve-worker rule.
+func (r *columnRun) newPanelStep(members []*scenState, pf *pencilFactor) *panelStep {
 	sys := members[0].sys
 	n, w := sys.N(), len(members)
 	g := &panelStep{sys: sys, members: members, pf: pf, b: mat.NewDense(n, w),
@@ -78,14 +101,28 @@ func newPanelStep(members []*scenState, pf *pencilFactor, h float64) *panelStep 
 			row[t] = st.shift[i]
 		}
 	}
+	adaptive := r.dmats != nil
+	if hasEngineTerms(sys, adaptive) {
+		xs := make([][]float64, w)
+		for c, st := range members {
+			xs[c] = st.xbuf
+		}
+		g.eng = newHistoryEngine(n, r.m, r.solveWorkers(), r.useFFT && !adaptive, xs, len(sys.Terms))
+		g.eng.ctx, g.eng.fault = r.ctx, r.opt.Fault
+	}
 	for k, t := range sys.Terms {
 		switch {
 		case isExactZero(t.Order):
-		case members[0].eng.active(k):
+		case onEngine(t.Order, adaptive):
+			if adaptive {
+				g.eng.addGeneral(k, r.dmats[k])
+			} else {
+				g.eng.addToeplitz(k, r.coeffs[k])
+			}
 			g.engP[k] = mat.NewDense(n, w)
 		default:
 			p := int(t.Order)
-			g.hist[k] = newPanelIntHistory(p, h, n, w)
+			g.hist[k] = newPanelIntHistory(p, r.h, n, w)
 			g.maxLag = max(g.maxLag, p)
 		}
 	}
@@ -104,7 +141,7 @@ func newPanelStep(members []*scenState, pf *pencilFactor, h float64) *panelStep 
 
 // rhs assembles column j's right-hand-side panel into g.b:
 // shift + B·u_j − Σ_k E_k·s_j⁽ᵏ⁾, less the SMW members' rank-1 corrections.
-// On an engine failure it returns the failing scenario's index.
+// On an engine failure it returns the group's first scenario index.
 func (g *panelStep) rhs(j int, tj float64) (int, error) {
 	w := len(g.members)
 	copy(g.b.Data(), g.shiftP.Data())
@@ -123,18 +160,11 @@ func (g *panelStep) rhs(j int, tj float64) (int, error) {
 			s = g.hist[k].current(g.xlags)
 		case g.engP[k] != nil:
 			s = g.engP[k]
-			sd := s.Data()
-			for t, st := range g.members {
-				hw, err := st.eng.history(k, j, st.xbuf)
-				if err != nil {
-					d := diag(engineErrKind(err), j, tj)
-					d.Order = term.Order
-					d.Cause = fmt.Errorf("scenario %d: %w", st.s, err)
-					return st.s, d
-				}
-				for i, v := range hw {
-					sd[i*w+t] = v
-				}
+			if err := g.eng.history(k, j, s); err != nil {
+				d := diag(engineErrKind(err), j, tj)
+				d.Order = term.Order
+				d.Cause = fmt.Errorf("scenario %d's group: %w", g.members[0].s, err)
+				return g.members[0].s, d
 			}
 		default:
 			continue
@@ -245,8 +275,8 @@ func (g *panelStep) advance(xcur *mat.Dense) {
 
 // replay rebuilds the group's history state through column j0 from the
 // committed slabs (see checkpoint.go): the recurrences step column by
-// column as rhs and commit do, and each member's engine refires its FFT
-// segments.
+// column as rhs and commit do, and the group's engine refires its FFT
+// segments once for all members.
 func (g *panelStep) replay(j0 int) error {
 	for j := 0; j < j0; j++ {
 		for _, ph := range g.hist {
@@ -256,13 +286,13 @@ func (g *panelStep) replay(j0 int) error {
 		}
 		g.commit(j)
 	}
-	for _, st := range g.members {
-		if err := st.eng.resumeAt(j0, st.xbuf); err != nil {
-			return err
-		}
+	if g.eng == nil {
+		return nil
 	}
-	return nil
+	return g.eng.resumeAt(j0)
 }
+
+func (g *panelStep) group() *panelStep { return g }
 
 // panelIntHistory maintains the history sums of an integer-order term
 // p ≥ 1 for an n×w panel whose columns are the group's scenarios. Because

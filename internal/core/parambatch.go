@@ -177,7 +177,7 @@ func (r *columnRun) solveParamBatch(scenarios []Scenario, shared *pencilFactor, 
 	// Slab sizing: an envelope run (DiscardSolutions) reads no past column
 	// when no term runs on a history engine — every member's recurrence lags
 	// live in its group's panels — so each slab holds one column.
-	r.ring = opt.DiscardSolutions && !hasEngineTerms(sys)
+	r.ring = opt.DiscardSolutions && !hasEngineTerms(sys, false)
 	groups := scenarioGroups(K, width, refac)
 	r.serial = len(groups) > 1
 
@@ -255,15 +255,4 @@ func (r *columnRun) solveParamBatch(scenarios []Scenario, shared *pencilFactor, 
 	po.OnCheckpoint = nil
 	r.opt = &po
 	return r.run()
-}
-
-// hasEngineTerms reports whether a uniform-grid solve of sys runs any term
-// on a history engine: whether some order is not an integer.
-func hasEngineTerms(sys *System) bool {
-	for _, t := range sys.Terms {
-		if !isExactEq(t.Order, float64(int(t.Order))) {
-			return true
-		}
-	}
-	return false
 }

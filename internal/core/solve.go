@@ -21,10 +21,11 @@ type Options struct {
 	// to the zero-IC case, but for fractional orders the Caputo-with-zero-IC
 	// semantics would change).
 	X0 []float64
-	// Workers sets the goroutine count of the parallel phases: the FFT
-	// history tier's row-pair fan-out and the BBD tier's domain
-	// factorization and solve phases. A batch whose scenario groups run
-	// concurrently runs those phases on one goroutine per group. The zero
+	// Workers sets the goroutine count of the parallel phases: a batch's
+	// scenario groups, the FFT history tier's firings (one task list over
+	// the group members' row pairs) and the BBD tier's domain factorization
+	// and solve phases. A batch whose scenario groups run concurrently runs
+	// each group's firings and solves on that group's goroutine. The zero
 	// value means "auto" (runtime.GOMAXPROCS); 1 runs everything on the
 	// calling goroutine, a batch's scenario groups included, in group
 	// order. Results are bitwise-identical for every Workers value: each

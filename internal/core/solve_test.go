@@ -385,28 +385,30 @@ func TestSolveAllocsIndependentOfColumns(t *testing.T) {
 		t.Fatalf("allocations grew with columns: m=256 → %.0f, m=2048 → %.0f (want ≤ +32)", small, large)
 	}
 
-	// A fractional Solve (a one-wide panel step gathering the history
-	// engine's sums into its term panels) and a one-group fractional
-	// SolveBatch. The exact engine folds on every column; the FFT engine's
-	// firings come every 64 columns and are left out.
+	// A fractional Solve (a one-wide panel step whose history engine fills
+	// its term panels) and a one-group fractional SolveBatch, on both
+	// engines: the exact engine folds on every column, the FFT engine fires
+	// a segment every 64 columns through its one task list.
 	fsys, fu := fracTestSystem(6, 4)
 	fscs := []Scenario{{U: fu}, {U: fu}, {U: fu}, {U: fu}, {U: fu}}
-	for _, k := range []int{1, len(fscs)} {
-		fracAllocsAt := func(m int) float64 {
-			return testing.AllocsPerRun(5, func() {
-				opt := Options{HistoryMode: HistoryExact}
-				if k == 1 {
-					if _, err := Solve(fsys, fu, m, 2, opt); err != nil {
+	for _, opt := range []Options{{HistoryMode: HistoryExact}, {HistoryMode: HistoryFFT, Workers: 1}} {
+		for _, k := range []int{1, len(fscs)} {
+			fracAllocsAt := func(m int) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if k == 1 {
+						if _, err := Solve(fsys, fu, m, 2, opt); err != nil {
+							t.Fatal(err)
+						}
+					} else if _, err := SolveBatch(fsys, fscs[:k], m, 2, BatchOptions{Options: opt}); err != nil {
 						t.Fatal(err)
 					}
-				} else if _, err := SolveBatch(fsys, fscs[:k], m, 2, BatchOptions{Options: opt}); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		small, large := fracAllocsAt(256), fracAllocsAt(2048)
-		if large > small+32 {
-			t.Fatalf("fractional, %d scenario(s): allocations grew with columns: m=256 → %.0f, m=2048 → %.0f (want ≤ +32)", k, small, large)
+				})
+			}
+			small, large := fracAllocsAt(256), fracAllocsAt(2048)
+			if large > small+32 {
+				t.Fatalf("fractional %s, %d scenario(s): allocations grew with columns: m=256 → %.0f, m=2048 → %.0f (want ≤ +32)",
+					opt.HistoryMode, k, small, large)
+			}
 		}
 	}
 

@@ -41,8 +41,10 @@ type Hooks struct {
 	// groups, calls for scenarios of different groups may be concurrent.
 	CorruptColumn func(col int, x []float64)
 
-	// WorkerFault runs inside every history-engine worker task. It may panic
-	// (to exercise the pool's panic recovery) or sleep.
+	// WorkerFault runs at the start of each task of an FFT history firing:
+	// a scenario group's engine fires once for all its members, as a task
+	// list over their row pairs. It may panic (to exercise the pool's panic
+	// recovery) or sleep.
 	WorkerFault func()
 
 	// ColumnDelay runs at the top of every column of the solve loop; use it

@@ -52,20 +52,6 @@ func PlanFor(n int) *Plan {
 	return v.(*Plan)
 }
 
-// Prewarm builds and caches the plans for the given transform lengths (plus
-// the sub-plans they recursively require). Batch solvers call it once before
-// fanning scenarios across workers, so concurrent first uses of a size never
-// build the same tables twice and the per-scenario critical path starts with
-// every plan already cached. It is safe to call concurrently and with sizes
-// that are already cached.
-func Prewarm(sizes ...int) {
-	for _, n := range sizes {
-		if n > 0 {
-			PlanFor(n)
-		}
-	}
-}
-
 func newPlan(n int) *Plan {
 	p := &Plan{n: n}
 	switch {
