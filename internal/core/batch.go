@@ -13,10 +13,11 @@ import (
 	"opmsim/internal/waveform"
 )
 
-// The column driver. Every OPM solver — Solve, SolveNonlinear, SolveAdaptive
-// and both SolveBatch engines — is the left-to-right substitution of eq. (28)
-// over the BPF columns, and columnRun.run is the one place that loop is
-// written. Per column it runs, in this order: the ctx check, Fault.ColumnDelay,
+// The column driver. Every OPM solver but SolveGeneric — Solve,
+// SolveNonlinear, both adaptive solvers and both SolveBatch engines — is the
+// left-to-right substitution of eq. (28) over the BPF columns, and
+// columnRun.run is the one place that loop is written (SolveAdaptiveAuto's
+// step extends the grid as its controller accepts steps). Per column it runs, in this order: the ctx check, Fault.ColumnDelay,
 // the group steps, the first-error scan, the Columns/TierSolves accounting,
 // and the column's post work: the OnColumn hook and the checkpoint deltas.
 // Each group step assembles its scenarios' right-hand sides, solves them and
@@ -36,8 +37,9 @@ import (
 //     Solve is a group of one.
 //   - newtonStep: SolveNonlinear's damped Newton iteration on a one-wide
 //     panel step's right-hand side.
-//   - adaptiveStep: SolveAdaptive's per-step-size factorizations on a
-//     one-wide panel step's right-hand side.
+//   - adaptiveStep: both adaptive solvers' per-step-size factorizations on
+//     a one-wide panel step's right-hand side; under SolveAdaptiveAuto a
+//     column pair per accepted controller step.
 //
 // The batch engine runs K scenarios that share one circuit pencil through a
 // single factorization and blocked multi-RHS kernels: just as one
@@ -226,7 +228,7 @@ type columnRun struct {
 	sys    *System
 	bas    basis.Basis
 	n, m   int
-	T, h   float64      // span; uniform step (unused when times is set)
+	T, h   float64      // span; uniform step (1 on the adaptive grid: order 1 steps w_j = h_j·s_j, scaled by 1/h_j in rhs)
 	times  []float64    // adaptive grid: interval midpoints
 	coeffs [][]float64  // uniform grid: Toeplitz coefficients of Dᵅᵏ per term
 	dmats  []*mat.Dense // adaptive grid: D̃ᵅᵏ per term
@@ -395,10 +397,7 @@ func (r *columnRun) prepareScenarios(scenarios []Scenario, prep func(s int, uc *
 // themselves use the pool);
 // several tasks otherwise fan out over the pool.
 func (r *columnRun) runTasks(tasks []func()) error {
-	if !r.fansOut(len(tasks)) {
-		return runInOrder(tasks)
-	}
-	return poolDo(tasks)
+	return newTaskList(tasks, r.fansOut(len(tasks))).do()
 }
 
 // fansOut reports whether runTasks hands k tasks to the pool.
@@ -410,13 +409,13 @@ func (r *columnRun) fansOut(k int) bool {
 	return k > 1 && w != 1
 }
 
-// overlapTasks runs the tasks on the pool while during runs on the calling
-// goroutine, and returns once both are done — also when during panics, so
-// no task outlives the call.
-func overlapTasks(tasks []func(), during func()) (err error) {
-	wait := poolGo(tasks)
+// overlapTasks runs the task list on the pool while during runs on the
+// calling goroutine, and returns once both are done — also when during
+// panics, so no task outlives the call.
+func overlapTasks(tasks *taskList, during func()) (err error) {
+	tasks.start()
 	defer func() {
-		if werr := wait(); err == nil {
+		if werr := tasks.wait(); err == nil {
 			err = werr
 		}
 	}()
@@ -492,6 +491,7 @@ func (r *columnRun) run() ([]*Solution, error) {
 	// j+1's groups solve and write the other set of hook buffers (even and
 	// odd columns alternate; a run that never overlaps has one set).
 	overlap := r.fansOut(len(tasks))
+	groups := newTaskList(tasks, overlap)
 	var hooks [2][][]float64
 	if opt.OnColumn != nil {
 		sets := 1
@@ -542,7 +542,7 @@ func (r *columnRun) run() ([]*Solution, error) {
 			// uncommitted, exactly as when that work ran before it.
 			var hookErr error
 			live := r.ctx.Err() == nil
-			err = overlapTasks(tasks, func() {
+			err = overlapTasks(groups, func() {
 				flush()
 				if live {
 					hookErr = r.ctx.Err()
@@ -552,7 +552,7 @@ func (r *columnRun) run() ([]*Solution, error) {
 				return cancelled(hookErr)
 			}
 		} else {
-			err = r.runTasks(tasks)
+			err = groups.do()
 		}
 		if err != nil {
 			d := diag(ErrInternal, j, tj)
@@ -739,14 +739,11 @@ func (r *columnRun) addGroupSteps(shared *pencilFactor, groups [][]int) {
 }
 
 // solveOne runs a one-scenario solver on the prepared run: it builds the
-// scenario state for the inputs u and drives step(g) through the columns, g
-// being the scenario's one-wide right-hand-side builder.
-func (r *columnRun) solveOne(u []waveform.Signal, step func(g *panelStep) columnStep) (*Solution, error) {
-	uc, err := r.inputs(u)
-	if err != nil {
-		return nil, err
-	}
-	st, err := r.prepareScenario(r.sys, 0, nil, uc)
+// scenario state for the input coefficients uc (nil when the step samples
+// its inputs itself) and Options.X0, and drives step(g) through the
+// columns, g being the scenario's one-wide right-hand-side builder.
+func (r *columnRun) solveOne(uc *mat.Dense, step func(g *panelStep) columnStep) (*Solution, error) {
+	st, err := r.prepareScenario(r.sys, 0, r.opt.X0, uc)
 	if err != nil {
 		return nil, err
 	}

@@ -222,6 +222,13 @@ func protocolEntries(t *testing.T) (entries []protocolEntry, h float64) {
 			_, err := core.SolveAdaptiveCtx(ctx, dae, []waveform.Signal{waveform.Step(1, 0)}, steps, opt)
 			return err
 		}},
+		// H0 = HMin = HMax = 2h: every trial is accepted, and its two
+		// halves fall on the table's grid.
+		{"SolveAdaptiveAuto", func(ctx context.Context, opt core.Options) error {
+			_, _, err := core.SolveAdaptiveAutoCtx(ctx, dae, []waveform.Signal{waveform.Step(1, 0)}, fx.T,
+				core.AdaptiveOptions{Options: opt, H0: 2 * h, HMin: 2 * h, HMax: 2 * h})
+			return err
+		}},
 		{"SolveBatch", func(ctx context.Context, opt core.Options) error {
 			return batch(ctx, opt, []core.Scenario{{U: u}, {U: u}, {U: u}})
 		}},
@@ -272,10 +279,11 @@ func checkProtocol(t *testing.T, entry, fault string) {
 			if (entry != "" && e.name != entry) || (fault != "" && c.name != fault) {
 				continue
 			}
-			// SolveAdaptive's general terms run on the exact tier, which
-			// folds on the solving goroutine: no worker task exists for
-			// the panic hook to fire in.
-			if e.name == "SolveAdaptive" && c.name == "panic" {
+			// The adaptive solvers' order-1 terms step a recurrence, and
+			// their general terms run on the exact tier, which folds on
+			// the solving goroutine: no worker task exists for the panic
+			// hook to fire in.
+			if strings.HasPrefix(e.name, "SolveAdaptive") && c.name == "panic" {
 				continue
 			}
 			t.Run(e.name+"/"+c.name, func(t *testing.T) {
@@ -388,6 +396,30 @@ func TestFaultAdaptiveRetryBudgetExhausted(t *testing.T) {
 	opt.Fault = faultinject.FailFactorAt(faultinject.AnyColumn)
 	_, _, err = core.SolveAdaptiveAuto(sys, []waveform.Signal{waveform.Step(1, 0)}, 4, opt)
 	asDiagnostic(t, err, core.ErrSingularPencil)
+}
+
+// A column SolveAdaptiveAuto places reports its accepted interval's
+// midpoint, also where the controller rejected a longer trial first.
+func TestFaultAdaptiveAutoNaNTimeIsMidpoint(t *testing.T) {
+	sys, err := core.NewDAE(scalar(1), scalar(-1), scalar(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := []waveform.Signal{waveform.Pulse(0, 1, 1.0, 0.01, 0.01, 0.3, 0)}
+	sol, _, err := core.SolveAdaptiveAuto(sys, u, 4, core.AdaptiveOptions{Tol: 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := sol.Basis().(interface{ Edges() []float64 }).Edges()
+	for col := 0; col+1 < len(edges); col++ {
+		opt := core.AdaptiveOptions{Tol: 1e-4}
+		opt.Fault = faultinject.NaNAt(col, 0)
+		_, _, err := core.SolveAdaptiveAuto(sys, u, 4, opt)
+		d := asDiagnostic(t, err, core.ErrNonFinite)
+		if mid := (edges[col] + edges[col+1]) / 2; d.Column != col || math.Abs(d.Time-mid) > 1e-12 {
+			t.Fatalf("NaN at column %d: Column %d, Time %g; want %d, %g", col, d.Column, d.Time, col, mid)
+		}
+	}
 }
 
 // The explicit-steps adaptive path shares the per-column guards.

@@ -18,11 +18,12 @@ import (
 //
 //	w_j⁽ᵏ⁾ = Σ_{i<j} c⁽ᵏ⁾(i,j)·x_i,
 //
-// for the fractional/high-order terms whose Toeplitz (or adaptive-grid)
-// coefficients admit no short recurrence — the O(nᵝm + nm²) part of the
-// paper's §IV cost split. One engine serves a scenario group: each of its
-// terms holds the coefficients once, and each history call fills the term's
-// n×w panel, one column per member. It has two tiers:
+// for the terms whose coefficients admit no short recurrence (onEngine:
+// fractional orders, and integer orders p ≥ 2 on the adaptive grid) — the
+// O(nᵝm + nm²) part of the paper's §IV cost split. One engine serves a
+// scenario group: each of its terms holds the coefficients once, and each
+// history call fills the term's n×w panel, one column per member. It has
+// two tiers:
 //
 //   - the exact tier folds the past columns into w_j one by one, in
 //     ascending i, on the solving goroutine: the reference summation,
@@ -45,80 +46,81 @@ var taskPool struct {
 	jobs chan func()
 }
 
-// runRecovered runs f, converting a panic into an error instead of letting
-// it unwind (and, on a pool goroutine, crash) the process.
-func runRecovered(f func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("worker panic: %v", r)
-		}
-	}()
-	f()
-	return nil
+// taskList runs tasks to completion over the pool or, when it does not fan
+// out, in order on the calling goroutine (as it runs a task the saturated
+// pool cannot take). A task's panic becomes the list's error, the first one
+// winning, instead of crashing the process; the remaining tasks still run,
+// so the accumulators stay consistent for a post-mortem. Its wrappers and
+// wait state are built once, so that the driver's group tasks and the FFT
+// firings, run every column, allocate nothing. Runs must not overlap.
+type taskList struct {
+	fan  bool
+	runs []func() // the tasks, wrapped to recover a panic and signal wg
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	err  error
 }
 
-// runInOrder runs the tasks one after another on the calling goroutine,
-// with poolDo's error rule: a panic becomes an error, the first one wins,
-// and the remaining tasks still run.
-func runInOrder(tasks []func()) error {
-	var firstErr error
-	for _, t := range tasks {
-		if err := runRecovered(t); err != nil && firstErr == nil {
-			firstErr = err
+func newTaskList(tasks []func(), fan bool) *taskList {
+	l := &taskList{fan: fan, runs: make([]func(), len(tasks))}
+	for i, t := range tasks {
+		l.runs[i] = func() {
+			defer func() {
+				if p := recover(); p != nil {
+					l.mu.Lock()
+					if l.err == nil {
+						l.err = fmt.Errorf("worker panic: %v", p)
+					}
+					l.mu.Unlock()
+				}
+				l.wg.Done()
+			}()
+			t()
 		}
 	}
-	return firstErr
+	return l
 }
 
-// poolDo runs the tasks to completion, preferring pool goroutines and
-// falling back to the calling goroutine when the pool is saturated. A panic
-// inside any task is recovered and reported as the returned error (first one
-// wins) rather than crashing the process; the remaining tasks still run, so
-// the accumulators stay consistent for whoever inspects them post-mortem.
-func poolDo(tasks []func()) error { return poolGo(tasks)() }
-
-// poolGo hands the tasks to the pool and returns a wait function that blocks
-// until every task has finished and returns poolDo's error. A task the
-// saturated pool cannot take runs on the calling goroutine before poolGo
-// returns.
-func poolGo(tasks []func()) (wait func() error) {
-	taskPool.once.Do(func() {
-		n := runtime.GOMAXPROCS(0)
-		taskPool.jobs = make(chan func(), n)
-		for i := 0; i < n; i++ {
-			go func() {
-				for f := range taskPool.jobs {
-					f()
-				}
-			}()
-		}
-	})
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	wg.Add(len(tasks))
-	for _, t := range tasks {
-		t := t
-		run := func() {
-			defer wg.Done()
-			if err := runRecovered(t); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
+// start begins a run: it hands the tasks to the pool, or runs them in order
+// when the list does not fan out.
+func (l *taskList) start() {
+	if l.fan {
+		taskPool.once.Do(func() {
+			n := runtime.GOMAXPROCS(0)
+			taskPool.jobs = make(chan func(), n)
+			for i := 0; i < n; i++ {
+				go func() {
+					for f := range taskPool.jobs {
+						f()
+					}
+				}()
+			}
+		})
+	}
+	l.err = nil
+	l.wg.Add(len(l.runs))
+	for _, run := range l.runs {
+		if l.fan {
+			select {
+			case taskPool.jobs <- run:
+				continue
+			default:
 			}
 		}
-		select {
-		case taskPool.jobs <- run:
-		default:
-			run()
-		}
+		run()
 	}
-	return func() error {
-		wg.Wait()
-		return firstErr
-	}
+}
+
+// wait blocks until every task of the run has finished and returns its
+// first error.
+func (l *taskList) wait() error {
+	l.wg.Wait()
+	return l.err
+}
+
+func (l *taskList) do() error {
+	l.start()
+	return l.wait()
 }
 
 // engineErrKind maps a history-engine error to its taxonomy sentinel:
@@ -161,7 +163,7 @@ type historyEngine struct {
 	// FFT firings: the one in progress, and the task list that runs it over
 	// the (member, row pair) ranges, built once.
 	cur   firing
-	tasks []func()
+	tasks *taskList
 }
 
 // newHistoryEngine creates the engine of a group whose members keep their

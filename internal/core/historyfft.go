@@ -142,17 +142,18 @@ func (e *historyEngine) buildTasks(workers int) {
 	total := len(e.xs) * ((e.n + 1) / 2)
 	nt := min(workers, total)
 	bufs := make([]complex128, nt*2*e.maxL)
-	e.tasks = make([]func(), nt)
-	for r := range e.tasks {
+	tasks := make([]func(), nt)
+	for r := range tasks {
 		lo, hi := r*total/nt, (r+1)*total/nt
 		z := bufs[r*2*e.maxL : (r+1)*2*e.maxL]
-		e.tasks[r] = func() {
+		tasks[r] = func() {
 			if e.fault != nil && e.fault.WorkerFault != nil {
 				e.fault.WorkerFault()
 			}
 			e.convPairs(z, lo, hi)
 		}
 	}
+	e.tasks = newTaskList(tasks, nt > 1)
 }
 
 // fire runs term t's one fast-convolution level due at column j (a nonzero
@@ -174,10 +175,7 @@ func (e *historyEngine) fire(t *historyTerm, j int) error {
 		return nil
 	}
 	e.cur = firing{t: t, ker: e.fftKernel(t, L), a: j - L, L: L, j: j, outLen: outLen}
-	if len(e.tasks) == 1 {
-		return runInOrder(e.tasks)
-	}
-	return poolDo(e.tasks)
+	return e.tasks.do()
 }
 
 // convPairs convolves the (member, row pair) range [lo, hi) of the current

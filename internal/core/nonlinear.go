@@ -85,8 +85,12 @@ func SolveNonlinearCtx(ctx context.Context, sys *System, g Nonlinearity, u []wav
 	if err != nil {
 		return nil, err
 	}
+	uc, err := r.inputs(u)
+	if err != nil {
+		return nil, err
+	}
 	n := sys.N()
-	return r.solveOne(u, func(pg *panelStep) columnStep {
+	return r.solveOne(uc, func(pg *panelStep) columnStep {
 		return &newtonStep{panel: pg, g: g, m0: m0, opt: &opt, rep: rep,
 			gval: make([]float64, n), resid: make([]float64, n), delta: make([]float64, n),
 			xTrial: make([]float64, n), rTrial: make([]float64, n)}

@@ -16,8 +16,8 @@ import (
 // input injection, the history sums and the solve all run at panel
 // granularity: an integer-order term steps its recurrence on the group's
 // lag panels, and a term served by the group's history engine (fractional
-// orders, and every term on the adaptive grid) has the engine fill its term
-// panel with all members' w_j. Only the committed solution column is
+// orders, and orders p ≥ 2 on the adaptive grid) has the engine fill its
+// term panel with all members' w_j. Only the committed solution column is
 // gathered per scenario. Per panel column the operations match a one-vector
 // solve exactly: panel kernels are column-wise identical to their vector
 // counterparts (at width 1 they are those counterparts), and the engine
@@ -32,13 +32,14 @@ import (
 // before the column enters the lag ring — the same products and sums the
 // materialized E_k + δuvᵀ would add.
 //
-// SolveNonlinear and SolveAdaptive solve a one-wide group themselves
-// (newtonStep, adaptiveStep): they build the right-hand side through rhs
-// and enter the solved column through commit.
+// SolveNonlinear and both adaptive solvers solve a one-wide group
+// themselves (newtonStep, adaptiveStep): they build the right-hand side
+// through rhs and enter the solved column through commit.
 type panelStep struct {
 	sys     *System
 	members []*scenState
 	pf      *pencilFactor // nil when the owning step solves
+	h       float64       // adaptive grid: the column's step h_j, set by the owning step; 0 on the uniform grid
 	b       *mat.Dense
 	scratch *panelScratch
 	maxLag  int
@@ -62,12 +63,12 @@ type panelFix struct {
 }
 
 // onEngine reports whether a term of the given order runs on the group's
-// history engine: every nonzero order on the adaptive grid, and on the
-// uniform grid the non-integer orders, whose Toeplitz coefficients admit no
-// short recurrence. Order 0 has no history; the other integer orders step
-// a panelIntHistory recurrence.
+// history engine: the non-integer orders, whose coefficients admit no short
+// recurrence, and on the adaptive grid the integer orders p ≥ 2, whose D̃ᵖ
+// is no longer one pattern scaled per column. Order 0 has no history; the
+// other integer orders step a panelIntHistory recurrence.
 func onEngine(order float64, adaptive bool) bool {
-	return !isExactZero(order) && (adaptive || !isExactEq(order, float64(int(order))))
+	return !isExactZero(order) && (!isExactEq(order, float64(int(order))) || adaptive && !isExactEq(order, 1))
 }
 
 // hasEngineTerms reports whether a solve of sys runs any term on a history
@@ -101,7 +102,7 @@ func (r *columnRun) newPanelStep(members []*scenState, pf *pencilFactor) *panelS
 			row[t] = st.shift[i]
 		}
 	}
-	adaptive := r.dmats != nil
+	adaptive := r.times != nil
 	if hasEngineTerms(sys, adaptive) {
 		xs := make([][]float64, w)
 		for c, st := range members {
@@ -141,11 +142,13 @@ func (r *columnRun) newPanelStep(members []*scenState, pf *pencilFactor) *panelS
 
 // rhs assembles column j's right-hand-side panel into g.b:
 // shift + B·u_j − Σ_k E_k·s_j⁽ᵏ⁾, less the SMW members' rank-1 corrections.
+// The u_j are gathered from the members' input coefficients; a scenario
+// without them (SolveAdaptiveAuto's) has its step sample them into g.uP.
 // On an engine failure it returns the group's first scenario index.
 func (g *panelStep) rhs(j int, tj float64) (int, error) {
 	w := len(g.members)
 	copy(g.b.Data(), g.shiftP.Data())
-	for c := 0; c < g.uP.Rows(); c++ {
+	for c := 0; c < g.uP.Rows() && g.members[0].uc != nil; c++ {
 		urow := g.uP.Row(c)
 		for t, st := range g.members {
 			urow[t] = st.uc.Row(c)[j]
@@ -155,9 +158,13 @@ func (g *panelStep) rhs(j int, tj float64) (int, error) {
 	bd := g.b.Data()
 	for k, term := range g.sys.Terms {
 		var s *mat.Dense
+		alpha := -1.0
 		switch {
 		case g.hist[k] != nil:
 			s = g.hist[k].current(g.xlags)
+			if !isExactZero(g.h) {
+				alpha = -1 / g.h
+			}
 		case g.engP[k] != nil:
 			s = g.engP[k]
 			if err := g.eng.history(k, j, s); err != nil {
@@ -169,7 +176,7 @@ func (g *panelStep) rhs(j int, tj float64) (int, error) {
 		default:
 			continue
 		}
-		term.Coeff.MulPanelAdd(-1, s, g.b, g.acc)
+		term.Coeff.MulPanelAdd(alpha, s, g.b, g.acc)
 		sd := s.Data()
 		for _, f := range g.fixes[k] {
 			// U.ScatterAdd(−(δ·V.Dot(s)), b) on column f.t: the same
@@ -242,6 +249,23 @@ func (g *panelStep) commit(j int) {
 	g.advance(xcur)
 }
 
+// retreat takes back the last commit and the sums computed since, for
+// SolveAdaptiveAuto's rejected trials (its order-1 terms make a ring): the
+// committed column's sums are pending again and its lag panel returns to
+// the pool. The rings come back one entry short, which is enough: their
+// oldest entry fed only the sums that are pending again.
+func (g *panelStep) retreat() {
+	g.xpool = append(g.xpool, g.xlags[0])
+	g.xlags = append(g.xlags[:0], g.xlags[1:]...)
+	for _, ph := range g.hist {
+		if ph != nil {
+			ph.pool = append(ph.pool, ph.s)
+			ph.s = ph.ss[0]
+			ph.ss = append(ph.ss[:0], ph.ss[1:]...)
+		}
+	}
+}
+
 // takePanel pops a spare solution panel off the pool. The pool is a stack,
 // so the rotation never reallocates it; every panel taken is overwritten
 // whole before it is read.
@@ -309,9 +333,10 @@ func (g *panelStep) group() *panelStep { return g }
 // engine, matching the paper's complexity discussion for eq. (28). Panel
 // ops are element-wise with no cross-column interaction, so each column
 // runs the one-vector recurrence bit for bit. Protocol per column: call
-// current() exactly once, use the result, then call advance(). Ring buffers
-// rotate pointers instead of copying: current() claims a panel from the
-// pool, advance() pushes it into the lag ring and recycles the evicted one.
+// current(), use the result, then call advance(); a repeated current()
+// before advance returns the same sums. Ring buffers rotate pointers
+// instead of copying: current() claims a panel from the pool, advance()
+// pushes it into the lag ring and recycles the evicted one.
 type panelIntHistory struct {
 	p     int
 	gamma []float64    // γ_k, k = 1..p (zero for even k)
@@ -341,6 +366,9 @@ func newPanelIntHistory(p int, h float64, n, w int) *panelIntHistory {
 // current computes the s_j panel from the group's solution-lag panels
 // (newest first), skipping the zero γ_k.
 func (ph *panelIntHistory) current(xlags []*mat.Dense) *mat.Dense {
+	if ph.s != nil {
+		return ph.s
+	}
 	ph.s = ph.pool[len(ph.pool)-1]
 	ph.pool = ph.pool[:len(ph.pool)-1]
 	sd := ph.s.Data()

@@ -39,9 +39,10 @@ type Options struct {
 	// agreeing with exact to roundoff (≤1e-10 relative on the golden
 	// waveforms) but not bit for bit; HistoryAuto — the zero value — picks
 	// FFT at and above a measured crossover grid size and exact below it.
-	// Adaptive-grid (general) terms always use the exact tier regardless of
-	// mode, because the non-uniform operational matrix has no Toeplitz
-	// structure to convolve.
+	// It governs the terms without a recurrence: on the adaptive grid these
+	// are the fractional and p ≥ 2 terms, which always use the exact tier,
+	// because the non-uniform operational matrix has no Toeplitz structure
+	// to convolve.
 	HistoryMode HistoryMode
 	// FactorCache, when non-nil, caches leading-pencil factorizations across
 	// runs, keyed by the assembled pencil's contents plus (h, α) and the
@@ -53,18 +54,17 @@ type Options struct {
 	// cache is bypassed (a cached factorization would short-circuit the
 	// injected failures).
 	FactorCache *FactorCache
-	// OnColumn, when non-nil, is invoked by Solve, SolveNonlinear and
-	// SolveAdaptive (and their Ctx variants) after each solution column
+	// OnColumn, when non-nil, is invoked by Solve, SolveNonlinear and both
+	// adaptive solvers (and their Ctx variants) after each solution column
 	// commits, with the column index, the interval-midpoint time, and the
 	// column values including the X0 offset — bitwise-identical to column col
 	// of the final Solution's coefficient matrix. The slice is owned by the
 	// solver and reused between invocations: consumers must copy (or encode)
 	// it before returning. The hook runs on the solving goroutine, so a slow
 	// consumer throttles the solve — the intended backpressure for streaming
-	// columns to a client. SolveAdaptiveAuto ignores it (its steps are only
-	// known once the controller has accepted them); SolveBatch ignores it in
-	// favour of BatchOptions.OnColumn, whose barrier semantics keep the hook
-	// off the concurrent group tasks.
+	// columns to a client. SolveBatch ignores it in favour of
+	// BatchOptions.OnColumn, whose barrier semantics keep the hook off the
+	// concurrent group tasks.
 	OnColumn func(col int, t float64, x []float64)
 	// Supernodal steers the supernodal/domain-decomposed factorization tier
 	// (nested-dissection BBD with blocked supernodal domain factors): 0 —

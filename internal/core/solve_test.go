@@ -386,28 +386,35 @@ func TestSolveAllocsIndependentOfColumns(t *testing.T) {
 	}
 
 	// A fractional Solve (a one-wide panel step whose history engine fills
-	// its term panels) and a one-group fractional SolveBatch, on both
-	// engines: the exact engine folds on every column, the FFT engine fires
-	// a segment every 64 columns through its one task list.
+	// its term panels) and a fractional SolveBatch of five scenarios, on
+	// both engines: the exact engine folds on every column, the FFT engine
+	// fires a segment every 64 columns through its one task list. At
+	// Workers 2 the Solve's firings fan out over the pool, and the batch,
+	// one group per scenario, runs its groups on the pool every column
+	// while the calling goroutine does the previous column's post work.
 	fsys, fu := fracTestSystem(6, 4)
 	fscs := []Scenario{{U: fu}, {U: fu}, {U: fu}, {U: fu}, {U: fu}}
-	for _, opt := range []Options{{HistoryMode: HistoryExact}, {HistoryMode: HistoryFFT, Workers: 1}} {
+	for _, opt := range []Options{{HistoryMode: HistoryExact}, {HistoryMode: HistoryFFT, Workers: 1}, {HistoryMode: HistoryFFT, Workers: 2}} {
 		for _, k := range []int{1, len(fscs)} {
+			width := 0
+			if opt.Workers == 2 {
+				width = 1
+			}
 			fracAllocsAt := func(m int) float64 {
 				return testing.AllocsPerRun(5, func() {
 					if k == 1 {
 						if _, err := Solve(fsys, fu, m, 2, opt); err != nil {
 							t.Fatal(err)
 						}
-					} else if _, err := SolveBatch(fsys, fscs[:k], m, 2, BatchOptions{Options: opt}); err != nil {
+					} else if _, err := SolveBatch(fsys, fscs[:k], m, 2, BatchOptions{Options: opt, PanelWidth: width}); err != nil {
 						t.Fatal(err)
 					}
 				})
 			}
 			small, large := fracAllocsAt(256), fracAllocsAt(2048)
 			if large > small+32 {
-				t.Fatalf("fractional %s, %d scenario(s): allocations grew with columns: m=256 → %.0f, m=2048 → %.0f (want ≤ +32)",
-					opt.HistoryMode, k, small, large)
+				t.Fatalf("fractional %s at Workers %d, %d scenario(s), panel width %d: allocations grew with columns: m=256 → %.0f, m=2048 → %.0f (want ≤ +32)",
+					opt.HistoryMode, opt.Workers, k, width, small, large)
 			}
 		}
 	}
