@@ -45,7 +45,7 @@ func main() {
 		mcOut      = flag.String("mcout", "BENCH_montecarlo.json", "machine-readable output path for -experiment montecarlo")
 		scaleOut   = flag.String("scaleout", "BENCH_scale.json", "machine-readable output path for -experiment scale")
 		scaleSizes = flag.String("scalesizes", "", "comma-separated grid node counts for -experiment scale (default 1000,10000,100000; \"smoke\" = the CI-sized instance)")
-		scaleBase  = flag.String("scalebaseline", "", "baseline BENCH_scale.json to guard against: fail when the factorization or solve speedup regresses >25% at any shared size")
+		scaleBase  = flag.String("scalebaseline", "", "baseline BENCH_scale.json to guard against: fail when the fill changes or the factorization or solve speedup regresses >25% at any shared size")
 		seed       = flag.Int64("seed", 1, "seed for generated benchmark networks (Table II grid loads, MOR, scaling); same seed, same netlist")
 	)
 	flag.Parse()
@@ -224,7 +224,7 @@ func run(experiment string, full bool, repeat, gridRows, workers int, histFFTOut
 				if err := experiments.CompareScaleReports(rep, base, 0.25); err != nil {
 					return err
 				}
-				fmt.Printf("scale guard: speedups within 25%% of %s\n", scaleBase)
+				fmt.Printf("scale guard: fill equal to and speedups within 25%% of %s\n", scaleBase)
 			}
 		default:
 			return fmt.Errorf("unknown experiment %q", name)

@@ -88,7 +88,7 @@ func main() {
 		tol         = flag.Float64("tol", 0.1, "Monte-Carlo relative tolerance band: each perturbed value is nominal·(1±tol)")
 		mcseed      = flag.Uint64("mcseed", 1, "Monte-Carlo RNG seed; same seed, same scenarios, bit-identical envelopes")
 		mcelems     = flag.Int("mcelems", 0, "cap on perturbed elements, netlist order (0 = every R, C, L, and CPE)")
-		mcrank      = flag.Int("mcrank", 0, "pencil-update rank limit: 0 measures the SMW/refactor crossover, >0 pins it, <0 forces refactorization")
+		mcrank      = flag.Int("mcrank", 0, "pencil-update rank limit: 0 resolves the SMW/refactor crossover from the pencil's counts, >0 pins it, <0 forces refactorization")
 		corners     = flag.Bool("corners", false, "solve the deterministic tolerance corners (each element at ±tol alone, plus all-high/all-low) in one batched sweep and report the worst corner (linear netlists only)")
 	)
 	flag.Parse()

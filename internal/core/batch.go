@@ -86,8 +86,8 @@ type Scenario struct {
 	// batch through the parameter-varying engine: delta scenarios are served
 	// by the SMW update tier against the shared factorization, or by a
 	// per-scenario refactorization past the crossover rank
-	// (BatchOptions.UpdateRankLimit). Checkpoint/resume is unavailable for
-	// parameter-varying batches.
+	// (BatchOptions.UpdateRankLimit). Such batches checkpoint and resume
+	// like any other.
 	Delta *PencilDelta
 }
 
@@ -138,13 +138,14 @@ type BatchOptions struct {
 	ResumeFrom *Checkpoint
 	// UpdateRankLimit steers the SMW-vs-refactor crossover for scenarios
 	// carrying a pencil Delta: 0 resolves the break-even rank once per run
-	// from the measured factorization and solve costs of the shared pencil;
-	// > 0 forces the SMW update path for pencil-update ranks ≤ the limit
-	// (refactorization above); < 0 disables the update path entirely (every
-	// delta scenario refactors — the path that is bitwise-identical to
-	// Solve(ApplyDelta(sys, delta), …)). The measured resolution is
-	// machine-dependent: pin an explicit limit when run-to-run path
-	// reproducibility matters (waveforms agree to ≤1e-12 either way).
+	// from counts of the shared pencil and its factors (n, m, nonzeros and
+	// the factorization's multiply-adds; see parambatch.go), so the same
+	// sweep takes the same paths on every run and machine; > 0 forces the
+	// SMW update path for pencil-update ranks ≤ the limit (refactorization
+	// above); < 0 disables the update path entirely (every delta scenario
+	// refactors — the path that is bitwise-identical to
+	// Solve(ApplyDelta(sys, delta), …)). Waveforms agree to ≤1e-12 either
+	// way.
 	UpdateRankLimit int
 	// DiscardSolutions skips the final Solution assembly and returns a nil
 	// slice: Monte-Carlo envelope runs consume columns through OnColumn and
@@ -152,7 +153,8 @@ type BatchOptions struct {
 	// DiscardSolutions set on a parameter-varying batch of a system without
 	// fractional engine terms, the engine also shrinks each scenario's
 	// column slab to one column (the recurrence lags live in the group's
-	// panels), bounding memory at O(K·n) instead of O(K·n·m).
+	// panels), bounding memory at O(K·n) instead of O(K·n·m) — unless the
+	// run sets OnCheckpoint or ResumeFrom, whose deltas carry whole slabs.
 	DiscardSolutions bool
 }
 
@@ -239,6 +241,10 @@ type columnRun struct {
 	ring   bool         // envelope run: each slab holds only the newest column
 	states []*scenState
 	steps  []columnStep
+
+	// crossover is the resolved SMW crossover rank of a parameter batch (0
+	// otherwise), carried in the checkpoint header.
+	crossover int
 }
 
 // single adapts a one-scenario solver's options to the driver, forwarding
@@ -446,7 +452,7 @@ func (r *columnRun) run() ([]*Solution, error) {
 	}
 	j0 := 0
 	if cp := opt.ResumeFrom; cp != nil {
-		if err := cp.validateFor(n, r.m, K, r.T, engine); err != nil {
+		if err := cp.validateFor(n, r.m, K, r.T, engine, r.crossover); err != nil {
 			return nil, err
 		}
 		j0 = cp.Columns
@@ -464,7 +470,8 @@ func (r *columnRun) run() ([]*Solution, error) {
 		if opt.OnCheckpoint == nil || hi <= lastCp {
 			return
 		}
-		d := &CheckpointDelta{N: n, M: r.m, K: K, T: r.T, Engine: engine, From: lastCp, To: hi, Slabs: make([][]float64, K)}
+		d := &CheckpointDelta{N: n, M: r.m, K: K, T: r.T, Engine: engine, UpdateCrossoverRank: r.crossover,
+			From: lastCp, To: hi, Slabs: make([][]float64, K)}
 		for s, st := range r.states {
 			d.Slabs[s] = append([]float64(nil), st.xbuf[lastCp*n:hi*n]...)
 		}

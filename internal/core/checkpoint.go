@@ -44,7 +44,8 @@ import (
 
 // ErrCheckpointMismatch reports a checkpoint offered to a solve (or a delta
 // offered to a checkpoint) whose shape — state dimension, grid, span,
-// scenario count, or resolved history engine — does not match.
+// scenario count, resolved history engine, or resolved SMW crossover rank —
+// does not match.
 var ErrCheckpointMismatch = errors.New("core: checkpoint mismatch")
 
 // Checkpoint is the accumulated resumable state of a batch solve: the
@@ -66,6 +67,11 @@ type Checkpoint struct {
 	// "" (no fractional terms), "exact", or "fft". Resuming under a
 	// different engine would change summation order, so it must match.
 	Engine string
+	// UpdateCrossoverRank is the SMW crossover rank the originating solve
+	// resolved (SolveReport.UpdateCrossoverRank; 0 when no scenario carries
+	// a pencil delta). It fixes which delta scenarios took the update path,
+	// so it must match too.
+	UpdateCrossoverRank int
 	// Columns is the number of committed columns: Slabs covers [0, Columns).
 	Columns int
 	// Slabs[s] holds scenario s's committed columns as one slab of
@@ -78,10 +84,11 @@ type Checkpoint struct {
 // [From, To) of every scenario, emitted by BatchOptions.OnCheckpoint. The
 // slab buffers are fresh copies owned by the receiver.
 type CheckpointDelta struct {
-	N, M, K  int
-	T        float64
-	Engine   string
-	From, To int
+	N, M, K             int
+	T                   float64
+	Engine              string
+	UpdateCrossoverRank int
+	From, To            int
 	// Slabs[s] holds scenario s's columns [From, To) as (To-From)*N floats.
 	Slabs [][]float64
 }
@@ -108,13 +115,14 @@ func (cp *Checkpoint) ApplyCheckpoint(d *CheckpointDelta) error {
 		}
 	}
 	if cp.N == 0 && cp.M == 0 && cp.K == 0 {
-		cp.N, cp.M, cp.K, cp.T, cp.Engine = d.N, d.M, d.K, d.T, d.Engine
+		cp.N, cp.M, cp.K, cp.T, cp.Engine, cp.UpdateCrossoverRank = d.N, d.M, d.K, d.T, d.Engine, d.UpdateCrossoverRank
 		cp.Slabs = make([][]float64, cp.K)
 	}
-	if cp.N != d.N || cp.M != d.M || cp.K != d.K ||
-		math.Float64bits(cp.T) != math.Float64bits(d.T) || cp.Engine != d.Engine {
-		return fmt.Errorf("%w: delta header (n=%d m=%d k=%d T=%g engine=%q) vs checkpoint (n=%d m=%d k=%d T=%g engine=%q)",
-			ErrCheckpointMismatch, d.N, d.M, d.K, d.T, d.Engine, cp.N, cp.M, cp.K, cp.T, cp.Engine)
+	if cp.N != d.N || cp.M != d.M || cp.K != d.K || math.Float64bits(cp.T) != math.Float64bits(d.T) ||
+		cp.Engine != d.Engine || cp.UpdateCrossoverRank != d.UpdateCrossoverRank {
+		return fmt.Errorf("%w: delta header (n=%d m=%d k=%d T=%g engine=%q crossover=%d) vs checkpoint (n=%d m=%d k=%d T=%g engine=%q crossover=%d)",
+			ErrCheckpointMismatch, d.N, d.M, d.K, d.T, d.Engine, d.UpdateCrossoverRank,
+			cp.N, cp.M, cp.K, cp.T, cp.Engine, cp.UpdateCrossoverRank)
 	}
 	if d.From != cp.Columns {
 		return fmt.Errorf("%w: delta starts at column %d, checkpoint has %d committed",
@@ -155,8 +163,8 @@ func (cp *Checkpoint) StateColumn(dst []float64, s, j int, x0 []float64) error {
 }
 
 // validateFor checks that the checkpoint can resume a solve with the given
-// shape and resolved engine name.
-func (cp *Checkpoint) validateFor(n, m, K int, T float64, engine string) error {
+// shape, resolved engine name and resolved SMW crossover rank.
+func (cp *Checkpoint) validateFor(n, m, K int, T float64, engine string, crossover int) error {
 	if cp.N != n || cp.M != m || cp.K != K || math.Float64bits(cp.T) != math.Float64bits(T) {
 		return fmt.Errorf("%w: checkpoint for (n=%d m=%d k=%d T=%g), solve is (n=%d m=%d k=%d T=%g)",
 			ErrCheckpointMismatch, cp.N, cp.M, cp.K, cp.T, n, m, K, T)
@@ -164,6 +172,10 @@ func (cp *Checkpoint) validateFor(n, m, K int, T float64, engine string) error {
 	if cp.Engine != engine {
 		return fmt.Errorf("%w: checkpoint history engine %q, solve resolves to %q",
 			ErrCheckpointMismatch, cp.Engine, engine)
+	}
+	if cp.UpdateCrossoverRank != crossover {
+		return fmt.Errorf("%w: checkpoint SMW crossover rank %d, solve resolves to %d",
+			ErrCheckpointMismatch, cp.UpdateCrossoverRank, crossover)
 	}
 	if cp.Columns < 0 || cp.Columns > m {
 		return fmt.Errorf("%w: checkpoint has %d committed columns on a %d-column grid",

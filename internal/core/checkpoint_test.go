@@ -233,6 +233,8 @@ func TestCheckpointValidation(t *testing.T) {
 		"wrong-engine": run(func(o *BatchOptions, _ *Checkpoint) { o.HistoryMode = HistoryFFT }, tc.m, tc.K),
 		"wrong-T":      run(func(_ *BatchOptions, c *Checkpoint) { c.T = tc.T * (1 + 1e-16) }, tc.m, tc.K),
 		"bad-columns":  run(func(_ *BatchOptions, c *Checkpoint) { c.Columns = tc.m + 5 }, tc.m, tc.K),
+		// A batch without pencil deltas resolves no crossover rank (0).
+		"wrong-crossover": run(func(_ *BatchOptions, c *Checkpoint) { c.UpdateCrossoverRank = 4 }, tc.m, tc.K),
 	}
 	// wrong-T: nudging by one ulp-scale factor may round back to the same
 	// float; force a genuinely different T.
@@ -258,6 +260,11 @@ func TestCheckpointValidation(t *testing.T) {
 	if err := cp.ApplyCheckpoint(d); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("gap delta: err = %v, want ErrCheckpointMismatch", err)
 	}
+	d.From, d.To, d.UpdateCrossoverRank = cp.Columns, cp.Columns+1, cp.UpdateCrossoverRank+1
+	if err := cp.ApplyCheckpoint(d); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("crossover-rank delta: err = %v, want ErrCheckpointMismatch", err)
+	}
+	d.UpdateCrossoverRank = cp.UpdateCrossoverRank
 	d.From, d.To = cp.Columns, cp.Columns+2 // slab length no longer matches
 	if err := cp.ApplyCheckpoint(d); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("short slab delta: err = %v, want ErrCheckpointMismatch", err)

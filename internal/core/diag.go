@@ -194,9 +194,10 @@ type SolveReport struct {
 	PencilRefactors int
 	// UpdateCrossoverRank records the SMW-vs-refactor rank limit the
 	// parameter-varying batch resolved to: −1 when the update path was
-	// disabled (explicitly or because refactorization measured cheaper than
-	// even a rank-1 update), 0 when no parameter-varying batch ran, otherwise
-	// the largest pencil-update rank served by SMW.
+	// disabled (explicitly or because the count rule prices refactorization
+	// below even a rank-1 update), 0 when no parameter-varying batch ran,
+	// otherwise the largest pencil-update rank served by SMW. Checkpoints
+	// carry it (Checkpoint.UpdateCrossoverRank).
 	UpdateCrossoverRank int
 	// UpdateBasisColumns is q, the number of distinct pencil-level update
 	// vectors u_i whose solves W₀ = M⁻¹·[u₁ … u_q] the batch's SMW scenarios

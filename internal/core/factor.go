@@ -5,7 +5,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"opmsim/internal/mat"
 	"opmsim/internal/sparse"
@@ -53,29 +52,27 @@ type pencilFactor struct {
 	a       *sparse.CSR
 	cond    float64
 	scratch []float64 // dense-tier refinement residual, lazily sized
-	// factorNS is the wall-clock cost of building this factorization, stamped
-	// by factorPencil and carried through instantiate so cache hits
-	// still know their pencil family's refactorization cost. It feeds only the
-	// SMW update-vs-refactor crossover heuristic (parambatch.go), never any
-	// numerical path.
-	factorNS int64
+}
+
+// factorCounts returns the nonzeros the factorization stores and the
+// multiply-adds it took: the sparse tiers read both off their finished
+// patterns, the dense LU and QR backstops take the dense counts.
+func (pf *pencilFactor) factorCounts() (nnz, mulAdds int) {
+	n := pf.a.R
+	switch pf.tier {
+	case TierSupernodal:
+		return pf.bbd.NNZFactors(), pf.bbd.MulAdds()
+	case TierSparseLU:
+		return pf.sp.NNZFactors(), pf.sp.MulAdds()
+	case TierQR:
+		return n * n, 2 * n * n * n / 3
+	}
+	return n * n, n * n * n / 3
 }
 
 // factorPencil builds the chain for the pencil a serving column col (−1 for a
-// factorization shared by all columns) at simulation time t, and stamps the
-// measured build cost for the update-path crossover model.
+// factorization shared by all columns) at simulation time t.
 func factorPencil(a *sparse.CSR, col int, t float64, opt *Options, rep *SolveReport) (*pencilFactor, error) {
-	//lint:ignore nondet timing feeds only the SMW-vs-refactor path choice, whose paths agree to 1e-12 and can be pinned via BatchOptions.UpdateRankLimit
-	start := time.Now()
-	pf, err := factorPencilChain(a, col, t, opt, rep)
-	if pf != nil {
-		pf.factorNS = time.Since(start).Nanoseconds()
-	}
-	return pf, err
-}
-
-// factorPencilChain runs the tier chain itself.
-func factorPencilChain(a *sparse.CSR, col int, t float64, opt *Options, rep *SolveReport) (*pencilFactor, error) {
 	injected := func(tier Tier) bool {
 		return opt.Fault != nil && opt.Fault.FactorFail != nil && opt.Fault.FactorFail(col, int(tier))
 	}

@@ -180,7 +180,7 @@ func cacheKey(a *sparse.CSR, h, alpha float64, opt *Options) factorKey {
 // lazily-sized scratch stays nil and concurrent Share calls from cache hits
 // are race-free.
 func (pf *pencilFactor) instantiate(workers int) *pencilFactor {
-	inst := &pencilFactor{tier: pf.tier, dense: pf.dense, qr: pf.qr, a: pf.a, cond: pf.cond, factorNS: pf.factorNS}
+	inst := &pencilFactor{tier: pf.tier, dense: pf.dense, qr: pf.qr, a: pf.a, cond: pf.cond}
 	if pf.sp != nil {
 		inst.sp = pf.sp.Share()
 	}

@@ -482,7 +482,7 @@ type overlapEntry struct {
 // overlapEntries are three shapes of the group step a K = 70, PanelWidth 32
 // batch (groups of 32, 32 and 6) takes: integer-order recurrences only,
 // a fractional system's group history engine filling its term panels (the
-// "member" rows), and SMW members (parameter batches emit no checkpoints).
+// "member" rows), and SMW members.
 func overlapEntries(t *testing.T, K int) []overlapEntry {
 	t.Helper()
 	scenarios := func(u []waveform.Signal, delta bool) []core.Scenario {
@@ -520,9 +520,7 @@ func runOverlapFault(t *testing.T, sys *core.System, scs []core.Scenario, m int,
 	var run overlapRun
 	cp := &core.Checkpoint{}
 	rep := &core.SolveReport{}
-	// The SMW rank limit is pinned: the measured crossover may route a
-	// scenario differently from run to run, which changes its bits.
-	opt := core.BatchOptions{Options: core.Options{Workers: workers, Report: rep}, PanelWidth: 32, CheckpointEvery: 4, UpdateRankLimit: 8}
+	opt := core.BatchOptions{Options: core.Options{Workers: workers, Report: rep}, PanelWidth: 32, CheckpointEvery: 4}
 	opt.OnCheckpoint = func(d *core.CheckpointDelta) {
 		if err := cp.ApplyCheckpoint(d); err != nil {
 			t.Errorf("apply delta [%d,%d): %v", d.From, d.To, err)
@@ -584,7 +582,7 @@ func TestFaultOverlappedDriverMatchesWorkersOne(t *testing.T) {
 				if len(ref.cols) != fc.col || ref.columns != fc.col*K {
 					t.Fatalf("workers=1: %d OnColumn calls, %d columns committed; want %d and %d", len(ref.cols), ref.columns, fc.col, fc.col*K)
 				}
-				if e.name != "smw" && ref.cpCols != fc.col {
+				if ref.cpCols != fc.col {
 					t.Fatalf("workers=1: checkpoint holds %d columns, want %d", ref.cpCols, fc.col)
 				}
 				for _, workers := range []int{2, 4} {

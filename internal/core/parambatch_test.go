@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -313,14 +315,187 @@ func TestParamBatchStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// Checkpoint resume is explicitly unsupported with pencil deltas.
-func TestParamBatchRejectsResume(t *testing.T) {
-	sys, u := fracTestSystem(4, 9)
-	d := randomDelta(rand.New(rand.NewSource(1)), sys, 1)
-	scs := []Scenario{{U: u, Delta: d}}
-	_, err := SolveBatch(sys, scs, 32, 1, BatchOptions{ResumeFrom: &Checkpoint{}})
-	if err == nil {
-		t.Fatal("resume with pencil deltas should fail")
+// A parameter batch killed mid-sweep resumes from its checkpoint
+// Float64bits-identically to the uninterrupted run, for all-SMW, all-refactor
+// and mixed path assignments, on an integer-order system and on a CPE
+// ladder over both history engines, at Workers 1 and 3 (the resume also
+// changes Workers and PanelWidth). A resume under another crossover rank is
+// refused.
+func TestParamBatchResumeBitwise(t *testing.T) {
+	second, u := intTestSystem(7, 3)
+	ladder, lu := cpeLadderSystem(8, 0.6)
+	cases := []struct {
+		name    string
+		sys     *System
+		u       []waveform.Signal
+		m       int
+		mode    HistoryMode
+		resumes []int
+	}{
+		{"second-order", second, u, 48, HistoryAuto, []int{1, 21, 47}},
+		{"cpe-ladder/exact", ladder, lu, 48, HistoryExact, []int{21, 47}},
+		{"cpe-ladder/fft", ladder, lu, 160, HistoryFFT, []int{37, 128, 130}},
+	}
+	paths := []struct {
+		name            string
+		limit           int
+		updates, refacs int
+	}{
+		{"smw", 64, 10, 0},
+		{"refactor", -1, 0, 10},
+		{"mixed", 2, 5, 5}, // ranks 1, 2 → SMW; 3, 4 → refactor
+	}
+	const T, K = 1.5, 11
+	for _, tc := range cases {
+		scs := intDeltaScenarios(tc.sys, tc.u, K, 17, false)
+		for _, p := range paths {
+			opt := func(workers int) BatchOptions {
+				return BatchOptions{
+					Options:         Options{Workers: workers, HistoryMode: tc.mode},
+					PanelWidth:      4,
+					UpdateRankLimit: p.limit,
+				}
+			}
+			var rep SolveReport
+			ro := opt(1)
+			ro.Report = &rep
+			ref, err := SolveBatch(tc.sys, scs, tc.m, T, ro)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, p.name, err)
+			}
+			if rep.PencilUpdates != p.updates || rep.PencilRefactors != p.refacs {
+				t.Fatalf("%s/%s: dispatch updates=%d refactors=%d, want %d/%d", tc.name, p.name,
+					rep.PencilUpdates, rep.PencilRefactors, p.updates, p.refacs)
+			}
+			for _, workers := range []int{1, 3} {
+				for _, j0 := range tc.resumes {
+					name := fmt.Sprintf("%s/%s workers=%d resume=%d", tc.name, p.name, workers, j0)
+					ctx, cancel := context.WithCancel(context.Background())
+					cp := &Checkpoint{}
+					ko := opt(workers)
+					ko.CheckpointEvery = 8
+					ko.OnCheckpoint = func(d *CheckpointDelta) {
+						if err := cp.ApplyCheckpoint(d); err != nil {
+							t.Errorf("%s: apply delta [%d,%d): %v", name, d.From, d.To, err)
+						}
+					}
+					ko.OnColumn = func(col int, _ float64, _ [][]float64) {
+						if col == j0-1 {
+							cancel()
+						}
+					}
+					_, err := SolveBatchCtx(ctx, tc.sys, scs, tc.m, T, ko)
+					cancel()
+					if !errors.Is(err, ErrCancelled) || cp.Columns != j0 {
+						t.Fatalf("%s: killed run: err = %v, checkpoint holds %d columns", name, err, cp.Columns)
+					}
+					if cp.UpdateCrossoverRank != rep.UpdateCrossoverRank {
+						t.Fatalf("%s: checkpoint crossover %d, report %d", name, cp.UpdateCrossoverRank, rep.UpdateCrossoverRank)
+					}
+					rs := opt(4 - workers)
+					rs.PanelWidth = 3
+					rs.ResumeFrom = cp
+					sols, err := SolveBatch(tc.sys, scs, tc.m, T, rs)
+					if err != nil {
+						t.Fatalf("%s: resume: %v", name, err)
+					}
+					for s := range scs {
+						sameDense(t, fmt.Sprintf("%s scenario %d", name, s), sols[s].Coefficients(), ref[s].Coefficients())
+					}
+					other := opt(workers)
+					other.UpdateRankLimit = 3
+					other.ResumeFrom = cp
+					if _, err := SolveBatch(tc.sys, scs, tc.m, T, other); !errors.Is(err, ErrCheckpointMismatch) {
+						t.Fatalf("%s: resume under another crossover rank: err = %v, want ErrCheckpointMismatch", name, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A DiscardSolutions parameter batch that emits checkpoints keeps whole
+// slabs: it completes, and its deltas equal those of a run that keeps its
+// solutions.
+func TestParamBatchDiscardCheckpointDeltas(t *testing.T) {
+	sys, u := intTestSystem(6, 41)
+	scs := intDeltaScenarios(sys, u, 9, 23, false)
+	const m, T = 40, 1.0
+	run := func(discard bool) []*CheckpointDelta {
+		var ds []*CheckpointDelta
+		sols, err := SolveBatch(sys, scs, m, T, BatchOptions{
+			PanelWidth:       4,
+			UpdateRankLimit:  2,
+			DiscardSolutions: discard,
+			CheckpointEvery:  7,
+			OnCheckpoint:     func(d *CheckpointDelta) { ds = append(ds, d) },
+		})
+		if err != nil {
+			t.Fatalf("discard=%v: %v", discard, err)
+		}
+		if discard != (sols == nil) {
+			t.Fatalf("discard=%v: got %d solutions", discard, len(sols))
+		}
+		return ds
+	}
+	got, want := run(true), run(false)
+	if len(got) != len(want) || len(want) != (m-1)/7 {
+		t.Fatalf("%d deltas with DiscardSolutions, %d without, want %d", len(got), len(want), (m-1)/7)
+	}
+	for k := range want {
+		g, w := got[k], want[k]
+		if g.From != w.From || g.To != w.To || g.UpdateCrossoverRank != w.UpdateCrossoverRank {
+			t.Fatalf("delta %d: [%d,%d) crossover %d, want [%d,%d) crossover %d", k, g.From, g.To, g.UpdateCrossoverRank, w.From, w.To, w.UpdateCrossoverRank)
+		}
+		for s := range w.Slabs {
+			for i, v := range w.Slabs[s] {
+				if math.Float64bits(g.Slabs[s][i]) != math.Float64bits(v) {
+					t.Fatalf("delta %d scenario %d value %d: %x, want %x", k, s, i, math.Float64bits(g.Slabs[s][i]), math.Float64bits(v))
+				}
+			}
+		}
+	}
+}
+
+// The automatic crossover is a pure function of counts. At the calibration
+// points of DESIGN.md §13 — each fixture's n, m, nnz(A), nnz(L+U) and factor
+// multiply-adds as the sparse tier reports them — it picks the leg that
+// measured faster: SMW at ranks 32 and 96 on the 768-state grid (and at
+// rank 8, the Monte-Carlo sweep's), refactoring at rank 256, and SMW at
+// rank 8 on the 102-state RC ladder. The 22-state rc-tol shape, whose legs
+// measured within 1.3× of each other, is capped at n/2.
+func TestCrossoverRankCalibration(t *testing.T) {
+	for _, tc := range []struct {
+		name                      string
+		n, m, nnzA, nnzF, mulAdds int
+		want                      int
+		smw, refactor             []int
+	}{
+		{"grid-768", 768, 64, 4672, 27488, 447224, 215, []int{8, 32, 96}, []int{256}},
+		{"rc-ladder", 102, 64, 303, 303, 199, 34, []int{8}, nil},
+		{"rc-tol", 22, 500, 63, 82, 79, 11, []int{8}, nil},
+	} {
+		got := crossoverRank(tc.n, tc.m, tc.nnzA, tc.nnzF, tc.mulAdds)
+		if got != tc.want {
+			t.Errorf("%s: crossover rank %d, want %d", tc.name, got, tc.want)
+		}
+		for _, r := range tc.smw {
+			if r > got {
+				t.Errorf("%s: rank %d refactors, measured faster on SMW", tc.name, r)
+			}
+		}
+		for _, r := range tc.refactor {
+			if r <= got {
+				t.Errorf("%s: rank %d takes SMW, measured faster refactored", tc.name, r)
+			}
+		}
+	}
+	// The n/2 cap, and no rank at all for a pencil too small to update.
+	if got := crossoverRank(1, 64, 1, 1, 0); got != -1 {
+		t.Errorf("n=1: crossover rank %d, want -1", got)
+	}
+	if got := crossoverRank(10, 1<<20, 1000, 1000, 1<<30); got != 5 {
+		t.Errorf("n=10: crossover rank %d, want the n/2 cap 5", got)
 	}
 }
 

@@ -275,26 +275,6 @@ func prepareInitialState(sys *System, x0 []float64) (offset, shift []float64, er
 	return append([]float64(nil), x0...), shift, nil
 }
 
-// SolveCoefficients runs Solve with input coefficients already expanded (the
-// p×m matrix U of eq. 11) instead of signal closures. It is used by the
-// benchmarks to exclude quadrature from timing, and mirrors the paper's
-// setting where U is given.
-func SolveCoefficients(sys *System, uc *mat.Dense, m int, T float64, opt Options) (*Solution, error) {
-	if uc.Rows() != sys.Inputs() || uc.Cols() != m {
-		return nil, fmt.Errorf("core: U is %dx%d, want %dx%d", uc.Rows(), uc.Cols(), sys.Inputs(), m)
-	}
-	bpf, err := basis.NewBPF(m, T)
-	if err != nil {
-		return nil, err
-	}
-	sigs := make([]waveform.Signal, sys.Inputs())
-	for c := range sigs {
-		row := uc.Row(c)
-		sigs[c] = func(t float64) float64 { return bpf.Reconstruct(row, t) }
-	}
-	return Solve(sys, sigs, m, T, opt)
-}
-
 // ResidualNorm measures how well a solution satisfies the operational-matrix
 // equation Σ_k E_k·X·Dᵅᵏ = B·U in the Frobenius norm, relative to ‖B·U‖. It
 // is a diagnostic used by tests: OPM solves the equation exactly (up to

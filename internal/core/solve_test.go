@@ -443,26 +443,6 @@ func TestSolveAllocsIndependentOfColumns(t *testing.T) {
 	}
 }
 
-func TestSolveCoefficients(t *testing.T) {
-	sys, _ := NewDAE(scalarCSR(1), scalarCSR(-1), scalarCSR(1))
-	m, T := 128, 2.0
-	uc := mat.NewDense(1, m)
-	for j := 0; j < m; j++ {
-		uc.Set(0, j, 1) // step input, exact BPF coefficients
-	}
-	sol, err := SolveCoefficients(sys, uc, m, T, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1 - math.Exp(-1)
-	if got := sol.StateAt(0, 1); math.Abs(got-want) > 5e-3 {
-		t.Fatalf("x(1) = %g, want %g", got, want)
-	}
-	if _, err := SolveCoefficients(sys, mat.NewDense(1, m+1), m, T, Options{}); err == nil {
-		t.Fatal("SolveCoefficients accepted wrong-shape U")
-	}
-}
-
 func TestSampleOutputsAndStates(t *testing.T) {
 	sys, _ := NewDAE(scalarCSR(1), scalarCSR(-1), scalarCSR(1))
 	sol, err := Solve(sys, []waveform.Signal{waveform.Step(1, 0)}, 64, 1, Options{})

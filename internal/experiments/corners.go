@@ -34,9 +34,9 @@ type CornerConfig struct {
 	// M and T are the BPF grid: M columns over [0, T].
 	M int
 	T float64
-	// UpdateRankLimit is passed to core.BatchOptions: 0 measures the
-	// SMW-vs-refactor crossover, >0 pins the update path, <0 forces
-	// refactorization.
+	// UpdateRankLimit is passed to core.BatchOptions: 0 resolves the
+	// SMW-vs-refactor crossover from the pencil's counts, >0 pins the update
+	// path, <0 forces refactorization.
 	UpdateRankLimit int
 	// Options seeds the solver options; Report is managed internally.
 	Options core.Options

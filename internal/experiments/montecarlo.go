@@ -34,8 +34,8 @@ type MonteCarloConfig struct {
 	// Tol is the symmetric relative tolerance band (±Tol) applied to each
 	// perturbed element value.
 	Tol float64
-	// Seed keys the counter-based RNG: same seed, same scenarios, and — with
-	// UpdateRankLimit pinned — Float64bits-identical envelopes.
+	// Seed keys the counter-based RNG: same seed, same scenarios, and
+	// Float64bits-identical envelopes.
 	Seed uint64
 	// Elements names the perturbed components; nil perturbs every
 	// perturbable element (netgen.PerturbableElements).
@@ -46,8 +46,9 @@ type MonteCarloConfig struct {
 	// Chunk bounds the scenarios per SolveBatch call (default 1024): chunking
 	// caps per-call memory at O(Chunk·n) while the envelope spans all N.
 	Chunk int
-	// UpdateRankLimit is passed through to core.BatchOptions: 0 measures the
-	// crossover, >0 pins the SMW side, <0 forces refactorization.
+	// UpdateRankLimit is passed through to core.BatchOptions: 0 resolves the
+	// crossover from the pencil's counts, >0 pins the SMW side, <0 forces
+	// refactorization.
 	UpdateRankLimit int
 	// ProbeCols are the envelope's quantile probe columns; nil picks the
 	// quartile columns {M/4, M/2, 3M/4, M−1}.

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"sort"
 	"time"
 
 	"opmsim/internal/core"
@@ -20,9 +21,11 @@ import (
 // factorization through the scalar Gilbert–Peierls sparse LU versus the
 // supernodal/domain-decomposed BBD tier, verify the two solutions agree, and
 // report the speedup. The committed smoke baseline (BENCH_scale_smoke.json)
-// plus CompareScaleReports form the CI regression guard: speedup ratios are
-// machine-portable where absolute times are not, so the guard compares
-// ratios: both the factorization and the per-vector solve speedup.
+// plus CompareScaleReports form the CI regression guard. The fill of both
+// factorizations is a count, so the guard compares it exactly; speedup
+// ratios are machine-portable where absolute times are not, so the guard
+// compares the factorization and the per-vector solve speedup, each the
+// median of three in-process repeats, against a floor.
 
 // ScaleConfig parameterizes the sweep.
 type ScaleConfig struct {
@@ -39,6 +42,11 @@ type ScaleConfig struct {
 	// factorization (default 8); the report holds their mean.
 	Solves int
 }
+
+// scaleRepeats is how many times each size's legs are factored and timed;
+// a row holds the median of each time and of each speedup ratio, which a
+// single run on a noisy host spreads too widely for the guard's floor.
+const scaleRepeats = 3
 
 // DefaultScale covers the acceptance sweep: 10³, 10⁴, 10⁵ nodes.
 func DefaultScale() ScaleConfig {
@@ -152,46 +160,50 @@ func ScaleBench(cfg ScaleConfig) (*Table, *ScaleReport, error) {
 		row := ScaleRow{N: size, States: n, NNZ: pencil.NNZ()}
 
 		var sf *sparse.Factorization
-		dur, err := timeIt(1, func() error {
-			f, err := sparse.Factor(pencil, sparse.Options{})
-			sf = f
-			return err
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: scale n=%d: scalar factor: %w", size, err)
-		}
-		row.ScalarFactorNS = dur.Nanoseconds()
-		row.ScalarFillNNZ = sf.NNZFactors()
-
 		var bf *sparse.BBD
-		dur, err = timeIt(1, func() error {
-			f, err := sparse.FactorBBD(pencil, sparse.BBDOptions{Workers: cfg.Workers})
-			bf = f
-			return err
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: scale n=%d: BBD factor: %w", size, err)
-		}
-		row.BBDFactorNS = dur.Nanoseconds()
-		row.BBDFillNNZ = bf.NNZFactors()
-		row.Parts = bf.Parts()
-		row.IfaceN = bf.IfaceN()
-
 		b := scaleRHS(n)
 		//lint:ignore allocsite one solution vector per sweep size, not a per-solve path
 		xs := make([]float64, n)
 		//lint:ignore allocsite one solution vector per sweep size, not a per-solve path
 		xb := make([]float64, n)
-		dur, err = timeIt(cfg.Solves, func() error { return sf.SolveInto(xs, b) })
-		if err != nil {
-			return nil, nil, err
+		// Per repeat: scalar factor, BBD factor, scalar solve, BBD solve
+		// (ns), then the factor and solve speedups.
+		var runs [6][]float64
+		for i := range runs {
+			runs[i] = make([]float64, scaleRepeats)
 		}
-		row.ScalarSolveNS = dur.Nanoseconds()
-		dur, err = timeIt(cfg.Solves, func() error { return bf.SolveInto(xb, b) })
-		if err != nil {
-			return nil, nil, err
+		for k := range scaleRepeats {
+			var legs [4]time.Duration
+			var err error
+			if legs[0], err = timeIt(1, func() (err error) {
+				sf, err = sparse.Factor(pencil, sparse.Options{})
+				return err
+			}); err != nil {
+				return nil, nil, fmt.Errorf("experiments: scale n=%d: scalar factor: %w", size, err)
+			}
+			if legs[1], err = timeIt(1, func() (err error) {
+				bf, err = sparse.FactorBBD(pencil, sparse.BBDOptions{Workers: cfg.Workers})
+				return err
+			}); err != nil {
+				return nil, nil, fmt.Errorf("experiments: scale n=%d: BBD factor: %w", size, err)
+			}
+			if legs[2], err = timeIt(cfg.Solves, func() error { return sf.SolveInto(xs, b) }); err != nil {
+				return nil, nil, err
+			}
+			if legs[3], err = timeIt(cfg.Solves, func() error { return bf.SolveInto(xb, b) }); err != nil {
+				return nil, nil, err
+			}
+			for i, d := range legs {
+				runs[i][k] = float64(d.Nanoseconds())
+			}
+			runs[4][k] = float64(legs[0]) / float64(legs[1])
+			runs[5][k] = float64(legs[2]) / float64(legs[3])
 		}
-		row.BBDSolveNS = dur.Nanoseconds()
+		row.ScalarFactorNS, row.BBDFactorNS = int64(medianOf(runs[0])), int64(medianOf(runs[1]))
+		row.ScalarSolveNS, row.BBDSolveNS = int64(medianOf(runs[2])), int64(medianOf(runs[3]))
+		row.FactorSpeedup, row.SolveSpeedup = medianOf(runs[4]), medianOf(runs[5])
+		row.ScalarFillNNZ, row.BBDFillNNZ = sf.NNZFactors(), bf.NNZFactors()
+		row.Parts, row.IfaceN = bf.Parts(), bf.IfaceN()
 
 		scale := 0.0
 		for _, v := range xs {
@@ -207,8 +219,6 @@ func ScaleBench(cfg ScaleConfig) (*Table, *ScaleReport, error) {
 		if row.MaxRelDiff > 1e-8 {
 			return nil, nil, fmt.Errorf("experiments: scale n=%d: BBD and scalar solutions disagree (rel diff %.3g)", size, row.MaxRelDiff)
 		}
-		row.FactorSpeedup = float64(row.ScalarFactorNS) / float64(row.BBDFactorNS)
-		row.SolveSpeedup = float64(row.ScalarSolveNS) / float64(row.BBDSolveNS)
 		rep.Rows = append(rep.Rows, row)
 		//lint:ignore allocsite results-table rendering, one row per sweep size, not a per-scenario path
 		tbl.AddRow(fmt.Sprint(size), fmt.Sprint(n), fmt.Sprint(row.NNZ),
@@ -221,17 +231,26 @@ func ScaleBench(cfg ScaleConfig) (*Table, *ScaleReport, error) {
 	rep.Notes = append(rep.Notes,
 		"scalar leg: Gilbert–Peierls sparse LU with AMD pre-ordering; BBD leg: nested-dissection domain decomposition with AMD-ordered supernodal domain factors and a dense Schur interface tier",
 		"both legs solve the same deterministic right-hand side; rel diff is the worst relative component difference",
-		"speedups are wall-clock on this host; the CI guard compares speedup ratios against the committed smoke baseline, which transfers across machines")
+		"speedups are wall-clock on this host, each the median of three repeats; the CI guard compares fill exactly and speedup ratios against the committed smoke baseline, which transfers across machines")
 	tbl.Notes = append(tbl.Notes, "factorization speedup = scalar / BBD wall-clock; solutions cross-checked to 1e-8 relative")
 	return tbl, rep, nil
 }
 
+// medianOf returns the middle value of v (the upper one of an even count),
+// sorting v in place.
+func medianOf(v []float64) float64 {
+	sort.Float64s(v)
+	return v[len(v)/2]
+}
+
 // CompareScaleReports is the bench-regression guard: every baseline size
-// present in the current report must retain at least (1 − tol) of the
-// baseline's factorization speedup and of its solve speedup. With tol = 0.25
-// a >25 % regression of the supernodal tier's advantage fails the
-// comparison. Sizes missing from either report are ignored (the smoke run
-// covers a subset of the acceptance sweep).
+// present in the current report must have exactly the baseline's scalar and
+// BBD fill (both are counts, so any change is a change of the ordering or
+// the factorization), and retain at least (1 − tol) of the baseline's
+// factorization speedup and of its solve speedup. With tol = 0.25 a >25 %
+// regression of the supernodal tier's advantage fails the comparison. Sizes
+// missing from either report are ignored (the smoke run covers a subset of
+// the acceptance sweep).
 func CompareScaleReports(current, baseline *ScaleReport, tol float64) error {
 	if tol <= 0 {
 		tol = 0.25
@@ -247,6 +266,10 @@ func CompareScaleReports(current, baseline *ScaleReport, tol float64) error {
 			continue
 		}
 		matched++
+		if cur.ScalarFillNNZ != base.ScalarFillNNZ || cur.BBDFillNNZ != base.BBDFillNNZ {
+			return fmt.Errorf("experiments: scale fill changed at n=%d: scalar %d, BBD %d nonzeros (baseline %d, %d)",
+				base.N, cur.ScalarFillNNZ, cur.BBDFillNNZ, base.ScalarFillNNZ, base.BBDFillNNZ)
+		}
 		for _, c := range []struct {
 			what      string
 			cur, base float64

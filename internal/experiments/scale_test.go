@@ -96,6 +96,26 @@ func TestCompareScaleReports(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "solve speedup") {
 		t.Fatalf("33%% solve regression: got %v", err)
 	}
+	// Fill is a count: one nonzero more on either leg fails, whatever the
+	// speedups.
+	mkFill := func(scalar, bbd int) *ScaleReport {
+		return &ScaleReport{Rows: []ScaleRow{{N: 6000, FactorSpeedup: 3.5, ScalarFillNNZ: scalar, BBDFillNNZ: bbd}}}
+	}
+	if err := CompareScaleReports(mkFill(444487, 543779), mkFill(444487, 543779), 0.25); err != nil {
+		t.Fatalf("equal fill failed: %v", err)
+	}
+	for _, cur := range []*ScaleReport{mkFill(444488, 543779), mkFill(444487, 543778)} {
+		if err := CompareScaleReports(cur, mkFill(444487, 543779), 0.25); err == nil || !strings.Contains(err.Error(), "fill changed") {
+			t.Fatalf("fill %d/%d against 444487/543779: got %v", cur.Rows[0].ScalarFillNNZ, cur.Rows[0].BBDFillNNZ, err)
+		}
+	}
+}
+
+// medianOf takes the middle value whatever the order of the repeats.
+func TestMedianOf(t *testing.T) {
+	if got := medianOf([]float64{3.04, 1.85, 2.48}); got != 2.48 {
+		t.Fatalf("median of three = %g, want 2.48", got)
+	}
 }
 
 // The report's solve times are per solve: timeIt already divides by the

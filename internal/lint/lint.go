@@ -412,17 +412,3 @@ func funcObj(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	return nil
 }
-
-// isPkgCall reports whether call invokes the package-level function
-// pkgPath.name (not a method).
-func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := funcObj(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Pkg().Path() != pkgPath || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}

@@ -54,17 +54,6 @@ func (e *jobEntry) ensureParsed(cfg *Config) (*job, *RequestError) {
 	return j, nil
 }
 
-// checkpointColumns returns the committed-column count of the in-memory
-// checkpoint.
-func (e *jobEntry) checkpointColumns() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cp == nil {
-		return 0
-	}
-	return e.cp.Columns
-}
-
 // applyCheckpointDelta folds a solver delta into the entry: always into the
 // in-memory checkpoint, and — while the journal is healthy — durably into
 // the journal. A journal failure flips the entry to in-memory-only mode

@@ -153,10 +153,14 @@ func (jw *jobJournal) removeJournal() error {
 // encodeCheckpointDelta serializes a delta:
 //
 //	'C' | from to n m k (u32 LE) | T bits (u64 LE) | engLen(u8) engine |
-//	k slabs of (to−from)·n float64 bits LE
+//	crossover rank (i32 LE) | k slabs of (to−from)·n float64 bits LE
+//
+// The crossover rank makes the record 4 bytes longer than the slabs'
+// multiple of 8, so a record written before the field existed fails the
+// decoder's exact length check instead of being misread.
 func encodeCheckpointDelta(d *core.CheckpointDelta) []byte {
 	cols := d.To - d.From
-	size := 1 + 5*4 + 8 + 1 + len(d.Engine) + d.K*cols*d.N*8
+	size := 1 + 5*4 + 8 + 1 + len(d.Engine) + 4 + d.K*cols*d.N*8
 	payload := make([]byte, 0, size)
 	payload = append(payload, recDelta)
 	for _, v := range [...]int{d.From, d.To, d.N, d.M, d.K} {
@@ -165,6 +169,7 @@ func encodeCheckpointDelta(d *core.CheckpointDelta) []byte {
 	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(d.T))
 	payload = append(payload, byte(len(d.Engine)))
 	payload = append(payload, d.Engine...)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(int32(d.UpdateCrossoverRank)))
 	for _, slab := range d.Slabs {
 		for _, v := range slab {
 			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
@@ -192,11 +197,13 @@ func decodeCheckpointDelta(payload []byte) (*core.CheckpointDelta, error) {
 	p = p[8:]
 	engLen := int(p[0])
 	p = p[1:]
-	if len(p) < engLen {
-		return nil, errors.New("serve: delta engine name truncated")
+	if len(p) < engLen+4 {
+		return nil, errors.New("serve: delta engine name or crossover rank truncated")
 	}
 	d.Engine = string(p[:engLen])
 	p = p[engLen:]
+	d.UpdateCrossoverRank = int(int32(binary.LittleEndian.Uint32(p)))
+	p = p[4:]
 	cols := d.To - d.From
 	if d.N <= 0 || d.K <= 0 || cols <= 0 || d.M <= 0 ||
 		d.N > 1<<20 || d.K > 1<<20 || d.M > 1<<28 || d.To > d.M {

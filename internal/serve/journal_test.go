@@ -28,22 +28,72 @@ func makeDelta(from, to, n, m, k int) *core.CheckpointDelta {
 	return d
 }
 
+// oldFormatDelta encodes d the way 'C' records were written before they
+// carried the SMW crossover rank: the engine name runs straight into the
+// slabs.
+func oldFormatDelta(d *core.CheckpointDelta) []byte {
+	p := []byte{recDelta}
+	for _, v := range [...]int{d.From, d.To, d.N, d.M, d.K} {
+		p = binary.LittleEndian.AppendUint32(p, uint32(v))
+	}
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(d.T))
+	p = append(p, byte(len(d.Engine)))
+	p = append(p, d.Engine...)
+	for _, slab := range d.Slabs {
+		for _, v := range slab {
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
+		}
+	}
+	return p
+}
+
 func TestJournalDeltaRoundTrip(t *testing.T) {
-	d := makeDelta(16, 32, 3, 64, 2)
-	got, err := decodeCheckpointDelta(encodeCheckpointDelta(d))
+	for _, rank := range []int{0, -1, 34, 215} {
+		d := makeDelta(16, 32, 3, 64, 2)
+		d.UpdateCrossoverRank = rank
+		got, err := decodeCheckpointDelta(encodeCheckpointDelta(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.From != d.From || got.To != d.To || got.N != d.N || got.M != d.M || got.K != d.K ||
+			math.Float64bits(got.T) != math.Float64bits(d.T) || got.Engine != d.Engine ||
+			got.UpdateCrossoverRank != d.UpdateCrossoverRank {
+			t.Fatalf("header round trip: got %+v, want %+v", got, d)
+		}
+		for s := range d.Slabs {
+			for i := range d.Slabs[s] {
+				if math.Float64bits(got.Slabs[s][i]) != math.Float64bits(d.Slabs[s][i]) {
+					t.Fatalf("slab %d[%d] round trip lost bits", s, i)
+				}
+			}
+		}
+		// A record written without the crossover rank fails to decode,
+		// whatever the engine name, and a journal holding one keeps only
+		// its start record.
+		for _, eng := range []string{"", "exact", "fft"} {
+			d.Engine = eng
+			if got, err := decodeCheckpointDelta(oldFormatDelta(d)); err == nil {
+				t.Fatalf("old-format record (engine %q) decoded as %+v", eng, got)
+			}
+		}
+	}
+	dir := t.TempDir()
+	jw, err := createJobJournal(dir, "job-000003", []byte("body"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.From != d.From || got.To != d.To || got.N != d.N || got.M != d.M || got.K != d.K ||
-		math.Float64bits(got.T) != math.Float64bits(d.T) || got.Engine != d.Engine {
-		t.Fatalf("header round trip: got %+v, want %+v", got, d)
+	if err := jw.appendJournalRecord(oldFormatDelta(makeDelta(0, 16, 3, 64, 2))); err != nil {
+		t.Fatal(err)
 	}
-	for s := range d.Slabs {
-		for i := range d.Slabs[s] {
-			if math.Float64bits(got.Slabs[s][i]) != math.Float64bits(d.Slabs[s][i]) {
-				t.Fatalf("slab %d[%d] round trip lost bits", s, i)
-			}
-		}
+	if err := jw.closeJournal(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := replayJobJournal(journalPath(dir, "job-000003"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.cp != nil || st.truncated == 0 {
+		t.Fatalf("old-format delta replayed: checkpoint %+v, %d bytes truncated", st.cp, st.truncated)
 	}
 }
 
@@ -289,6 +339,11 @@ func FuzzJournalReplay(f *testing.F) {
 	if err := jw.appendCheckpointDelta(makeDelta(0, 4, 2, 16, 1)); err != nil {
 		f.Fatal(err)
 	}
+	smw := makeDelta(4, 8, 2, 16, 1)
+	smw.UpdateCrossoverRank = 34
+	if err := jw.appendCheckpointDelta(smw); err != nil {
+		f.Fatal(err)
+	}
 	if err := jw.closeJournal(); err != nil {
 		f.Fatal(err)
 	}
@@ -302,6 +357,13 @@ func FuzzJournalReplay(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 	f.Add([]byte{})
+	// A delta record in the format that predates the crossover rank, after
+	// a valid start record.
+	old := oldFormatDelta(makeDelta(0, 4, 2, 16, 1))
+	start := append([]byte(nil), valid[:frameHeader+int(binary.LittleEndian.Uint32(valid))]...)
+	start = binary.LittleEndian.AppendUint32(start, uint32(len(old)))
+	start = binary.LittleEndian.AppendUint32(start, crc32.Checksum(old, journalCRC))
+	f.Add(append(start, old...))
 	// A frame with a huge length field.
 	huge := binary.LittleEndian.AppendUint32(nil, 1<<31-1)
 	huge = binary.LittleEndian.AppendUint32(huge, crc32.Checksum(nil, journalCRC))

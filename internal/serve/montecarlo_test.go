@@ -12,15 +12,17 @@ import (
 // A tolerance sweep over the wire: scenario 0 nominal, the rest perturbed
 // and solved by SMW updates against the cached nominal factorization. The
 // stream must complete, the done report must attribute the scenarios to the
-// update path, and /metrics must expose the three-way cache split.
+// update path, and /metrics must expose the three-way cache split. Two
+// perturbed elements give rank 2, which the automatic crossover rule admits
+// on this 4-state pencil (its n/2 cap).
 func TestToleranceSweepOverHTTP(t *testing.T) {
-	srv := New(Config{Workers: 1, UpdateRankLimit: 16})
+	srv := New(Config{Workers: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := ts.Client()
 
 	body := solveBody(tinyDeck, 16, 8, 1, 1, "")
-	body = strings.Replace(body, `"hi": 1}`, `"hi": 1, "tol": 0.1, "seed": 7}`, 1)
+	body = strings.Replace(body, `"hi": 1}`, `"hi": 1, "tol": 0.1, "seed": 7, "elements": 2}`, 1)
 	res := submit(t, client, ts.URL, body)
 	if res.status != http.StatusOK || res.done == nil {
 		t.Fatalf("status=%d done=%v err=%v raw=%s", res.status, res.done, res.errRec, res.rawErr)
@@ -86,10 +88,11 @@ func TestToleranceSweepOverHTTP(t *testing.T) {
 }
 
 // Tolerance sweeps degrade gracefully: invalid tol is a 400, a netlist with
-// nothing to perturb is a 422, and a forced-refactor configuration still
-// completes with honest accounting.
+// nothing to perturb is a 422, and a sweep whose rank passes the crossover
+// rule's limit (all four elements: rank 4 over the 4-state pencil's n/2 cap
+// of 2) refactors every perturbed scenario with honest accounting.
 func TestToleranceSweepValidationAndRefactor(t *testing.T) {
-	srv := New(Config{Workers: 1, UpdateRankLimit: -1})
+	srv := New(Config{Workers: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := ts.Client()

@@ -119,11 +119,6 @@ type job struct {
 	stateIdx  []int
 	labels    []string
 	deadline  time.Duration // 0 → Config.DefaultDeadline
-	// hasDeltas marks a component-tolerance sweep: the parameter-varying
-	// batch engine solves perturbed pencils against the shared nominal
-	// factorization but does not checkpoint (per-scenario factors are not
-	// captured by column slabs), so the job runs without resume support.
-	hasDeltas bool
 }
 
 // parseRequest turns a raw body into a validated job or a typed 4xx error.
@@ -285,13 +280,6 @@ func parseRequest(body []byte, cfg *Config) (*job, *RequestError) {
 		}
 	}
 
-	hasDeltas := false
-	for s := range scenarios {
-		if scenarios[s].Delta != nil {
-			hasDeltas = true
-			break
-		}
-	}
 	return &job{
 		title:     deck.Title,
 		mna:       mna,
@@ -304,7 +292,6 @@ func parseRequest(body []byte, cfg *Config) (*job, *RequestError) {
 		stateIdx:  stateIdx,
 		labels:    labels,
 		deadline:  deadline,
-		hasDeltas: hasDeltas,
 	}, nil
 }
 

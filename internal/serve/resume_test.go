@@ -231,74 +231,138 @@ func TestResumeAfterDrainRestartBitwise(t *testing.T) {
 			mode := mode
 			t.Run(fx.name+"/"+mode, func(t *testing.T) {
 				t.Parallel()
-				body := resumeBody(fx.deck, fx.steps, mode)
-				job, sols := offlineColumns(t, body)
-				dir := t.TempDir()
-
-				srvA := New(Config{Workers: 2, CheckpointEvery: 8, JournalDir: dir})
-				reached := make(chan struct{})
-				var once atomic.Bool
-				cut := fx.steps / 3
-				srvA.columnHook = func(_ string, col int) {
-					if col >= cut && once.CompareAndSwap(false, true) {
-						close(reached)
-					}
-					time.Sleep(200 * time.Microsecond)
-				}
-				tsA := httptest.NewServer(srvA)
-				defer tsA.Close()
-
-				type firstStream struct {
-					hdr    *headerRecord
-					cols   []columnRecord
-					errRec *errorRecord
-				}
-				firstCh := make(chan firstStream, 1)
-				go func() {
-					resp, err := tsA.Client().Post(tsA.URL+"/v1/solve", "application/json", strings.NewReader(body))
-					if err != nil {
-						firstCh <- firstStream{}
-						return
-					}
-					hdr, cols, errRec, _ := readStream(t, resp, nil, 0)
-					firstCh <- firstStream{hdr, cols, errRec}
-				}()
-
-				<-reached
-				dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer dcancel()
-				if err := srvA.Drain(dctx); err != nil {
-					t.Fatalf("drain: %v", err)
-				}
-				first := <-firstCh
-				if first.hdr == nil || first.hdr.Job == "" {
-					t.Fatal("first stream has no header job ID")
-				}
-				if first.errRec == nil || !first.errRec.Resumable || first.errRec.Kind != "draining" {
-					t.Fatalf("drain trailer = %+v, want resumable kind=draining", first.errRec)
-				}
-				tsA.Close()
-
-				// "Restart": a new Server recovers the journal directory.
-				srvB := New(Config{Workers: 2, CheckpointEvery: 8, JournalDir: dir})
-				tsB := httptest.NewServer(srvB)
-				defer tsB.Close()
-
-				from := len(first.cols)
-				rh, rest, errRec, done := resumeStream(t, tsB.Client(), tsB.URL, first.hdr.Job, from)
-				if errRec != nil {
-					t.Fatalf("resumed stream ended in error: %s (%s)", errRec.Error, errRec.Kind)
-				}
-				if !done {
-					t.Fatal("resumed stream has no done record")
-				}
-				if rh.From != from && from != 0 {
-					t.Fatalf("resumed header from = %d, want %d", rh.From, from)
-				}
-				checkCombined(t, job, sols, append(first.cols, rest...), fx.steps)
+				drainRestartResume(t, resumeBody(fx.deck, fx.steps, mode), fx.steps)
 			})
 		}
 	}
+}
+
+// cpeLadderDeck is a six-node CPE ladder (α = 0.5): a fractional pencil
+// large enough for the crossover rule to admit rank-2 SMW updates.
+const cpeLadderDeck = `cpe ladder
+I1 0 v1 STEP 1m
+Rs1 v1 v2 50
+Rs2 v2 v3 50
+Rs3 v3 v4 50
+Rs4 v4 v5 50
+Rs5 v5 v6 50
+P1 v1 0 1n 0.5
+P2 v2 0 1n 0.5
+P3 v3 0 1n 0.5
+P4 v4 0 1n 0.5
+P5 v5 0 1n 0.5
+P6 v6 0 1n 0.5
+Rt v6 0 50
+.tran 1u 40u
+`
+
+// TestResumeToleranceSweepAfterDrainRestartBitwise is the drain-and-restart
+// resume for component-tolerance sweeps: their scenarios perturb the pencil
+// and run on the parameter-varying engine, over the SMW update path (two
+// perturbed elements) and the refactor path (every element), on the
+// integer-order quickstart ladder and on a CPE ladder under both history
+// engines. The combined stream must match the offline solve bit for bit.
+func TestResumeToleranceSweepAfterDrainRestartBitwise(t *testing.T) {
+	base := goroutineBaseline(t)
+	t.Cleanup(func() { settleGoroutines(t, base) })
+	for _, fx := range []struct {
+		name  string
+		deck  string
+		steps int
+		modes []string
+	}{
+		{"quickstart", quickstartDeck, 96, []string{"auto"}},
+		{"cpe-ladder", cpeLadderDeck, 120, []string{"exact", "fft"}},
+	} {
+		fx := fx
+		for _, mode := range fx.modes {
+			for _, path := range []struct{ name, elements string }{{"smw", `, "elements": 2`}, {"refactor", ""}} {
+				mode, path := mode, path
+				t.Run(fx.name+"/"+mode+"/"+path.name, func(t *testing.T) {
+					t.Parallel()
+					body := `{"netlist": ` + strconv.Quote(fx.deck) + `, "steps": ` + strconv.Itoa(fx.steps) +
+						`, "history": "` + mode + `", "sweep": {"count": 5, "tol": 0.1, "seed": 3` + path.elements + `}}`
+					drainRestartResume(t, body, fx.steps)
+				})
+			}
+		}
+	}
+}
+
+// drainRestartResume submits body to a journaling server, drains it once a
+// third of the columns have streamed, recovers the journal on a fresh server
+// and resumes there; the combined stream must match the offline solve bit for
+// bit.
+func drainRestartResume(t *testing.T, body string, steps int) {
+	t.Helper()
+	job, sols := offlineColumns(t, body)
+	dir := t.TempDir()
+
+	srvA := New(Config{Workers: 2, CheckpointEvery: 8, JournalDir: dir})
+	reached := make(chan struct{})
+	var once atomic.Bool
+	cut := steps / 3
+	srvA.columnHook = func(_ string, col int) {
+		if col >= cut && once.CompareAndSwap(false, true) {
+			close(reached)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	tsA := httptest.NewServer(srvA)
+	defer tsA.Close()
+
+	type firstStream struct {
+		hdr    *headerRecord
+		cols   []columnRecord
+		errRec *errorRecord
+	}
+	firstCh := make(chan firstStream, 1)
+	go func() {
+		resp, err := tsA.Client().Post(tsA.URL+"/v1/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			firstCh <- firstStream{}
+			return
+		}
+		hdr, cols, errRec, _ := readStream(t, resp, nil, 0)
+		firstCh <- firstStream{hdr, cols, errRec}
+	}()
+
+	<-reached
+	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer dcancel()
+	if err := srvA.Drain(dctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	first := <-firstCh
+	if first.hdr == nil || first.hdr.Job == "" {
+		t.Fatal("first stream has no header job ID")
+	}
+	if first.errRec == nil || !first.errRec.Resumable || first.errRec.Kind != "draining" {
+		t.Fatalf("drain trailer = %+v, want resumable kind=draining", first.errRec)
+	}
+	tsA.Close()
+
+	// "Restart": a new Server recovers the journal directory, checkpoint
+	// included.
+	srvB := New(Config{Workers: 2, CheckpointEvery: 8, JournalDir: dir})
+	if e := srvB.reg.lookup(first.hdr.Job); e == nil || e.cp == nil || e.cp.Columns < cut {
+		t.Fatalf("recovered job %q carries no checkpoint through column %d", first.hdr.Job, cut)
+	}
+	tsB := httptest.NewServer(srvB)
+	defer tsB.Close()
+
+	from := len(first.cols)
+	rh, rest, errRec, done := resumeStream(t, tsB.Client(), tsB.URL, first.hdr.Job, from)
+	if errRec != nil {
+		t.Fatalf("resumed stream ended in error: %s (%s)", errRec.Error, errRec.Kind)
+	}
+	if !done {
+		t.Fatal("resumed stream has no done record")
+	}
+	if rh.From != from && from != 0 {
+		t.Fatalf("resumed header from = %d, want %d", rh.From, from)
+	}
+	checkCombined(t, job, sols, append(first.cols, rest...), steps)
 }
 
 // TestResumeAfterInjectedFaultBitwise fails the solve once with an injected

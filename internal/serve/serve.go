@@ -67,11 +67,6 @@ type Config struct {
 	MaxSteps int
 	// MaxScenarios caps the per-request sweep cardinality K (0 → 1024).
 	MaxScenarios int
-	// UpdateRankLimit tunes the Sherman–Morrison–Woodbury crossover for
-	// component-tolerance sweeps (core.BatchOptions.UpdateRankLimit): 0
-	// measures the break-even rank per pencil family, >0 pins it, <0 forces
-	// refactorization.
-	UpdateRankLimit int
 	// MaxBodyBytes caps the request body (0 → 1 MiB).
 	MaxBodyBytes int64
 	// Clock supplies the latency metrics' timestamps and the deadline and
@@ -331,9 +326,6 @@ func (s *Server) idle() <-chan struct{} {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
-
-// Cache exposes the process-wide factor cache (for tests and diagnostics).
-func (s *Server) Cache() *core.FactorCache { return s.cache }
 
 // writeJSONError sends a JSON error body with the given HTTP status.
 func writeJSONError(w http.ResponseWriter, status int, msg string) {
@@ -722,7 +714,6 @@ func (s *Server) runJob(ctx context.Context, sw *streamWriter, job *job, entry *
 		PanelWidth:      plan.panelWidth,
 		CheckpointEvery: plan.checkpointEvery,
 		ResumeFrom:      plan.resume,
-		UpdateRankLimit: s.cfg.UpdateRankLimit,
 		OnCheckpoint: func(d *core.CheckpointDelta) {
 			if err := entry.applyCheckpointDelta(d); err != nil {
 				s.met.incJournalFailure()
@@ -737,14 +728,6 @@ func (s *Server) runJob(ctx context.Context, sw *streamWriter, job *job, entry *
 				columns = col + 1
 			}
 		},
-	}
-	if job.hasDeltas {
-		// Component-tolerance sweeps run on the parameter-varying engine,
-		// which rejects resume (per-scenario pencil factors are not captured
-		// by column-slab checkpoints) and never emits checkpoints.
-		opts.CheckpointEvery = 0
-		opts.ResumeFrom = nil
-		opts.OnCheckpoint = nil
 	}
 	_, err := core.SolveBatchCtx(ctx, job.mna.Sys, job.scenarios, job.m, job.T, opts)
 	return Done{

@@ -314,6 +314,18 @@ func (b *BBD) NNZFactors() int {
 	return nnz
 }
 
+// MulAdds returns the multiply-adds of the factorization: each domain's LU,
+// its Schur patch (one solve per active interface column and the fold
+// against G), and the dense LU of the ni×ni interface.
+func (b *BBD) MulAdds() int {
+	ops := b.ni * b.ni * b.ni / 3
+	for _, dom := range b.doms {
+		na := len(dom.act)
+		ops += dom.f.MulAdds() + na*(dom.f.NNZFactors()+dom.gi.NNZ())
+	}
+	return ops
+}
+
 // Share returns a view sharing the immutable factors with private solve
 // scratch, mirroring Factorization.Share: views on different goroutines can
 // solve concurrently, bitwise-identically.

@@ -489,6 +489,18 @@ func (f *Factorization) N() int { return f.lu.n }
 // NNZFactors returns the nonzeros stored in the LU factors.
 func (f *Factorization) NNZFactors() int { return f.lu.NNZ() }
 
+// MulAdds returns the multiply-adds the numeric factorization spent, read
+// off the finished pattern: column j's elimination subtracts a multiple of
+// L(:,k) for every k in U(:,j), and each entry of L(:,j) takes one scaling.
+// Updates whose multiplier cancelled to an exact zero are not counted.
+func (f *Factorization) MulAdds() int {
+	ops := len(f.lu.lx)
+	for _, k := range f.lu.ui {
+		ops += f.lu.lp[k+1] - f.lu.lp[k]
+	}
+	return ops
+}
+
 // Solve solves A·x = b without modifying b. It returns an error when b has
 // the wrong length for the factored system.
 func (f *Factorization) Solve(b []float64) ([]float64, error) {

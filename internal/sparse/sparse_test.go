@@ -381,3 +381,30 @@ func TestCond1EstLowerBoundsAndTracksDense(t *testing.T) {
 		}
 	}
 }
+
+// MulAdds counts what the elimination does: a dense n×n matrix without
+// cancellation takes Σ_k (n−k−1)² updates and n(n−1)/2 scalings, the
+// n³/3 − n/3 of dense LU. A BBD factorization counts its domains, its Schur
+// patches and its dense interface LU, so it exceeds both its domains'
+// factorizations and the interface's n³/3.
+func TestMulAdds(t *testing.T) {
+	const n = 8
+	f, err := Factor(randomSparseSquare(rand.New(rand.NewSource(5)), n, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f.MulAdds(), n*n*n/3-n/3; got != want {
+		t.Fatalf("dense %d×%d: %d multiply-adds, want %d", n, n, got, want)
+	}
+	b, err := FactorBBD(gridCSR(20, 20), BBDOptions{Parts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doms := 0
+	for _, dom := range b.doms {
+		doms += dom.f.MulAdds()
+	}
+	if got := b.MulAdds(); got <= doms || got <= b.ni*b.ni*b.ni/3 {
+		t.Fatalf("BBD: %d multiply-adds, domains alone %d, interface LU %d", got, doms, b.ni*b.ni*b.ni/3)
+	}
+}
