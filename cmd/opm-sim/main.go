@@ -74,7 +74,7 @@ func main() {
 		method      = flag.String("method", "opm", "solver: opm, beuler, trap, gear, trbdf2, glet")
 		steps       = flag.Int("steps", 0, "number of time steps (default from .tran)")
 		tstop       = flag.String("tstop", "", "simulation span, SPICE units (default from .tran)")
-		nodes       = flag.String("nodes", "", "comma-separated node names to print (default: all)")
+		nodes       = flag.String("nodes", "", "comma-separated states to print: node names or state labels such as i(L1) (default: all)")
 		points      = flag.Int("points", 50, "number of output sample points")
 		ac          = flag.String("ac", "", "AC sweep instead of transient: \"wstart,wstop,points\" (rad/s, SPICE units ok)")
 		op          = flag.Bool("op", false, "print the DC operating point instead of a transient")
@@ -200,7 +200,7 @@ func runAC(netlistPath, spec, nodes string) error {
 	if err != nil {
 		return err
 	}
-	stateIdx, labels, err := selectStates(deck, mna, nodes)
+	stateIdx, labels, err := mna.SelectStates(nodeFlag(nodes))
 	if err != nil {
 		return err
 	}
@@ -244,7 +244,11 @@ func run(netlistPath, method string, steps int, tstop, nodes string, points, wor
 	if err != nil {
 		return err
 	}
-	T, m, err := resolveSpan(deck, tstop, steps)
+	stop, err := stopFlag(tstop)
+	if err != nil {
+		return err
+	}
+	T, m, err := deck.Span(stop, steps)
 	if err != nil {
 		return err
 	}
@@ -252,7 +256,7 @@ func run(netlistPath, method string, steps int, tstop, nodes string, points, wor
 	if err != nil {
 		return err
 	}
-	stateIdx, labels, err := selectStates(deck, mna, nodes)
+	stateIdx, labels, err := mna.SelectStates(nodeFlag(nodes))
 	if err != nil {
 		return err
 	}
@@ -403,7 +407,11 @@ func runBatch(netlistPath string, k int, sweep string, steps int, tstop, nodes s
 	if err != nil {
 		return err
 	}
-	T, m, err := resolveSpan(deck, tstop, steps)
+	stop, err := stopFlag(tstop)
+	if err != nil {
+		return err
+	}
+	T, m, err := deck.Span(stop, steps)
 	if err != nil {
 		return err
 	}
@@ -414,7 +422,7 @@ func runBatch(netlistPath string, k int, sweep string, steps int, tstop, nodes s
 	if mna.Nonlinear != nil {
 		return fmt.Errorf("-batch requires a linear netlist (the batch engine shares one pencil factorization)")
 	}
-	stateIdx, labels, err := selectStates(deck, mna, nodes)
+	stateIdx, labels, err := mna.SelectStates(nodeFlag(nodes))
 	if err != nil {
 		return err
 	}
@@ -503,7 +511,11 @@ func runMonteCarlo(netlistPath string, n int, tol float64, seed uint64, elems, r
 	if err != nil {
 		return err
 	}
-	T, m, err := resolveSpan(deck, tstop, steps)
+	stop, err := stopFlag(tstop)
+	if err != nil {
+		return err
+	}
+	T, m, err := deck.Span(stop, steps)
 	if err != nil {
 		return err
 	}
@@ -517,7 +529,7 @@ func runMonteCarlo(netlistPath string, n int, tol float64, seed uint64, elems, r
 	if len(deck.ICs) > 0 {
 		return fmt.Errorf("-montecarlo does not support .ic (scenarios start from rest)")
 	}
-	stateIdx, labels, err := selectStates(deck, mna, nodes)
+	stateIdx, labels, err := mna.SelectStates(nodeFlag(nodes))
 	if err != nil {
 		return err
 	}
@@ -592,7 +604,11 @@ func runCorners(netlistPath string, tol float64, elems, rankLimit, steps int, ts
 	if err != nil {
 		return err
 	}
-	T, m, err := resolveSpan(deck, tstop, steps)
+	stop, err := stopFlag(tstop)
+	if err != nil {
+		return err
+	}
+	T, m, err := deck.Span(stop, steps)
 	if err != nil {
 		return err
 	}
@@ -606,7 +622,7 @@ func runCorners(netlistPath string, tol float64, elems, rankLimit, steps int, ts
 	if len(deck.ICs) > 0 {
 		return fmt.Errorf("-corners does not support .ic (corners start from rest)")
 	}
-	stateIdx, labels, err := selectStates(deck, mna, nodes)
+	stateIdx, labels, err := mna.SelectStates(nodeFlag(nodes))
 	if err != nil {
 		return err
 	}
@@ -675,54 +691,24 @@ func parseSweep(s string) (lo, hi float64, err error) {
 	return lo, hi, nil
 }
 
-func resolveSpan(deck *circuit.Deck, tstop string, steps int) (T float64, m int, err error) {
-	if tstop != "" {
-		T, err = circuit.ParseValue(tstop)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad -tstop: %w", err)
-		}
-	} else if deck.Tran != nil {
-		T = deck.Tran.Stop
-	} else {
-		return 0, 0, fmt.Errorf("no -tstop and no .tran directive")
+// stopFlag parses -tstop (SPICE units) into Deck.Span's override: nil when
+// the flag is unset, so the span comes from .tran.
+func stopFlag(tstop string) (*float64, error) {
+	if tstop == "" {
+		return nil, nil
 	}
-	m = steps
-	if m == 0 {
-		if deck.Tran != nil {
-			m = int(deck.Tran.Stop/deck.Tran.Step + 0.5)
-		} else {
-			m = 512
-		}
+	v, err := circuit.ParseValue(tstop)
+	if err != nil {
+		return nil, fmt.Errorf("bad -tstop: %w", err)
 	}
-	if T <= 0 || m < 1 {
-		return 0, 0, fmt.Errorf("invalid span T=%g, steps=%d", T, m)
-	}
-	return T, m, nil
+	return &v, nil
 }
 
-func selectStates(deck *circuit.Deck, mna *circuit.MNA, nodes string) (idx []int, labels []string, err error) {
+// nodeFlag splits -nodes into the names MNA.SelectStates resolves; an unset
+// flag selects every state.
+func nodeFlag(nodes string) []string {
 	if nodes == "" {
-		for i, name := range mna.StateNames {
-			idx = append(idx, i)
-			labels = append(labels, name)
-		}
-		return idx, labels, nil
+		return nil
 	}
-	for _, name := range strings.Split(nodes, ",") {
-		name = strings.TrimSpace(name)
-		want := "v(" + name + ")"
-		found := -1
-		for i, sn := range mna.StateNames {
-			if sn == want {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return nil, nil, fmt.Errorf("node %q not found (known states: %s)", name, strings.Join(mna.StateNames, ", "))
-		}
-		idx = append(idx, found)
-		labels = append(labels, want)
-	}
-	return idx, labels, nil
+	return strings.Split(nodes, ",")
 }

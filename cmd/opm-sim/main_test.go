@@ -2,8 +2,12 @@ package main
 
 import (
 	"errors"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,6 +34,47 @@ func TestRunOPM(t *testing.T) {
 	path := writeDeck(t, rcDeck)
 	if err := run(path, "opm", 0, "", "out", 10, 0, "", 0, false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunPrintsInductorCurrent selects a branch current by its state label,
+// the rule opm-serve's "nodes" field follows too, next to a bare node name.
+func TestRunPrintsInductorCurrent(t *testing.T) {
+	path := writeDeck(t, `rl step
+V1 in 0 STEP 1
+R1 in out 1
+L1 out 0 1m
+.tran 10u 5m
+`)
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := run(path, "opm", 0, "", "i(L1),out", 4, 0, "", 0, false)
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if lines[2] != "t\ti(L1)\tv(out)" {
+		t.Fatalf("header %q, want the inductor current then v(out):\n%s", lines[2], out)
+	}
+	// i(t) = (1 − e^(−t/τ)) A with τ = L/R = 1 ms.
+	f := strings.Fields(lines[len(lines)-1])
+	tj, err1 := strconv.ParseFloat(f[0], 64)
+	i, err2 := strconv.ParseFloat(f[1], 64)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("last row %q", lines[len(lines)-1])
+	}
+	if want := 1 - math.Exp(-tj/1e-3); math.Abs(i-want) > 1e-4 {
+		t.Fatalf("i(L1)(%g) = %g, want %g", tj, i, want)
 	}
 }
 

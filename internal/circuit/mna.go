@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"opmsim/internal/core"
 	"opmsim/internal/sparse"
@@ -282,6 +283,36 @@ func (m *MNA) VoltageSelector(nodes ...int) (*sparse.CSR, error) {
 		c.Add(r, idx, 1)
 	}
 	return c.ToCSR(), nil
+}
+
+// SelectStates resolves state names against the state vector: a name
+// matches a state label verbatim ("v(out)", "i(L1)") or as a bare node name
+// ("out" → "v(out)"). It returns the state indices and their labels; no
+// names select every state.
+func (m *MNA) SelectStates(names []string) (idx []int, labels []string, err error) {
+	if len(names) == 0 {
+		idx = make([]int, len(m.StateNames))
+		for i := range idx {
+			idx[i] = i
+		}
+		return idx, append([]string(nil), m.StateNames...), nil
+	}
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		found := -1
+		for i, sn := range m.StateNames {
+			if sn == name || sn == "v("+name+")" {
+				found = i
+				break
+			}
+		}
+		if found < 0 {
+			return nil, nil, fmt.Errorf("node %q not found (known states: %s)", name, strings.Join(m.StateNames, ", "))
+		}
+		idx = append(idx, found)
+		labels = append(labels, m.StateNames[found])
+	}
+	return idx, labels, nil
 }
 
 // InitialState builds a state vector from ".ic"-style node voltages (node

@@ -26,6 +26,35 @@ type TranDirective struct {
 	Step, Stop float64
 }
 
+// Span resolves a transient run's span T and column count m. A non-nil stop
+// overrides the .tran stop time and steps > 0 the column count, which
+// otherwise comes from .tran (stop/step, rounded) or defaults to 512. T must
+// come out positive and finite and m at least 1.
+func (d *Deck) Span(stop *float64, steps int) (T float64, m int, err error) {
+	switch {
+	case stop != nil:
+		T = *stop
+	case d.Tran != nil:
+		T = d.Tran.Stop
+	default:
+		return 0, 0, fmt.Errorf("no stop time given and no .tran directive in the netlist")
+	}
+	if math.IsNaN(T) || math.IsInf(T, 0) || T <= 0 {
+		return 0, 0, fmt.Errorf("stop time must be positive and finite, got %g", T)
+	}
+	m = steps
+	if m == 0 {
+		m = 512
+		if d.Tran != nil {
+			m = int(d.Tran.Stop/d.Tran.Step + 0.5)
+		}
+	}
+	if m < 1 {
+		return 0, 0, fmt.Errorf("steps must be >= 1, got %d", m)
+	}
+	return T, m, nil
+}
+
 // Parse reads a SPICE-flavoured netlist. Supported cards:
 //
 //	R<name> a b value

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"opmsim/internal/basis"
 )
 
 // Checkpointable solves.
@@ -199,36 +197,14 @@ func (cp *Checkpoint) validateFor(n, m, K int, T float64, engine string, crossov
 // maximum derivative order. Submissions with equal fingerprints hit the same
 // factorization — the unit the service's circuit breaker trips on.
 func PencilFingerprint(sys *System, m int, T float64) (uint64, error) {
-	if err := sys.Validate(); err != nil {
-		return 0, err
-	}
-	bpf, err := basis.NewBPF(m, T)
-	if err != nil {
-		return 0, err
-	}
-	lead := make([]float64, len(sys.Terms))
-	for k, t := range sys.Terms {
-		lead[k] = bpf.DiffCoeffs(t.Order)[0]
-	}
-	msys, err := assembleLeading(sys, func(k int) float64 { return lead[k] })
+	msys, h, err := LeadingPencil(sys, m, T)
 	if err != nil {
 		return 0, err
 	}
 	fp := fingerprintCSR(msys)
-	fp = fpMix64(fp, math.Float64bits(bpf.Step()))
+	fp = fpMix64(fp, math.Float64bits(h))
 	fp = fpMix64(fp, math.Float64bits(sys.MaxOrder()))
 	return fp, nil
-}
-
-// fpMix64 folds one 64-bit word into an FNV-1a style accumulator, matching
-// the byte order fingerprintCSR uses for matrix values.
-func fpMix64(h, v uint64) uint64 {
-	const prime = 1099511628211
-	for b := 0; b < 8; b++ {
-		h ^= (v >> (8 * b)) & 0xff
-		h *= prime
-	}
-	return h
 }
 
 // resume restores the run's state to the end of the checkpoint's committed

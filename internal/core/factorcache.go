@@ -136,25 +136,26 @@ func (c *FactorCache) store(e *factorEntry) {
 // column indices, and the exact bit patterns of the values — into a 64-bit
 // FNV-1a hash. O(nnz) per call, which is noise next to a factorization.
 func fingerprintCSR(a *sparse.CSR) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	mix(uint64(a.R))
-	mix(uint64(a.C))
+	h := fpMix64(uint64(14695981039346656037), uint64(a.R))
+	h = fpMix64(h, uint64(a.C))
 	for _, p := range a.RowPtr {
-		mix(uint64(p))
+		h = fpMix64(h, uint64(p))
 	}
 	for _, ci := range a.ColIdx {
-		mix(uint64(ci))
+		h = fpMix64(h, uint64(ci))
 	}
 	for _, v := range a.Val {
-		mix(math.Float64bits(v))
+		h = fpMix64(h, math.Float64bits(v))
+	}
+	return h
+}
+
+// fpMix64 folds one 64-bit word into an FNV-1a accumulator, low byte first.
+func fpMix64(h, v uint64) uint64 {
+	const prime = 1099511628211
+	for b := 0; b < 8; b++ {
+		h ^= (v >> (8 * b)) & 0xff
+		h *= prime
 	}
 	return h
 }

@@ -31,9 +31,6 @@ type NonlinearOptions struct {
 	// Tol is the Newton convergence tolerance on ‖δx‖/(1+‖x‖)
 	// (default 1e-10).
 	Tol float64
-	// NoDamping disables the Armijo backtracking line search and applies
-	// full Newton steps unconditionally (the pre-hardening behavior).
-	NoDamping bool
 }
 
 // maxArmijoHalvings bounds the backtracking line search: the damped step
@@ -176,7 +173,7 @@ func (ns *newtonStep) column(j int, tj float64, tiers *[numTiers]int) (int, erro
 				ns.xTrial[i] = xj[i] - step*delta[i]
 			}
 			phiTrial := ns.residAt(ns.xTrial, rhs, ns.rTrial)
-			if opt.NoDamping || phiTrial <= (1-armijoC*step)*phi0 || halve >= maxArmijoHalvings {
+			if phiTrial <= (1-armijoC*step)*phi0 || halve >= maxArmijoHalvings {
 				break
 			}
 			step /= 2

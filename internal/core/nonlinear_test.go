@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -180,9 +179,7 @@ func (d diodeNL) StampJacobian(x []float64, jac *sparse.COO) {
 
 // A diode driven by a 2 A step through a weak conductance: the first Newton
 // direction from x = 0 is ≈ 14 V, and exp(14/0.025) overflows. The damped
-// solver must converge to the operating point; the undamped (pre-hardening)
-// iteration must fail with a typed Diagnostic rather than crash or return
-// garbage.
+// solver must converge to the operating point.
 func TestSolveNonlinearStiffDiodeDamping(t *testing.T) {
 	sys := &System{
 		Terms: []Term{
@@ -216,15 +213,5 @@ func TestSolveNonlinearStiffDiodeDamping(t *testing.T) {
 	}
 	if v := sol.StateAt(0, T*0.99); math.Abs(v-vStar) > 5e-3 {
 		t.Fatalf("steady state v = %g, operating point %g", v, vStar)
-	}
-
-	und := NonlinearOptions{MaxNewton: 200, NoDamping: true}
-	_, err = SolveNonlinear(sys, d, u, m, T, und)
-	if err == nil {
-		t.Fatal("undamped Newton unexpectedly survived the stiff diode")
-	}
-	var dg *Diagnostic
-	if !errors.As(err, &dg) {
-		t.Fatalf("undamped failure is not a *Diagnostic: %v", err)
 	}
 }

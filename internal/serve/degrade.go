@@ -97,19 +97,19 @@ func breakerFault(err error) bool {
 
 // degradedPlan is the ladder: how an entry's accumulated strikes (deadline
 // expiries and solver faults on previous attempts) reshape its next run.
-// Both rungs are bitwise-neutral, so the checkpoint always survives.
+// Its one rung is bitwise-neutral, so the checkpoint always survives: each
+// strike halves the checkpoint interval (min 1), and shorter intervals mean
+// less recomputation on the next interruption.
 //
-//	strike ≥ 1 — halve the checkpoint interval per strike (min 1): shorter
-//	             intervals mean less recomputation on the next interruption;
-//	strike ≥ 2 — PanelWidth 1: sequential per-scenario batches cut peak
-//	             memory and per-column latency variance.
-//
-// A job keeps its history engine on every rung: the exact tier is 4.8–53×
-// slower than the FFT tier at m ≥ 1024 (BENCH_history_fft.json), and a
-// switch would also discard the committed prefix.
+// No rung narrows the scenario panels: every group's history engine holds its
+// own spectra store and transform buffers, so K one-wide groups would hold K
+// copies where one K-wide group holds one, and only an integer-order job
+// would save anything (its n×K panel scratch). A job also keeps its history
+// engine on every rung: the exact tier is 4.8–53× slower than the FFT tier at
+// m ≥ 1024 (BENCH_history_fft.json), and a switch would also discard the
+// committed prefix.
 type degradedPlan struct {
 	checkpointEvery int
-	panelWidth      int
 	resume          *core.Checkpoint
 }
 
@@ -123,9 +123,6 @@ func planFor(strikes, baseEvery int, cp *core.Checkpoint) degradedPlan {
 	}
 	if p.checkpointEvery < 1 {
 		p.checkpointEvery = 1
-	}
-	if strikes >= 2 {
-		p.panelWidth = 1
 	}
 	return p
 }

@@ -218,20 +218,19 @@ func TestPlanForLadder(t *testing.T) {
 	cases := []struct {
 		strikes int
 		every   int
-		panel   int
 	}{
-		{0, 32, 0},
-		{1, 16, 0},
-		{2, 8, 1},
-		{3, 4, 1},
-		{8, 1, 1},
+		{0, 32},
+		{1, 16},
+		{2, 8},
+		{3, 4},
+		{8, 1},
 	}
 	// Every rung keeps the FFT-engine checkpoint: no rung switches engines.
 	for _, tc := range cases {
 		p := planFor(tc.strikes, 32, cp)
-		if p.checkpointEvery != tc.every || p.panelWidth != tc.panel || p.resume != cp || p.resume.Engine != "fft" {
-			t.Fatalf("planFor(%d) = %+v, want every=%d panel=%d and the fft checkpoint resumed",
-				tc.strikes, p, tc.every, tc.panel)
+		if p.checkpointEvery != tc.every || p.resume != cp || p.resume.Engine != "fft" {
+			t.Fatalf("planFor(%d) = %+v, want every=%d and the fft checkpoint resumed",
+				tc.strikes, p, tc.every)
 		}
 	}
 	ecp := &core.Checkpoint{Columns: 40, Engine: "exact"}

@@ -1,18 +1,22 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"opmsim/internal/core"
 )
 
 // A tolerance sweep over the wire: scenario 0 nominal, the rest perturbed
 // and solved by SMW updates against the cached nominal factorization. The
 // stream must complete, the done report must attribute the scenarios to the
-// update path, and /metrics must expose the three-way cache split. Two
+// update path and carry the offline batch's crossover rank, and /metrics
+// must expose the three-way cache split. Two
 // perturbed elements give rank 2, which the automatic crossover rule admits
 // on this 4-state pencil (its n/2 cap).
 func TestToleranceSweepOverHTTP(t *testing.T) {
@@ -40,6 +44,23 @@ func TestToleranceSweepOverHTTP(t *testing.T) {
 	}
 	if res.done.Report.Factorizations != 1 {
 		t.Fatalf("factorizations = %d, want 1", res.done.Report.Factorizations)
+	}
+	// The trailer names the crossover rank the offline batch resolves.
+	cfg := Config{}.withDefaults()
+	job, rerr := parseRequest([]byte(body), &cfg)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	offline := &core.SolveReport{}
+	if _, err := core.SolveBatchCtx(context.Background(), job.mna.Sys, job.scenarios, job.m, job.T,
+		core.BatchOptions{Options: core.Options{Workers: cfg.SolveWorkers, Report: offline}}); err != nil {
+		t.Fatal(err)
+	}
+	if offline.UpdateCrossoverRank < 1 {
+		t.Fatalf("offline crossover rank %d: the sweep no longer resolves an update limit", offline.UpdateCrossoverRank)
+	}
+	if res.done.Report.UpdateCrossoverRank != offline.UpdateCrossoverRank {
+		t.Fatalf("trailer crossover rank %d, offline report %d", res.done.Report.UpdateCrossoverRank, offline.UpdateCrossoverRank)
 	}
 
 	// The raw /metrics body must carry the split counter names.

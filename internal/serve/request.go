@@ -147,28 +147,13 @@ func parseRequest(body []byte, cfg *Config) (*job, *RequestError) {
 	}
 
 	// Span: request fields override the deck's .tran directive.
-	T := 0.0
-	switch {
-	case req.TStop != nil:
-		T = req.TStop.V
-	case deck.Tran != nil:
-		T = deck.Tran.Stop
-	default:
-		return nil, badRequest("no \"tstop\" in the request and no .tran directive in the netlist")
+	var stop *float64
+	if req.TStop != nil {
+		stop = &req.TStop.V
 	}
-	if math.IsNaN(T) || math.IsInf(T, 0) || T <= 0 {
-		return nil, badRequest("tstop must be a positive finite time, got %g", T)
-	}
-	m := req.Steps
-	if m == 0 {
-		if deck.Tran != nil && deck.Tran.Step > 0 {
-			m = int(deck.Tran.Stop/deck.Tran.Step + 0.5)
-		} else {
-			m = 512
-		}
-	}
-	if m < 1 {
-		return nil, badRequest("steps must be >= 1, got %d", m)
+	T, m, err := deck.Span(stop, req.Steps)
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 	if m > cfg.MaxSteps {
 		return nil, badRequest("steps %d exceeds the service limit %d", m, cfg.MaxSteps)
@@ -229,9 +214,9 @@ func parseRequest(body []byte, cfg *Config) (*job, *RequestError) {
 		return nil, badRequest("unknown priority %q (want high, normal, or low)", req.Priority)
 	}
 
-	stateIdx, labels, rerr := selectStates(mna, req.Nodes)
-	if rerr != nil {
-		return nil, rerr
+	stateIdx, labels, err := mna.SelectStates(req.Nodes)
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 
 	var deadline time.Duration
@@ -293,35 +278,4 @@ func parseRequest(body []byte, cfg *Config) (*job, *RequestError) {
 		labels:    labels,
 		deadline:  deadline,
 	}, nil
-}
-
-// selectStates resolves requested node names against the MNA state vector. A
-// name matches either a state label verbatim ("v(out)", "i(L1)") or as a bare
-// node name ("out" → "v(out)"). An empty request selects every state.
-func selectStates(mna *circuit.MNA, nodes []string) ([]int, []string, *RequestError) {
-	if len(nodes) == 0 {
-		idx := make([]int, len(mna.StateNames))
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx, append([]string(nil), mna.StateNames...), nil
-	}
-	var idx []int
-	var labels []string
-	for _, name := range nodes {
-		name = strings.TrimSpace(name)
-		found := -1
-		for i, sn := range mna.StateNames {
-			if sn == name || sn == "v("+name+")" {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return nil, nil, badRequest("node %q not found (known states: %s)", name, strings.Join(mna.StateNames, ", "))
-		}
-		idx = append(idx, found)
-		labels = append(labels, mna.StateNames[found])
-	}
-	return idx, labels, nil
 }

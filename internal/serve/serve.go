@@ -711,7 +711,6 @@ func (s *Server) runJob(ctx context.Context, sw *streamWriter, job *job, entry *
 			FactorCache: s.cache,
 			Fault:       s.cfg.Fault,
 		},
-		PanelWidth:      plan.panelWidth,
 		CheckpointEvery: plan.checkpointEvery,
 		ResumeFrom:      plan.resume,
 		OnCheckpoint: func(d *core.CheckpointDelta) {

@@ -55,14 +55,20 @@ type reportRecord struct {
 	// updates against a cached nominal factorization (tolerance sweeps);
 	// PencilRefactors counts perturbed scenarios past the crossover rank
 	// that factored from scratch instead.
-	CacheUpdateHits int    `json:"cacheUpdateHits,omitempty"`
-	PencilRefactors int    `json:"pencilRefactors,omitempty"`
-	CacheMisses     int    `json:"cacheMisses"`
-	HistoryEngine   string `json:"historyEngine,omitempty"`
-	SparseLUSolves  int    `json:"sparseLUSolves"`
-	DenseLUSolves   int    `json:"denseLUSolves,omitempty"`
-	QRSolves        int    `json:"qrSolves,omitempty"`
-	Degraded        bool   `json:"degraded,omitempty"`
+	CacheUpdateHits int `json:"cacheUpdateHits,omitempty"`
+	PencilRefactors int `json:"pencilRefactors,omitempty"`
+	// UpdateCrossoverRank is the SMW-vs-refactor rank limit that split
+	// them (SolveReport.UpdateCrossoverRank; −1 when updates were off).
+	UpdateCrossoverRank int    `json:"updateCrossoverRank,omitempty"`
+	CacheMisses         int    `json:"cacheMisses"`
+	HistoryEngine       string `json:"historyEngine,omitempty"`
+	// Column solves per factorization tier: the supernodal/BBD tier
+	// serves pencils of DefaultSupernodalMinN states and more.
+	SupernodalSolves int  `json:"supernodalSolves,omitempty"`
+	SparseLUSolves   int  `json:"sparseLUSolves"`
+	DenseLUSolves    int  `json:"denseLUSolves,omitempty"`
+	QRSolves         int  `json:"qrSolves,omitempty"`
+	Degraded         bool `json:"degraded,omitempty"`
 }
 
 type doneRecord struct {
@@ -353,16 +359,18 @@ func (sw *streamWriter) done(columns int, rep *core.SolveReport) {
 		Type:    "done",
 		Columns: columns,
 		Report: reportRecord{
-			Factorizations:  rep.Factorizations,
-			CacheHits:       rep.FactorCacheHits,
-			CacheUpdateHits: rep.FactorCacheUpdateHits,
-			PencilRefactors: rep.PencilRefactors,
-			CacheMisses:     rep.FactorCacheMisses,
-			HistoryEngine:   rep.HistoryEngine,
-			SparseLUSolves:  rep.TierSolves[core.TierSparseLU],
-			DenseLUSolves:   rep.TierSolves[core.TierDenseLU],
-			QRSolves:        rep.TierSolves[core.TierQR],
-			Degraded:        rep.Degraded(),
+			Factorizations:      rep.Factorizations,
+			CacheHits:           rep.FactorCacheHits,
+			CacheUpdateHits:     rep.FactorCacheUpdateHits,
+			PencilRefactors:     rep.PencilRefactors,
+			UpdateCrossoverRank: rep.UpdateCrossoverRank,
+			CacheMisses:         rep.FactorCacheMisses,
+			HistoryEngine:       rep.HistoryEngine,
+			SupernodalSolves:    rep.TierSolves[core.TierSupernodal],
+			SparseLUSolves:      rep.TierSolves[core.TierSparseLU],
+			DenseLUSolves:       rep.TierSolves[core.TierDenseLU],
+			QRSolves:            rep.TierSolves[core.TierQR],
+			Degraded:            rep.Degraded(),
 		},
 	})
 }

@@ -166,6 +166,32 @@ func TestStreamWriterNonFiniteLatches(t *testing.T) {
 	}
 }
 
+// TestStreamDoneTrailerCountsEveryTier checks that the done trailer carries
+// the column solves of every factorization tier, the supernodal one
+// included (pencils of DefaultSupernodalMinN states and more solve nowhere
+// else), and the SMW crossover rank, while zero fields stay off the wire.
+func TestStreamDoneTrailerCountsEveryTier(t *testing.T) {
+	for _, tc := range []struct {
+		rep  core.SolveReport
+		want string
+	}{
+		{core.SolveReport{}, `"report":{"factorizations":0,"cacheHits":0,"cacheMisses":0,"sparseLUSolves":0}`},
+		{func() core.SolveReport {
+			r := core.SolveReport{Factorizations: 1, UpdateCrossoverRank: 3}
+			r.TierSolves[core.TierSupernodal] = 128
+			return r
+		}(), `"report":{"factorizations":1,"cacheHits":0,"updateCrossoverRank":3,"cacheMisses":0,"supernodalSolves":128,"sparseLUSolves":0}`},
+	} {
+		rec := httptest.NewRecorder()
+		sw := newStreamWriter(rec, &streamCounters{})
+		sw.done(0, &tc.rep)
+		sw.close()
+		if body := rec.Body.String(); !strings.Contains(body, tc.want) {
+			t.Fatalf("done trailer %q, want %s", body, tc.want)
+		}
+	}
+}
+
 // TestStreamCountersMatchClient checks the /metrics stream counters against
 // what the client actually read for one job.
 func TestStreamCountersMatchClient(t *testing.T) {

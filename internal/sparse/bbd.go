@@ -4,7 +4,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -226,7 +225,7 @@ type bbdBuild struct {
 }
 
 func (j *bbdBuild) domain(_, d int) error {
-	f, err := Factor(j.dcoo[d].ToCSR(), Options{Supernodal: true})
+	f, err := Factor(j.dcoo[d].ToCSR(), Options{})
 	if err != nil {
 		return fmt.Errorf("sparse: domain %d: %w", d, err)
 	}
@@ -500,10 +499,11 @@ func (b *BBD) SolveInto(x, bv []float64) error {
 	return nil
 }
 
-// Solve solves A·x = b into a fresh vector without modifying b.
+// Solve solves A·x = b into a fresh vector without modifying b. It runs
+// SolveInto on a private view, so concurrent calls are safe.
 func (b *BBD) Solve(bv []float64) ([]float64, error) {
 	x := make([]float64, b.n)
-	if err := b.SolveInto(x, bv); err != nil {
+	if err := b.Share().SolveInto(x, bv); err != nil {
 		return nil, err
 	}
 	return x, nil
@@ -580,63 +580,10 @@ func mulTAdd(a *CSR, s float64, x, y []float64) {
 	}
 }
 
-// Cond1Est estimates κ₁(A) with the same Hager iteration the scalar
-// factorization uses (Factorization.Cond1Est), driven by the block solves.
+// Cond1Est estimates κ₁(A) with the Hager iteration the scalar
+// factorization uses (cond1Est), driven by the block solves.
 func (b *BBD) Cond1Est() float64 {
-	n := b.n
-	if n == 0 {
-		return 0
-	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1 / float64(n)
-	}
-	y := make([]float64, n)
-	xi := make([]float64, n)
-	est := 0.0
-	prev := -1
-	for iter := 0; iter < 5; iter++ {
-		if err := b.SolveInto(y, x); err != nil {
-			return math.Inf(1)
-		}
-		est = 0
-		for _, v := range y {
-			est += math.Abs(v)
-		}
-		if math.IsNaN(est) || math.IsInf(est, 0) {
-			return math.Inf(1)
-		}
-		for i, v := range y {
-			if v >= 0 {
-				xi[i] = 1
-			} else {
-				xi[i] = -1
-			}
-		}
-		z, err := b.SolveTranspose(xi)
-		if err != nil {
-			return math.Inf(1)
-		}
-		j, zmax := 0, 0.0
-		for i, v := range z {
-			if a := math.Abs(v); a > zmax {
-				zmax, j = a, i
-			}
-		}
-		zdotx := 0.0
-		for i := range z {
-			zdotx += z[i] * x[i]
-		}
-		if zmax <= math.Abs(zdotx) || j == prev {
-			break
-		}
-		for i := range x {
-			x[i] = 0
-		}
-		x[j] = 1
-		prev = j
-	}
-	return b.a.Norm1() * est
+	return cond1Est(b.a, b.SolveInto, b.SolveTranspose)
 }
 
 // BBDPanelScratch owns the per-group working panels of BBD.SolvePanelInto:

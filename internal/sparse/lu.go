@@ -30,19 +30,17 @@ type LU struct {
 
 	perm []int // pivot position -> original row
 	pinv []int // original row -> pivot position
-
-	work []float64 // SolveInto forward-substitution scratch, lazily sized
-
-	// Row-oriented substitution plan (Options.Supernodal); nil runs the
-	// column sweeps. Immutable once built and shared across views.
-	plan *rowPlan
 }
 
-// rowPlan is the row-oriented copy of finished factors that SolveInto runs
-// as one branch-free dot product per row, in pivot coordinates with int32
-// indices. Row i of L lists its columns j < i in ascending order and row i
-// of U its columns j > i in descending order: exactly the order in which the
-// column sweeps deliver their updates to that row.
+// rowPlan is the row-oriented copy of finished factors that
+// Factorization.SolveInto runs as one branch-free dot product per row, with
+// int32 indices and the fill-reducing order folded into where each row reads
+// and writes: pivot position i reads b[in[i]] and writes x[out[i]], and the
+// column indices are stored as the out positions of those columns, so a
+// solve runs from b into x with no permuted copies. Row i of L lists its
+// columns j < i in ascending order and row i of U its columns j > i in
+// descending order: exactly the order in which the column sweeps (the panel
+// solves of panel.go) deliver their updates to that row.
 //
 // Bitwise contract: the column sweeps skip a column whose source value is an
 // exact zero; the row plan instead subtracts its ±0 product. Every other
@@ -53,26 +51,35 @@ type LU struct {
 // source gives NaN instead), so a row whose sum is zero or NaN is recomputed
 // with the skip. Solves are Float64bits-identical to the column sweeps.
 type rowPlan struct {
-	perm   []int32 // pivot position -> original row
-	lp, up []int32 // row pointers of L and U (len n+1)
-	lj, uj []int32 // column indices (pivot positions)
-	lx, ux []float64
+	in, out []int32 // pivot position -> position read in b, written in x
+	lp, up  []int32 // row pointers of L and U (len n+1)
+	lj, uj  []int32 // columns, stored as their out positions
+	lx, ux  []float64
+	udiag   []float64 // the pivots, shared with the LU
 }
 
-// newRowPlan transposes the column-stored factors of f into a rowPlan, or
-// returns nil when an index would overflow int32.
-func newRowPlan(f *LU) *rowPlan {
+// newRowPlan transposes the column-stored factors of f into a rowPlan for the
+// matrix A with f = LU(A(ord, ord)) (a nil ord is the identity), or returns
+// nil when an index would overflow int32.
+func newRowPlan(f *LU, ord []int) *rowPlan {
 	n := f.n
 	if n >= math.MaxInt32 || len(f.lx) >= math.MaxInt32 || len(f.ux) >= math.MaxInt32 {
 		return nil
 	}
 	p := &rowPlan{
-		perm: make([]int32, n),
-		lp:   make([]int32, n+1), lj: make([]int32, len(f.lx)), lx: make([]float64, len(f.lx)),
+		in: make([]int32, n), out: make([]int32, n),
+		lp: make([]int32, n+1), lj: make([]int32, len(f.lx)), lx: make([]float64, len(f.lx)),
 		up: make([]int32, n+1), uj: make([]int32, len(f.ux)), ux: make([]float64, len(f.ux)),
+		udiag: f.udiag,
+	}
+	pos := func(i int) int32 {
+		if ord == nil {
+			return int32(i)
+		}
+		return int32(ord[i])
 	}
 	for i, r := range f.perm {
-		p.perm[i] = int32(r)
+		p.in[i], p.out[i] = pos(r), pos(i)
 	}
 	// Counting sort by row: visiting columns ascending (L) or descending (U)
 	// leaves each row's columns in sweep order.
@@ -90,7 +97,7 @@ func newRowPlan(f *LU) *rowPlan {
 	for j := 0; j < n; j++ {
 		for q := f.lp[j]; q < f.lp[j+1]; q++ {
 			i := f.pinv[f.li[q]]
-			p.lj[next[i]], p.lx[next[i]] = int32(j), f.lx[q]
+			p.lj[next[i]], p.lx[next[i]] = p.out[j], f.lx[q]
 			next[i]++
 		}
 	}
@@ -98,24 +105,23 @@ func newRowPlan(f *LU) *rowPlan {
 	for j := n - 1; j >= 0; j-- {
 		for q := f.up[j]; q < f.up[j+1]; q++ {
 			i := f.ui[q]
-			p.uj[next[i]], p.ux[next[i]] = int32(j), f.ux[q]
+			p.uj[next[i]], p.ux[next[i]] = p.out[j], f.ux[q]
 			next[i]++
 		}
 	}
 	return p
 }
 
-// solveRows is SolveInto through the row plan: x = A⁻¹·b with no scratch
-// (x must not alias b).
-func (f *LU) solveRows(x, b []float64) {
-	p := f.plan
-	// Forward: y_i = b[perm i] − Σ_{j<i} L_ij·y_j, ascending j.
-	for i := range x {
-		x[i] = rowSum(b[p.perm[i]], p.lj[p.lp[i]:p.lp[i+1]], p.lx[p.lp[i]:p.lp[i+1]], x)
+// solve computes x = A⁻¹·b with no scratch (x must not alias b).
+func (p *rowPlan) solve(x, b []float64) {
+	// Forward: y_i = b[in i] − Σ_{j<i} L_ij·y_j, ascending j.
+	for i, o := range p.out {
+		x[o] = rowSum(b[p.in[i]], p.lj[p.lp[i]:p.lp[i+1]], p.lx[p.lp[i]:p.lp[i+1]], x)
 	}
 	// Backward: x_i = (y_i − Σ_{j>i} U_ij·x_j) / U_ii, descending j.
-	for i := len(x) - 1; i >= 0; i-- {
-		x[i] = rowSum(x[i], p.uj[p.up[i]:p.up[i+1]], p.ux[p.up[i]:p.up[i+1]], x) / f.udiag[i]
+	for i := len(p.out) - 1; i >= 0; i-- {
+		o := p.out[i]
+		x[o] = rowSum(x[o], p.uj[p.up[i]:p.up[i+1]], p.ux[p.up[i]:p.up[i+1]], x) / p.udiag[i]
 	}
 }
 
@@ -308,87 +314,6 @@ func (f *LU) N() int { return f.n }
 // NNZ returns the total stored nonzeros in L and U (including pivots).
 func (f *LU) NNZ() int { return len(f.lx) + len(f.ux) + f.n }
 
-// Solve solves A·x = b and returns a newly allocated solution vector; b is
-// not modified. It rejects a right-hand side of the wrong length instead of
-// panicking so callers can surface the failure as a diagnostic.
-func (f *LU) Solve(b []float64) ([]float64, error) {
-	if len(b) != f.n {
-		return nil, fmt.Errorf("sparse: LU Solve length %d != %d", len(b), f.n)
-	}
-	work := append([]float64(nil), b...)
-	// Forward: L y = P b, processed column by column in pivot order.
-	for j := 0; j < f.n; j++ {
-		yj := work[f.perm[j]]
-		if isExactZero(yj) {
-			continue
-		}
-		for q := f.lp[j]; q < f.lp[j+1]; q++ {
-			work[f.li[q]] -= f.lx[q] * yj
-		}
-	}
-	y := make([]float64, f.n)
-	for j := 0; j < f.n; j++ {
-		y[j] = work[f.perm[j]]
-	}
-	// Backward: U x = y, U stored by column with pivot-position rows.
-	for j := f.n - 1; j >= 0; j-- {
-		y[j] /= f.udiag[j]
-		xj := y[j]
-		if isExactZero(xj) {
-			continue
-		}
-		for q := f.up[j]; q < f.up[j+1]; q++ {
-			y[f.ui[q]] -= f.ux[q] * xj
-		}
-	}
-	return y, nil
-}
-
-// SolveInto solves A·x = b into x (len n each; x must not alias b) using
-// scratch kept on the factorization, so steady-state solves allocate
-// nothing. The floating-point operations and their order are identical to
-// Solve — the two entry points produce bitwise-identical results — but the
-// retained scratch makes an LU unsafe for concurrent SolveInto calls.
-func (f *LU) SolveInto(x, b []float64) error {
-	if len(b) != f.n || len(x) != f.n {
-		return fmt.Errorf("sparse: LU SolveInto lengths %d,%d != %d", len(x), len(b), f.n)
-	}
-	if f.plan != nil {
-		f.solveRows(x, b)
-		return nil
-	}
-	if f.work == nil {
-		f.work = make([]float64, f.n)
-	}
-	work := f.work
-	copy(work, b)
-	// Forward: L y = P b, processed column by column in pivot order.
-	for j := 0; j < f.n; j++ {
-		yj := work[f.perm[j]]
-		if isExactZero(yj) {
-			continue
-		}
-		for q := f.lp[j]; q < f.lp[j+1]; q++ {
-			work[f.li[q]] -= f.lx[q] * yj
-		}
-	}
-	for j := 0; j < f.n; j++ {
-		x[j] = work[f.perm[j]]
-	}
-	// Backward: U x = y, U stored by column with pivot-position rows.
-	for j := f.n - 1; j >= 0; j-- {
-		x[j] /= f.udiag[j]
-		xj := x[j]
-		if isExactZero(xj) {
-			continue
-		}
-		for q := f.up[j]; q < f.up[j+1]; q++ {
-			x[f.ui[q]] -= f.ux[q] * xj
-		}
-	}
-	return nil
-}
-
 // SolveTranspose solves Aᵀ·x = b. With P·A = L·U, Aᵀ = Uᵀ·Lᵀ·P, so the
 // sweep is a forward substitution with Uᵀ (lower triangular in pivot
 // coordinates), a backward substitution with the unit-diagonal Lᵀ, and a
@@ -433,26 +358,23 @@ const pivotTol = 0.1
 type Options struct {
 	// Refine enables one step of iterative refinement per solve.
 	Refine bool
-	// Supernodal builds the row-oriented substitution plan (rowPlan) over
-	// the finished factors and routes SolveInto through it. Results are
-	// bitwise-identical to the column sweeps.
-	Supernodal bool
 }
 
 // Factorization couples a sparse LU with the optional fill-reducing
-// pre-ordering and iterative refinement against the original matrix.
+// pre-ordering and iterative refinement against the original matrix. Vector
+// solves run through the row plan, panel solves through the column sweeps.
 type Factorization struct {
 	lu     *LU
-	a      *CSR  // original matrix (for refinement)
-	ord    []int // new -> old, nil when no pre-ordering
-	ordUI  []int // U's row indices in a's coordinates, ord[ui[q]] (ui when unordered; panel solves)
+	plan   *rowPlan // vector substitution, in a's coordinates
+	a      *CSR     // original matrix (for refinement)
+	ord    []int    // new -> old, nil when no pre-ordering
+	ordUI  []int    // U's row indices in a's coordinates, ord[ui[q]] (ui when unordered; panel solves)
 	refine bool
 
-	// SolveInto scratch, lazily sized; see the concurrency note there.
-	pwork  []float64 // permuted right-hand side
-	pxwork []float64 // permuted solution
-	rwork  []float64 // refinement residual
-	dwork  []float64 // refinement correction
+	// SolveInto refinement scratch, lazily sized; see the concurrency note
+	// there.
+	rwork []float64 // residual
+	dwork []float64 // correction
 }
 
 // Factor computes a ready-to-solve factorization of the square matrix a.
@@ -469,8 +391,8 @@ func Factor(a *CSR, opt Options) (*Factorization, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Supernodal {
-		lu.plan = newRowPlan(lu)
+	if f.plan = newRowPlan(lu, f.ord); f.plan == nil {
+		return nil, fmt.Errorf("sparse: n=%d factors with %d nonzeros overflow int32 indices", lu.n, lu.NNZ())
 	}
 	f.ordUI = lu.ui
 	if f.ord != nil {
@@ -501,47 +423,37 @@ func (f *Factorization) MulAdds() int {
 	return ops
 }
 
-// Solve solves A·x = b without modifying b. It returns an error when b has
-// the wrong length for the factored system.
+// Share returns a view of the factorization that reuses the (immutable)
+// factors, row plan and pre-ordering but owns its solve scratch. Views are
+// what the pencil-factorization cache hands out: each run solves through its
+// own view, so cached factorizations never race on scratch, and a view's
+// solves are bitwise-identical to the original's.
+func (f *Factorization) Share() *Factorization {
+	return &Factorization{lu: f.lu, plan: f.plan, a: f.a, ord: f.ord, ordUI: f.ordUI, refine: f.refine}
+}
+
+// Solve solves A·x = b into a fresh vector without modifying b. It runs
+// SolveInto on a private view, so concurrent calls are safe. It returns an
+// error when b has the wrong length for the factored system.
 func (f *Factorization) Solve(b []float64) ([]float64, error) {
-	if len(b) != f.lu.n {
-		return nil, fmt.Errorf("sparse: Solve right-hand side length %d != %d", len(b), f.lu.n)
-	}
-	x, err := f.solveOnce(b, false)
-	if err != nil {
+	x := make([]float64, len(b))
+	if err := f.Share().SolveInto(x, b); err != nil {
 		return nil, err
-	}
-	if f.refine {
-		// One refinement step: r = b − A·x, x += A⁻¹ r.
-		r := f.a.MulVec(x, nil)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		d, err := f.solveOnce(r, false)
-		if err != nil {
-			return nil, err
-		}
-		for i := range x {
-			x[i] += d[i]
-		}
 	}
 	return x, nil
 }
 
 // SolveInto solves A·x = b into x (len N() each; x must not alias b)
-// without modifying b, reusing scratch kept on the factorization so
-// steady-state solves allocate nothing. The arithmetic — including the
-// optional refinement step — runs in exactly the order Solve uses, so the
-// two entry points produce bitwise-identical results; the retained scratch
-// makes a Factorization unsafe for concurrent SolveInto calls.
+// without modifying b: the row plan runs from b straight into x, plus the
+// optional refinement step, whose scratch is kept on the factorization so
+// steady-state solves allocate nothing. That scratch makes a refining
+// Factorization unsafe for concurrent SolveInto calls; use Share views.
 func (f *Factorization) SolveInto(x, b []float64) error {
 	n := f.lu.n
 	if len(b) != n || len(x) != n {
 		return fmt.Errorf("sparse: SolveInto lengths %d,%d != %d", len(x), len(b), n)
 	}
-	if err := f.solveOnceInto(x, b); err != nil {
-		return err
-	}
+	f.plan.solve(x, b)
 	if f.refine {
 		// One refinement step: r = b − A·x, x += A⁻¹ r.
 		if f.rwork == nil {
@@ -552,35 +464,10 @@ func (f *Factorization) SolveInto(x, b []float64) error {
 		for i := range r {
 			r[i] = b[i] - r[i]
 		}
-		if err := f.solveOnceInto(f.dwork, r); err != nil {
-			return err
-		}
+		f.plan.solve(f.dwork, r)
 		for i := range x {
 			x[i] += f.dwork[i]
 		}
-	}
-	return nil
-}
-
-// solveOnceInto mirrors the forward direction of solveOnce into a caller
-// buffer, routing through the permutation sandwich when present.
-func (f *Factorization) solveOnceInto(x, b []float64) error {
-	if f.ord == nil {
-		return f.lu.SolveInto(x, b)
-	}
-	n := f.lu.n
-	if f.pwork == nil {
-		f.pwork = make([]float64, n)
-		f.pxwork = make([]float64, n)
-	}
-	for newI, oldI := range f.ord {
-		f.pwork[newI] = b[oldI]
-	}
-	if err := f.lu.SolveInto(f.pxwork, f.pwork); err != nil {
-		return err
-	}
-	for newI, oldI := range f.ord {
-		x[oldI] = f.pxwork[newI]
 	}
 	return nil
 }
@@ -590,25 +477,17 @@ func (f *Factorization) SolveTranspose(b []float64) ([]float64, error) {
 	if len(b) != f.lu.n {
 		return nil, fmt.Errorf("sparse: SolveTranspose right-hand side length %d != %d", len(b), f.lu.n)
 	}
-	return f.solveOnce(b, true)
-}
-
-func (f *Factorization) solveOnce(b []float64, transpose bool) ([]float64, error) {
-	luSolve := f.lu.Solve
-	if transpose {
-		// The pre-ordering is symmetric (W = P·A·Pᵀ), so Wᵀ = P·Aᵀ·Pᵀ and
-		// the same permutation sandwich applies to the transposed solve.
-		luSolve = f.lu.SolveTranspose
-	}
 	if f.ord == nil {
-		return luSolve(b)
+		return f.lu.SolveTranspose(b)
 	}
+	// The pre-ordering is symmetric (W = P·A·Pᵀ), so Wᵀ = P·Aᵀ·Pᵀ and the
+	// same permutation sandwich applies to the transposed solve.
 	n := f.lu.n
 	pb := make([]float64, n)
 	for newI, oldI := range f.ord {
 		pb[newI] = b[oldI]
 	}
-	px, err := luSolve(pb)
+	px, err := f.lu.SolveTranspose(pb)
 	if err != nil {
 		return nil, err
 	}
@@ -619,34 +498,45 @@ func (f *Factorization) solveOnce(b []float64, transpose bool) ([]float64, error
 	return x, nil
 }
 
-// Cond1Est estimates the 1-norm condition number κ₁(A) = ‖A‖₁·‖A⁻¹‖₁ with
-// Hager's power-style iteration on ‖A⁻¹‖₁ (the LAPACK xLACON scheme, a
-// handful of solves against A and Aᵀ). The estimate is a lower bound that is
-// almost always within a small factor of the truth — enough to route a
-// factorization down the fallback chain. It returns +Inf when the triangular
-// solves overflow, which is itself a reliable ill-conditioning signal.
+// Cond1Est estimates the 1-norm condition number κ₁(A) = ‖A‖₁·‖A⁻¹‖₁ (see
+// cond1Est), solving without refinement.
 func (f *Factorization) Cond1Est() float64 {
-	n := f.lu.n
-	if n == 0 {
-		return 0
-	}
-	if n == 1 {
+	if f.lu.n == 1 {
 		d := f.lu.udiag[0]
 		if isExactZero(d) {
 			return math.Inf(1)
 		}
 		return math.Abs(f.a.Norm1() / d)
 	}
+	solve := func(x, b []float64) error {
+		f.plan.solve(x, b)
+		return nil
+	}
+	return cond1Est(f.a, solve, f.SolveTranspose)
+}
+
+// cond1Est estimates κ₁(A) = ‖A‖₁·‖A⁻¹‖₁ with Hager's power-style iteration
+// on ‖A⁻¹‖₁ (the LAPACK xLACON scheme, a handful of solves against A and Aᵀ),
+// given solve (x = A⁻¹·b into x) and solveT (Aᵀ⁻¹·b, freshly allocated). The
+// estimate is a lower bound that is almost always within a small factor of
+// the truth — enough to route a factorization down the fallback chain. It
+// returns +Inf when the triangular solves overflow, which is itself a
+// reliable ill-conditioning signal.
+func cond1Est(a *CSR, solve func(x, b []float64) error, solveT func(b []float64) ([]float64, error)) float64 {
+	n := a.R
+	if n == 0 {
+		return 0
+	}
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = 1 / float64(n)
 	}
+	y := make([]float64, n)
 	xi := make([]float64, n) // sign vector, fully overwritten each iteration
 	est := 0.0
 	prev := -1
 	for iter := 0; iter < 5; iter++ {
-		y, err := f.solveOnce(x, false)
-		if err != nil {
+		if err := solve(y, x); err != nil {
 			return math.Inf(1)
 		}
 		est = 0
@@ -664,7 +554,7 @@ func (f *Factorization) Cond1Est() float64 {
 				xi[i] = -1
 			}
 		}
-		z, err := f.solveOnce(xi, true)
+		z, err := solveT(xi)
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -687,5 +577,5 @@ func (f *Factorization) Cond1Est() float64 {
 		x[j] = 1
 		prev = j
 	}
-	return f.a.Norm1() * est
+	return a.Norm1() * est
 }

@@ -20,10 +20,14 @@ import (
 //
 // Determinism contract: every kernel in this file performs, for each column
 // of the panel, exactly the floating-point operations of its one-vector
-// counterpart (SolveInto, MulVec) in exactly the same order — including the
-// exact-zero skips, which are applied per column. Panel solves are therefore
-// bitwise-identical to column-by-column solves, which is what lets SolveBatch
-// guarantee bitwise equality with sequential Solve calls.
+// counterpart in exactly the same order — including the exact-zero skips,
+// which are applied per column. For MulPanelInto/MulPanelAdd that is
+// MulVec/MulVecAdd. For solvePanel it is the column sweeps themselves: a
+// width-1 panel solve is the reference substitution, and the row plan behind
+// the vector SolveInto (rowPlan in lu.go) reproduces it bit for bit. Panel
+// solves are therefore bitwise-identical to column-by-column solves, which is
+// what lets SolveBatch guarantee bitwise equality with sequential Solve
+// calls.
 
 // solvePanel solves W·X = B for a panel of right-hand sides, W = A(ord, ord)
 // being the symmetrically pre-ordered matrix f factors, with b and x in A's
@@ -47,8 +51,8 @@ func (f *LU) solvePanel(x, b, work *mat.Dense, ord, ordUI []int) {
 	// Forward: L y = P b, processed column by column in pivot order. The
 	// exact-zero skip is hoisted out of the per-entry loop: one scan of the
 	// source row picks the all-skip, fused-SIMD, or per-element path, and
-	// each path performs per column exactly the operations the scalar solve
-	// would. The fused path hands the column's whole update list to one
+	// each path performs per column exactly the operations of the
+	// per-element path's skip loop. The fused path hands the column's whole update list to one
 	// SubMulRows call, so the factor's index stream is consumed inside the
 	// kernel instead of through per-nonzero Row() slicing.
 	for j := 0; j < f.n; j++ {
@@ -117,24 +121,6 @@ func panelZeros(row []float64) int {
 	return zeros
 }
 
-// share returns a factorization view with the immutable factor arrays shared
-// and the lazily-sized solve scratch detached, so two goroutines (or two
-// cached solver runs) can SolveInto through their own views concurrently.
-func (f *LU) share() *LU {
-	c := *f
-	c.work = nil
-	return &c
-}
-
-// Share returns a view of the factorization that reuses the (immutable)
-// factors and pre-ordering but owns its solve scratch. Views are what the
-// pencil-factorization cache hands out: each run solves through its own view,
-// so cached factorizations never race on scratch, and a view's solves are
-// bitwise-identical to the original's.
-func (f *Factorization) Share() *Factorization {
-	return &Factorization{lu: f.lu.share(), a: f.a, ord: f.ord, ordUI: f.ordUI, refine: f.refine}
-}
-
 // PanelScratch owns the working panels one goroutine needs to run
 // Factorization.SolvePanelInto: the substitution work panel and the
 // refinement residual/correction pair. Scratch is bound to a panel width;
@@ -156,11 +142,10 @@ func (f *Factorization) NewPanelScratch(k int) *PanelScratch {
 	return s
 }
 
-// SolvePanelInto solves A·X = B for an n×K panel without modifying b, routing
-// through the permutation sandwich and the optional refinement step
-// exactly as the one-vector SolveInto does, column by column in the same
-// operation order — each column of x is bitwise-identical to a SolveInto call
-// on the matching column of b. s must come from NewPanelScratch(K) on this
+// SolvePanelInto solves A·X = B for an n×K panel without modifying b, through
+// the column sweeps and the optional refinement step in the operation order
+// of the one-vector SolveInto — each column of x is bitwise-identical to a
+// SolveInto call on the matching column of b. s must come from NewPanelScratch(K) on this
 // factorization (or a Share() sibling); concurrent calls need distinct
 // scratch.
 func (f *Factorization) SolvePanelInto(x, b *mat.Dense, s *PanelScratch) error {

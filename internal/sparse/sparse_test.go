@@ -165,7 +165,9 @@ func TestFactorLUAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 5, 20, 50} {
 		a := randomSparseSquare(rng, n, 0.15)
-		f, err := FactorLU(a, 0.1)
+		// Below the ordering threshold Factor is FactorLU(a, 0.1) plus the
+		// row plan that solves through it.
+		f, err := Factor(a, Options{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -205,9 +207,12 @@ func TestFactorLUNeedsPivoting(t *testing.T) {
 	coo := NewCOO(2, 2)
 	coo.Add(0, 1, 1)
 	coo.Add(1, 0, 1)
-	f, err := FactorLU(coo.ToCSR(), 0.1)
+	f, err := Factor(coo.ToCSR(), Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if f.lu.perm[0] != 1 {
+		t.Fatalf("pivot rows %v, want the off-diagonal row 1 first", f.lu.perm)
 	}
 	x, err := f.Solve([]float64{3, 4})
 	if err != nil {
@@ -333,12 +338,11 @@ func TestSolveRejectsWrongLength(t *testing.T) {
 	if _, err := fac.SolveTranspose(make([]float64, 6)); err == nil {
 		t.Fatal("SolveTranspose accepted a long right-hand side")
 	}
-	lu, err := FactorLU(a, 0.1)
-	if err != nil {
-		t.Fatal(err)
+	if err := fac.SolveInto(make([]float64, 5), make([]float64, 2)); err == nil {
+		t.Fatal("SolveInto accepted a short right-hand side")
 	}
-	if _, err := lu.Solve(make([]float64, 2)); err == nil {
-		t.Fatal("LU.Solve accepted a short right-hand side")
+	if err := fac.SolveInto(make([]float64, 6), make([]float64, 5)); err == nil {
+		t.Fatal("SolveInto accepted a long solution vector")
 	}
 }
 
